@@ -2,16 +2,16 @@
 //! true global residual out-of-band (the measurement hook, as in the
 //! paper's harness), and detects convergence, divergence, and deadlock.
 
-use super::block_jacobi::BlockJacobiRank;
-use super::distributed_southwell::{DistributedSouthwellRank, DsConfig};
+use super::distributed_southwell::DsConfig;
 use super::layout::{distribute, LocalSystem};
-use super::parallel_southwell::ParallelSouthwellRank;
 use super::recovery::Recoverable;
+use super::session::WarmStart;
+use super::verdict::{nudge_all, Boundary, Transition, Verdict};
 use crate::history::interpolate_crossing;
 use dsw_partition::{Partition, Redundancy, ReplicaMap};
 use dsw_rma::{
     AsyncExecutor, AsyncOptions, ChaosConfig, CloseMode, CostModel, ExecMode, Executor,
-    MonitorStats, RankAlgorithm, RedundantHost, RunStats,
+    MonitorStats, RankAlgorithm, RedundantHost, RunStats, SharedPool, StepStats,
 };
 use dsw_sparse::CsrMatrix;
 use std::time::Instant;
@@ -184,6 +184,38 @@ impl Default for DistOptions {
     }
 }
 
+impl DistOptions {
+    /// Checks the warm-start preconditions of persistent sessions and
+    /// fused panels, and returns the superstep exec mode: superstep
+    /// backend, reliable transport, no coded redundancy, unbuffered solve
+    /// messages (`solve_msg_threshold == 0`), recovery off. Under them the
+    /// only payloads in flight at a step boundary are norm estimates, so a
+    /// reseed may discard them. `who` names the caller in the panic.
+    pub(crate) fn warm_start_mode(&self, who: &str) -> ExecMode {
+        let ExecBackend::Superstep(mode) = self.backend else {
+            panic!("{who} requires the superstep backend (warm-start precondition)")
+        };
+        assert!(
+            !self.chaos.is_active(),
+            "{who} requires a reliable transport (warm-start precondition)"
+        );
+        assert!(
+            self.redundancy.is_none(),
+            "{who} does not support coded redundancy"
+        );
+        assert_eq!(
+            self.ds_config.solve_msg_threshold, 0.0,
+            "{who} requires unbuffered solve messages (warm-start precondition)"
+        );
+        assert!(
+            !self.ds_config.recovery.is_active(),
+            "{who} requires the recovery layer off (discarding in-flight \
+             messages would violate sequencing)"
+        );
+        mode
+    }
+}
+
 /// The `O(P)` maintained view of the global residual norm.
 #[derive(Debug, Clone, Copy)]
 pub struct MaintainedNorm {
@@ -250,59 +282,10 @@ impl MonitorCore {
         })
     }
 
-    /// The exact `‖b − Ax‖₂`: gather into the reusable scratch, one SpMV,
-    /// one norm — `O(n + nnz)`.
-    pub fn exact<R: RankAlgorithm>(
-        &mut self,
-        a: &CsrMatrix,
-        b: &[f64],
-        ranks: &[R],
-        local_of: &impl Fn(&R) -> &LocalSystem,
-    ) -> f64 {
-        let t0 = Instant::now();
-        self.gather_into_scratch(ranks, local_of);
-        a.spmv(&self.x, &mut self.ax);
-        let norm_sq: f64 = b
-            .iter()
-            .zip(&self.ax)
-            .map(|(&b, &ax)| {
-                let d = b - ax;
-                d * d
-            })
-            .sum();
-        self.stats.verifications += 1;
-        self.stats.verify_ns += t0.elapsed().as_nanos() as u64;
-        norm_sq.sqrt()
-    }
-
-    /// Gathers the current global solution (reuses the scratch buffer,
-    /// clones out once — for the end-of-run report).
-    pub fn gather<R: RankAlgorithm>(
-        &mut self,
-        ranks: &[R],
-        local_of: &impl Fn(&R) -> &LocalSystem,
-    ) -> Vec<f64> {
-        self.gather_into_scratch(ranks, local_of);
-        self.x.clone()
-    }
-
-    fn gather_into_scratch<R: RankAlgorithm>(
-        &mut self,
-        ranks: &[R],
-        local_of: &impl Fn(&R) -> &LocalSystem,
-    ) {
-        for r in ranks {
-            let ls = local_of(r);
-            for (li, &g) in ls.rows.iter().enumerate() {
-                self.x[g] = ls.x[li];
-            }
-        }
-    }
-
     /// View-based [`MonitorCore::maintained`]: the drive loops read global
     /// state through a [`NormView`], so the uncoded run (one block per
-    /// rank) and a redundancy-coded run (one representative per replica
-    /// set) share one loop body and one accounting path.
+    /// rank), a redundancy-coded run (one representative per replica set)
+    /// and a panel column share one loop body and one accounting path.
     pub(crate) fn maintained_view<R: RankAlgorithm>(
         &mut self,
         ranks: &[R],
@@ -318,7 +301,8 @@ impl MonitorCore {
         })
     }
 
-    /// View-based [`MonitorCore::exact`].
+    /// The exact `‖b − Ax‖₂`: gather into the reusable scratch, one SpMV,
+    /// one norm — `O(n + nnz)`.
     pub(crate) fn exact_view<R: RankAlgorithm>(
         &mut self,
         a: &CsrMatrix,
@@ -342,7 +326,8 @@ impl MonitorCore {
         norm_sq.sqrt()
     }
 
-    /// View-based [`MonitorCore::gather`].
+    /// Gathers the current global solution (reuses the scratch buffer,
+    /// clones out once — for the end-of-run report).
     pub(crate) fn gather_view<R: RankAlgorithm>(
         &mut self,
         ranks: &[R],
@@ -351,6 +336,67 @@ impl MonitorCore {
         view.scatter_into(ranks, &mut self.x);
         self.x.clone()
     }
+
+    /// First half of a boundary measurement: the `O(P)` maintained sum
+    /// (maintained mode only) and the verdict's exact-norm trigger
+    /// ([`Verdict::needs_exact`]). Split from [`MonitorCore::measure`] so
+    /// a fused panel can block several columns' exact recomputes into one
+    /// SpMV.
+    pub(crate) fn read<R: RankAlgorithm>(
+        &mut self,
+        ranks: &[R],
+        view: &impl NormView<R>,
+        verdict: &Verdict,
+        at: Boundary,
+    ) -> Reading {
+        let m = match verdict.monitor {
+            MonitorMode::Maintained { .. } => self.maintained_view(ranks, view),
+            MonitorMode::Exact => None,
+        };
+        match m {
+            Some(m) if !verdict.needs_exact(m, at) => Reading::Maintained(m.norm),
+            m => Reading::Exact(m),
+        }
+    }
+
+    /// Second half: records the drift between a maintained reading and
+    /// the exact norm `e` that confirmed it; returns `e`.
+    pub(crate) fn confirm(&mut self, e: f64, m: Option<MaintainedNorm>) -> f64 {
+        if let Some(m) = m {
+            self.stats.record_drift(e, m.norm);
+        }
+        e
+    }
+
+    /// Measures one boundary: `(norm, verified)` — `norm` is what the
+    /// record carries, `verified` says it is the exact norm (verdicts
+    /// require that).
+    pub(crate) fn measure<R: RankAlgorithm>(
+        &mut self,
+        a: &CsrMatrix,
+        b: &[f64],
+        ranks: &[R],
+        view: &impl NormView<R>,
+        verdict: &Verdict,
+        at: Boundary,
+    ) -> (f64, bool) {
+        match self.read(ranks, view, verdict, at) {
+            Reading::Maintained(norm) => (norm, false),
+            Reading::Exact(m) => {
+                let e = self.exact_view(a, b, ranks, view);
+                (self.confirm(e, m), true)
+            }
+        }
+    }
+}
+
+/// How a boundary's norm is obtained ([`MonitorCore::read`]).
+pub(crate) enum Reading {
+    /// The maintained sum stands; no exact recompute.
+    Maintained(f64),
+    /// An exact recompute must follow; carries the maintained reading, if
+    /// one was taken, for the drift record.
+    Exact(Option<MaintainedNorm>),
 }
 
 /// [`MonitorCore`] with the system borrowed in: the one-shot driver entry
@@ -378,22 +424,24 @@ impl<'a> Monitor<'a> {
         self.core.maintained(ranks)
     }
 
-    /// See [`MonitorCore::exact`].
+    /// The exact `‖b − Ax‖₂`: gather, one SpMV, one norm —
+    /// `O(n + nnz)`.
     pub fn exact<R: RankAlgorithm>(
         &mut self,
         ranks: &[R],
         local_of: &impl Fn(&R) -> &LocalSystem,
     ) -> f64 {
-        self.core.exact(self.a, self.b, ranks, local_of)
+        self.core
+            .exact_view(self.a, self.b, ranks, &DirectView(local_of))
     }
 
-    /// See [`MonitorCore::gather`].
+    /// Gathers the current global solution.
     pub fn gather<R: RankAlgorithm>(
         &mut self,
         ranks: &[R],
         local_of: &impl Fn(&R) -> &LocalSystem,
     ) -> Vec<f64> {
-        self.core.gather(ranks, local_of)
+        self.core.gather_view(ranks, &DirectView(local_of))
     }
 
     /// Cost and drift observables accumulated so far.
@@ -409,19 +457,43 @@ impl<'a> Monitor<'a> {
 /// [`ReplicaView`] reads each block from its freshest replica and declares
 /// the replica sets as scheduler lag groups.
 pub(crate) trait NormView<R: RankAlgorithm> {
-    /// Writes every global row's current value into `x` (each logical
-    /// block exactly once).
-    fn scatter_into(&self, ranks: &[R], x: &mut [f64]);
+    /// The solver state a logical block is read from.
+    type Block: RankAlgorithm;
 
-    /// `(Σ norm², Σ slack²)` over logical blocks — the inputs of
-    /// [`MaintainedNorm`] — or `None` if the algorithm maintains no norms.
-    fn maintained_sums(&self, ranks: &[R]) -> Option<(f64, f64)>;
+    /// Every logical block's current state, each exactly once, in block
+    /// order.
+    fn blocks<'a>(&'a self, ranks: &'a [R]) -> impl Iterator<Item = &'a Self::Block>;
+
+    /// A block's local system (its rows and iterate).
+    fn local<'a>(&self, block: &'a Self::Block) -> &'a LocalSystem;
 
     /// Lag groups for the asynchronous scheduler: ranks hosting a common
     /// block progress as one logical owner, so a replica-covered straggler
     /// stops gating the lag bound. `None` keeps per-rank gating.
     fn lag_groups(&self) -> Option<Vec<Vec<u32>>> {
         None
+    }
+
+    /// Writes every global row's current value into `x`.
+    fn scatter_into(&self, ranks: &[R], x: &mut [f64]) {
+        for block in self.blocks(ranks) {
+            let ls = self.local(block);
+            for (li, &g) in ls.rows.iter().enumerate() {
+                x[g] = ls.x[li];
+            }
+        }
+    }
+
+    /// `(Σ norm², Σ slack²)` over logical blocks — the inputs of
+    /// [`MaintainedNorm`] — or `None` if the algorithm maintains no norms.
+    fn maintained_sums(&self, ranks: &[R]) -> Option<(f64, f64)> {
+        let mut norm_sq = 0.0;
+        let mut slack_sq = 0.0;
+        for block in self.blocks(ranks) {
+            norm_sq += block.maintained_norm_sq()?;
+            slack_sq += block.undelivered_delta_sq();
+        }
+        Some((norm_sq, slack_sq))
     }
 }
 
@@ -434,23 +506,14 @@ where
     R: RankAlgorithm,
     F: Fn(&R) -> &LocalSystem,
 {
-    fn scatter_into(&self, ranks: &[R], x: &mut [f64]) {
-        for r in ranks {
-            let ls = (self.0)(r);
-            for (li, &g) in ls.rows.iter().enumerate() {
-                x[g] = ls.x[li];
-            }
-        }
+    type Block = R;
+
+    fn blocks<'a>(&'a self, ranks: &'a [R]) -> impl Iterator<Item = &'a R> {
+        ranks.iter()
     }
 
-    fn maintained_sums(&self, ranks: &[R]) -> Option<(f64, f64)> {
-        let mut norm_sq = 0.0;
-        let mut slack_sq = 0.0;
-        for r in ranks {
-            norm_sq += r.maintained_norm_sq()?;
-            slack_sq += r.undelivered_delta_sq();
-        }
-        Some((norm_sq, slack_sq))
+    fn local<'a>(&self, block: &'a R) -> &'a LocalSystem {
+        (self.0)(block)
     }
 }
 
@@ -459,14 +522,42 @@ where
 /// lock-step runs always read the primary). Every replica holds a valid
 /// estimate state; the representative is simply the freshest one, which is
 /// exactly the first-arrival semantics the message plane uses.
-struct ReplicaView<F> {
+struct ReplicaView {
     /// Hosts per logical block, primary first.
     replicas: Vec<Vec<usize>>,
-    /// Projects the inner solver to its local system.
-    local_of: F,
 }
 
-impl<F> ReplicaView<F> {
+impl ReplicaView {
+    /// Hosts per logical block, as the `u32` rank ids the substrate takes.
+    fn hosts_u32(&self) -> Vec<Vec<u32>> {
+        let to_u32 = |hs: &Vec<usize>| hs.iter().map(|&h| h as u32).collect();
+        self.replicas.iter().map(to_u32).collect()
+    }
+
+    /// Deals `r` solver sets (each from `build_set`) onto the placement:
+    /// block `b`'s `j`-th instance goes to host `replicas[b][j]`.
+    fn place<R: RankAlgorithm>(
+        &self,
+        r: usize,
+        build_set: impl Fn() -> Vec<R>,
+    ) -> Vec<RedundantHost<R>> {
+        let mut sets: Vec<Vec<Option<R>>> = (0..r)
+            .map(|_| build_set().into_iter().map(Some).collect())
+            .collect();
+        let mut per_host: Vec<Vec<(usize, R)>> = self.replicas.iter().map(|_| Vec::new()).collect();
+        for (b, hosts) in self.replicas.iter().enumerate() {
+            for (j, &h) in hosts.iter().enumerate() {
+                per_host[h].push((b, sets[j][b].take().expect("each instance dealt once")));
+            }
+        }
+        let groups = self.hosts_u32();
+        per_host
+            .into_iter()
+            .enumerate()
+            .map(|(p, solvers)| RedundantHost::new(p, groups.clone(), solvers))
+            .collect()
+    }
+
     fn representative<A: RankAlgorithm>(&self, ranks: &[RedundantHost<A>], b: usize) -> usize {
         let mut best = self.replicas[b][0];
         for &h in &self.replicas[b][1..] {
@@ -478,40 +569,23 @@ impl<F> ReplicaView<F> {
     }
 }
 
-impl<A, F> NormView<RedundantHost<A>> for ReplicaView<F>
-where
-    A: RankAlgorithm,
-    F: Fn(&A) -> &LocalSystem,
-{
-    fn scatter_into(&self, ranks: &[RedundantHost<A>], x: &mut [f64]) {
-        for b in 0..self.replicas.len() {
-            let h = self.representative(ranks, b);
-            let ls = (self.local_of)(ranks[h].solver_for(b).expect("host carries its block"));
-            for (li, &g) in ls.rows.iter().enumerate() {
-                x[g] = ls.x[li];
-            }
-        }
+impl<A: WarmStart> NormView<RedundantHost<A>> for ReplicaView {
+    type Block = A;
+
+    fn blocks<'a>(&'a self, ranks: &'a [RedundantHost<A>]) -> impl Iterator<Item = &'a A> {
+        (0..self.replicas.len()).map(move |b| {
+            ranks[self.representative(ranks, b)]
+                .solver_for(b)
+                .expect("host carries its block")
+        })
     }
 
-    fn maintained_sums(&self, ranks: &[RedundantHost<A>]) -> Option<(f64, f64)> {
-        let mut norm_sq = 0.0;
-        let mut slack_sq = 0.0;
-        for b in 0..self.replicas.len() {
-            let h = self.representative(ranks, b);
-            let sv = ranks[h].solver_for(b).expect("host carries its block");
-            norm_sq += sv.maintained_norm_sq()?;
-            slack_sq += sv.undelivered_delta_sq();
-        }
-        Some((norm_sq, slack_sq))
+    fn local<'a>(&self, block: &'a A) -> &'a LocalSystem {
+        block.local()
     }
 
     fn lag_groups(&self) -> Option<Vec<Vec<u32>>> {
-        Some(
-            self.replicas
-                .iter()
-                .map(|hs| hs.iter().map(|&h| h as u32).collect())
-                .collect(),
-        )
+        Some(self.hosts_u32())
     }
 }
 
@@ -731,167 +805,81 @@ pub fn run_method(
     partition: &Partition,
     opts: &DistOptions,
 ) -> DistReport {
-    if let Some(red) = opts.redundancy {
-        let map = ReplicaMap::try_new(partition.nparts(), red)
-            .unwrap_or_else(|e| panic!("DistOptions::redundancy: {e}"));
-        if map.r() > 1 {
-            return run_method_redundant(method, a, b, x0, partition, opts, &map);
+    // `r = 1` is the identity placement: run the uncoded path. The wrapper
+    // at r = 1 would be message-for-message identical except that its slot
+    // reconciliation absorbs chaos *duplicates* before the solver's own
+    // sequencing sees them — so the uncoded path is the one that keeps
+    // `Some(Redundancy::new(1))` bit-identical to `None` under every chaos
+    // mix.
+    let coded = opts
+        .redundancy
+        .map(|red| {
+            ReplicaMap::try_new(partition.nparts(), red)
+                .unwrap_or_else(|e| panic!("DistOptions::redundancy: {e}"))
+        })
+        .filter(|map| map.r() > 1);
+    let locals = || distribute(a, b, x0, partition).expect("valid distribution");
+    with_ranks!(method, opts.ds_config, (a, b, x0), |build, _| match coded {
+        None => drive(method, build(locals()), WarmStart::local, a, b, opts),
+        // Every replica of a block must start from identical state, so
+        // `r` full solver sets are built from `r` identical distributions.
+        // The DS deadlock-avoidance protocol needs no changes: the
+        // `RedundantHost` wrapper translates physical ↔ logical addresses,
+        // so Γ̃-set negotiation and recovery audits run purely in logical
+        // block space and see a replica set as one owner.
+        Some(map) => {
+            let view = ReplicaView {
+                replicas: map.replicas().to_vec(),
+            };
+            let hosts = view.place(map.r(), || build(locals()));
+            drive_view(method, hosts, view, a, b, opts)
         }
-        // `r = 1` is the identity placement: run the uncoded path. The
-        // wrapper at r = 1 would be message-for-message identical except
-        // that its slot reconciliation absorbs chaos *duplicates* before
-        // the solver's own sequencing sees them — so the uncoded path is
-        // the one that keeps `Some(Redundancy::new(1))` bit-identical to
-        // `None` under every chaos mix.
-    }
-    let locals = distribute(a, b, x0, partition).expect("valid distribution");
-    let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
-    match method {
-        Method::BlockJacobi => {
-            let ranks = BlockJacobiRank::build_with_solver(locals, opts.ds_config.local_solver);
-            drive(method, ranks, |r| &r.ls, a, b, opts)
-        }
-        Method::ParallelSouthwell => {
-            let ranks =
-                ParallelSouthwellRank::build_cfg(locals, &norms, true, opts.ds_config.local_solver);
-            drive(method, ranks, |r| &r.ls, a, b, opts)
-        }
-        Method::ParallelSouthwellPiggybackOnly => {
-            let ranks = ParallelSouthwellRank::build_cfg(
-                locals,
-                &norms,
-                false,
-                opts.ds_config.local_solver,
-            );
-            drive(method, ranks, |r| &r.ls, a, b, opts)
-        }
-        Method::DistributedSouthwell => {
-            let r0 = a.residual(b, x0);
-            let ranks = DistributedSouthwellRank::build_with(locals, &norms, &r0, opts.ds_config);
-            drive(method, ranks, |r| &r.ls, a, b, opts)
-        }
-    }
+    })
 }
 
-/// The redundancy-coded run: builds `r` bit-identical solver sets, deals
-/// each block's instances out to its replica hosts, and drives the
-/// [`RedundantHost`] wrappers through the standard loops with a
-/// [`ReplicaView`].
-fn run_method_redundant(
-    method: Method,
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    partition: &Partition,
-    opts: &DistOptions,
-    map: &ReplicaMap,
-) -> DistReport {
-    match method {
-        Method::BlockJacobi => drive_redundant(
-            method,
-            a,
-            b,
-            opts,
-            map,
-            |locals| BlockJacobiRank::build_with_solver(locals, opts.ds_config.local_solver),
-            |r: &BlockJacobiRank| &r.ls,
-            || distribute(a, b, x0, partition).expect("valid distribution"),
-        ),
-        Method::ParallelSouthwell | Method::ParallelSouthwellPiggybackOnly => {
-            let explicit = method == Method::ParallelSouthwell;
-            drive_redundant(
-                method,
-                a,
-                b,
-                opts,
-                map,
-                |locals| {
-                    let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
-                    ParallelSouthwellRank::build_cfg(
-                        locals,
-                        &norms,
-                        explicit,
-                        opts.ds_config.local_solver,
-                    )
-                },
-                |r: &ParallelSouthwellRank| &r.ls,
-                || distribute(a, b, x0, partition).expect("valid distribution"),
-            )
+/// The one per-method rank constructor. Evaluates `$body` with `$build`
+/// bound to the rank constructor of `$method`'s rank type `R` (a
+/// `Fn(Vec<LocalSystem>) -> Vec<R>`) and `$wrap` to the matching
+/// [`TenantSession`](crate::dist::TenantSession) variant; the body is
+/// expanded once per rank type, so it is generic in `R`.
+macro_rules! with_ranks {
+    ($method:expr, $cfg:expr, ($a:expr, $b:expr, $x0:expr), |$build:ident, $wrap:pat_param| $body:expr) => {{
+        use $crate::dist::{
+            BlockJacobiRank, DistributedSouthwellRank, LocalSystem, Method, ParallelSouthwellRank,
+            TenantSession,
+        };
+        let (method, cfg): (Method, $crate::dist::DsConfig) = ($method, $cfg);
+        let norms = |locals: &[LocalSystem]| -> Vec<f64> {
+            locals.iter().map(LocalSystem::residual_norm_sq).collect()
+        };
+        match method {
+            Method::BlockJacobi => {
+                let $wrap = TenantSession::Bj;
+                let $build = |locals| BlockJacobiRank::build_with_solver(locals, cfg.local_solver);
+                $body
+            }
+            Method::ParallelSouthwell | Method::ParallelSouthwellPiggybackOnly => {
+                let explicit = method == Method::ParallelSouthwell;
+                let $wrap = TenantSession::Ps;
+                let $build = |locals: Vec<LocalSystem>| {
+                    let norms = norms(&locals);
+                    ParallelSouthwellRank::build_cfg(locals, &norms, explicit, cfg.local_solver)
+                };
+                $body
+            }
+            Method::DistributedSouthwell => {
+                let r0 = $a.residual($b, $x0);
+                let $wrap = TenantSession::Ds;
+                let $build = |locals: Vec<LocalSystem>| {
+                    let norms = norms(&locals);
+                    DistributedSouthwellRank::build_with(locals, &norms, &r0, cfg)
+                };
+                $body
+            }
         }
-        Method::DistributedSouthwell => {
-            let r0 = a.residual(b, x0);
-            drive_redundant(
-                method,
-                a,
-                b,
-                opts,
-                map,
-                |locals| {
-                    let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
-                    DistributedSouthwellRank::build_with(locals, &norms, &r0, opts.ds_config)
-                },
-                |r: &DistributedSouthwellRank| &r.ls,
-                || distribute(a, b, x0, partition).expect("valid distribution"),
-            )
-        }
-    }
+    }};
 }
-
-/// Assembles and drives the coded rank set for one solver type.
-///
-/// Every replica of a block must start from identical state, so `r` full
-/// solver sets are built from `r` identical distributions; block `b`'s
-/// `j`-th replica instance goes to host `map.hosts_of(b)[j]`. The DS
-/// deadlock-avoidance protocol needs no changes: the wrapper translates
-/// physical ↔ logical addresses, so Γ̃-set negotiation and recovery audits
-/// run purely in logical block space and see a replica set as one owner.
-#[allow(clippy::too_many_arguments)]
-fn drive_redundant<R, F, G, D>(
-    method: Method,
-    a: &CsrMatrix,
-    b: &[f64],
-    opts: &DistOptions,
-    map: &ReplicaMap,
-    build: F,
-    local_of: G,
-    distribute_once: D,
-) -> DistReport
-where
-    R: RankAlgorithm + Recoverable,
-    RedundantHost<R>: Recoverable,
-    F: Fn(Vec<LocalSystem>) -> Vec<R>,
-    G: Fn(&R) -> &LocalSystem,
-    D: Fn() -> Vec<LocalSystem>,
-{
-    let nblocks = map.nblocks();
-    let mut sets: Vec<Vec<Option<R>>> = (0..map.r())
-        .map(|_| build(distribute_once()).into_iter().map(Some).collect())
-        .collect();
-    let mut per_host: Vec<Vec<(usize, R)>> = (0..nblocks).map(|_| Vec::new()).collect();
-    for (b_id, hosts) in (0..nblocks).map(|b| (b, map.hosts_of(b))) {
-        for (j, &h) in hosts.iter().enumerate() {
-            per_host[h].push((
-                b_id,
-                sets[j][b_id].take().expect("each instance dealt once"),
-            ));
-        }
-    }
-    let replicas_u32: Vec<Vec<u32>> = map
-        .replicas()
-        .iter()
-        .map(|hs| hs.iter().map(|&h| h as u32).collect())
-        .collect();
-    let hosts: Vec<RedundantHost<R>> = per_host
-        .into_iter()
-        .enumerate()
-        .map(|(p, solvers)| RedundantHost::new(p, replicas_u32.clone(), solvers))
-        .collect();
-    let view = ReplicaView {
-        replicas: map.replicas().to_vec(),
-        local_of,
-    };
-    drive_view(method, hosts, &view, a, b, opts)
-}
+pub(crate) use with_ranks;
 
 /// The generic run loop over any solver rank type, on either substrate
 /// ([`DistOptions::backend`]).
@@ -914,14 +902,14 @@ pub fn drive<R>(
 where
     R: RankAlgorithm + Recoverable,
 {
-    drive_view(method, ranks, &DirectView(local_of), a, b, opts)
+    drive_view(method, ranks, DirectView(local_of), a, b, opts)
 }
 
 /// The backend dispatch over an arbitrary state view (uncoded or coded).
 fn drive_view<R, V>(
     method: Method,
     ranks: Vec<R>,
-    view: &V,
+    view: V,
     a: &CsrMatrix,
     b: &[f64],
     opts: &DistOptions,
@@ -931,9 +919,30 @@ where
     V: NormView<R>,
 {
     match opts.backend {
-        ExecBackend::Superstep(mode) => drive_superstep(method, ranks, view, a, b, opts, mode),
-        ExecBackend::Async(aopts) => drive_async(method, ranks, view, a, b, opts, aopts),
+        ExecBackend::Superstep(mode) => {
+            let ex = superstep_executor(ranks, opts, mode, None);
+            let mut run = SuperstepRun::new(method, ex, view, a, b, *opts);
+            run.step_batch(a, b, opts.max_steps);
+            run.finish()
+        }
+        ExecBackend::Async(aopts) => drive_async(method, ranks, &view, a, b, opts, aopts),
     }
+}
+
+/// The superstep executor for `opts`: on the shared `pool` when one is
+/// given, else private in `mode`.
+pub(crate) fn superstep_executor<R: RankAlgorithm>(
+    ranks: Vec<R>,
+    opts: &DistOptions,
+    mode: ExecMode,
+    pool: Option<&SharedPool>,
+) -> Executor<R> {
+    let mut ex = match pool {
+        Some(pool) => Executor::with_shared_pool(ranks, opts.cost_model, opts.chaos, pool),
+        None => Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos),
+    };
+    ex.set_close_mode(opts.close_mode);
+    ex
 }
 
 /// The step-0 record: the exactly measured initial state, zero counters.
@@ -961,205 +970,239 @@ pub(crate) fn initial_record(initial: f64) -> StepRecord {
     }
 }
 
-/// Appends the cumulative record for one boundary (a parallel step on the
-/// superstep backend, a scheduler tick on the async one).
-pub(crate) fn push_record(
-    records: &mut Vec<StepRecord>,
-    step: usize,
-    norm: f64,
-    s: &dsw_rma::StepStats,
-    nranks: usize,
-) {
-    let prev = *records
-        .last()
-        .expect("push_record runs after the step-0 record is seeded");
-    records.push(StepRecord {
-        step,
-        residual_norm: norm,
-        relaxations: prev.relaxations + s.relaxations,
-        msgs: prev.msgs + s.msgs,
-        msgs_solve: prev.msgs_solve + s.msgs_solve,
-        msgs_residual: prev.msgs_residual + s.msgs_residual,
-        msgs_recovery: prev.msgs_recovery + s.msgs_recovery,
-        msgs_redundancy: prev.msgs_redundancy + s.msgs_redundancy,
-        msgs_transfer: prev.msgs_transfer + s.msgs_transfer,
-        bytes: prev.bytes + s.bytes,
-        bytes_solve: prev.bytes_solve + s.bytes_solve,
-        bytes_residual: prev.bytes_residual + s.bytes_residual,
-        bytes_recovery: prev.bytes_recovery + s.bytes_recovery,
-        bytes_redundancy: prev.bytes_redundancy + s.bytes_redundancy,
-        bytes_transfer: prev.bytes_transfer + s.bytes_transfer,
-        time: prev.time + s.time,
-        active_ranks: s.active_ranks,
-        compute_ns: prev.compute_ns + s.compute_ns,
-        imbalance: s.imbalance(nranks),
-    });
+/// Rank-cumulative recovery counters: `[drift repairs, stale discards]`.
+pub(crate) fn recovery_counts<'a, R: Recoverable + 'a>(
+    ranks: impl IntoIterator<Item = &'a R>,
+) -> [u64; 2] {
+    ranks.into_iter().fold([0, 0], |[d, s], r| {
+        [d + r.drift_repairs(), s + r.stale_discards()]
+    })
 }
 
-/// Measures one boundary: the `O(P)` maintained sum where possible, the
-/// exact `O(n + nnz)` recompute where the mode or a pending verdict
-/// demands it. Returns `(norm, verified)` — `norm` is what the record
-/// carries; `verified` says whether it is the exact norm (verdicts
-/// require that). `boundary` is the cadence counter (step or tick) and
-/// `last` marks the final boundary of the run, which is always exact.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn measure_boundary<R: RankAlgorithm>(
-    monitor: &mut MonitorCore,
-    a: &CsrMatrix,
-    b: &[f64],
-    ranks: &[R],
-    view: &impl NormView<R>,
-    opts: &DistOptions,
-    initial: f64,
-    boundary: usize,
-    idle: bool,
-    last: bool,
-) -> (f64, bool) {
-    match opts.monitor {
-        MonitorMode::Exact => (monitor.exact_view(a, b, ranks, view), true),
-        MonitorMode::Maintained { verify_every } => match monitor.maintained_view(ranks, view) {
-            Some(m) => {
-                let due = verify_every > 0 && boundary.is_multiple_of(verify_every);
-                // Trigger on a *possible* convergence claim: on a
-                // reliable link the true norm is within `slack` of the
-                // maintained one (plus a relative margin for summation
-                // round-off), so only `norm − slack ≤ t` can hide a
-                // converged state.
-                let claims_convergence = opts
-                    .target_residual
-                    .is_some_and(|t| m.norm - m.slack <= t * (1.0 + 1e-9));
-                let claims_divergence = !m.norm.is_finite()
-                    || opts
-                        .divergence_cutoff
-                        .is_some_and(|cut| m.norm > cut * initial.max(1e-300));
-                if due || claims_convergence || claims_divergence || idle || last {
-                    let e = monitor.exact_view(a, b, ranks, view);
-                    monitor.stats.record_drift(e, m.norm);
-                    (e, true)
-                } else {
-                    (m.norm, false)
-                }
-            }
-            // The algorithm maintains no norms: fall back to exact.
-            None => (monitor.exact_view(a, b, ranks, view), true),
-        },
+/// One solve's bookkeeping — monitor, cumulative step records, verdict —
+/// as every drive loop keeps it (per column, in a fused panel).
+pub(crate) struct SolveLog {
+    pub(crate) monitor: MonitorCore,
+    records: Vec<StepRecord>,
+    pub(crate) verdict: Verdict,
+    /// [`recovery_counts`] at solve start: reports carry per-solve deltas.
+    base: [u64; 2],
+}
+
+impl SolveLog {
+    /// A solve from an exactly measured `initial` norm.
+    pub(crate) fn new(
+        monitor: MonitorCore,
+        opts: &DistOptions,
+        initial: f64,
+        base: [u64; 2],
+    ) -> Self {
+        SolveLog {
+            monitor,
+            records: vec![initial_record(initial)],
+            verdict: Verdict::new(opts, initial),
+            base,
+        }
+    }
+
+    /// Starts the next solve (the monitor's counters keep accumulating
+    /// until the next report).
+    pub(crate) fn restart(&mut self, opts: &DistOptions, initial: f64, base: [u64; 2]) {
+        self.records = vec![initial_record(initial)];
+        self.verdict = Verdict::new(opts, initial);
+        self.base = base;
+    }
+
+    /// The norm of the latest record.
+    pub(crate) fn last_norm(&self) -> f64 {
+        self.records
+            .last()
+            .expect("a log holds at least the step-0 record")
+            .residual_norm
+    }
+
+    /// Appends the cumulative record for one boundary (a parallel step on
+    /// the superstep backend, a scheduler tick on the async one) and
+    /// applies the stop rule.
+    pub(crate) fn push(
+        &mut self,
+        at: Boundary,
+        (norm, verified): (f64, bool),
+        s: &StepStats,
+        nranks: usize,
+        nudge: impl FnOnce() -> bool,
+    ) -> Transition {
+        let prev = *self
+            .records
+            .last()
+            .expect("a log holds at least the step-0 record");
+        self.records.push(StepRecord {
+            step: at.index,
+            residual_norm: norm,
+            relaxations: prev.relaxations + s.relaxations,
+            msgs: prev.msgs + s.msgs,
+            msgs_solve: prev.msgs_solve + s.msgs_solve,
+            msgs_residual: prev.msgs_residual + s.msgs_residual,
+            msgs_recovery: prev.msgs_recovery + s.msgs_recovery,
+            msgs_redundancy: prev.msgs_redundancy + s.msgs_redundancy,
+            msgs_transfer: prev.msgs_transfer + s.msgs_transfer,
+            bytes: prev.bytes + s.bytes,
+            bytes_solve: prev.bytes_solve + s.bytes_solve,
+            bytes_residual: prev.bytes_residual + s.bytes_residual,
+            bytes_recovery: prev.bytes_recovery + s.bytes_recovery,
+            bytes_redundancy: prev.bytes_redundancy + s.bytes_redundancy,
+            bytes_transfer: prev.bytes_transfer + s.bytes_transfer,
+            time: prev.time + s.time,
+            active_ranks: s.active_ranks,
+            compute_ns: prev.compute_ns + s.compute_ns,
+            imbalance: s.imbalance(nranks),
+        });
+        self.verdict.observe(at, norm, verified, nudge)
+    }
+
+    /// Closes the solve into its report — the one [`DistReport`] assembly
+    /// site. `stats` is the solve's substrate epoch, `now` the current
+    /// [`recovery_counts`], `x` the gathered solution. Moves the records
+    /// out: the log must be restarted before it reports again.
+    pub(crate) fn report(
+        &mut self,
+        method: Method,
+        nranks: usize,
+        mut stats: RunStats,
+        now: [u64; 2],
+        x: Vec<f64>,
+    ) -> DistReport {
+        stats.monitor = std::mem::take(&mut self.monitor.stats);
+        let [drift0, stale0] = self.base;
+        DistReport {
+            method,
+            n: x.len(),
+            nranks,
+            records: std::mem::take(&mut self.records),
+            stats,
+            converged_at: self.verdict.converged_at,
+            deadlocked: self.verdict.deadlocked,
+            diverged: self.verdict.diverged,
+            watchdog_nudges: self.verdict.watchdog_nudges,
+            drift_repairs: now[0] - drift0,
+            stale_discards: now[1] - stale0,
+            x,
+        }
     }
 }
 
-/// The lock-step run loop (the original `drive` body).
-fn drive_superstep<R, V>(
-    method: Method,
-    ranks: Vec<R>,
-    view: &V,
-    a: &CsrMatrix,
-    b: &[f64],
-    opts: &DistOptions,
-    mode: ExecMode,
-) -> DistReport
+/// The lock-step run: an executor, the view the monitor reads it through,
+/// and the current solve's [`SolveLog`]. [`run_method`] and [`drive`] run
+/// one solve and drop it; a
+/// [`SolveSession`](crate::dist::session::SolveSession) keeps one across
+/// warm-started solves.
+pub(crate) struct SuperstepRun<R: RankAlgorithm, V> {
+    pub(crate) method: Method,
+    pub(crate) ex: Executor<R>,
+    view: V,
+    pub(crate) opts: DistOptions,
+    pub(crate) log: SolveLog,
+    step: usize,
+}
+
+impl<R, V> SuperstepRun<R, V>
 where
     R: RankAlgorithm + Recoverable,
     V: NormView<R>,
 {
-    let n = a.nrows();
-    let nranks = ranks.len();
-    let mut ex = Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos);
-    ex.set_close_mode(opts.close_mode);
-    let mut monitor = MonitorCore::new(n);
-
-    // The initial state is measured exactly in both modes (one-time cost).
-    let initial = monitor.exact_view(a, b, ex.ranks(), view);
-    let mut records = vec![initial_record(initial)];
-    let mut converged_at = None;
-    let mut deadlocked = false;
-    let mut diverged = false;
-    let mut watchdog_nudges = 0u64;
-    // Nudges issued since the last step with an actual relaxation; two
-    // fruitless nudges in a row mean nudging cannot help.
-    let mut nudges_since_relax = 0u32;
-
-    for step in 1..=opts.max_steps {
-        let s = ex.step();
-        // A step with no relaxations, no messages, and no stalled rank is
-        // globally idle: nothing can change anymore, so a deadlock verdict
-        // is imminent and the norm must be exact.
-        let idle = s.relaxations == 0 && s.msgs == 0 && s.faults.stalled_ranks == 0;
-
-        let (norm, verified) = measure_boundary(
-            &mut monitor,
-            a,
-            b,
-            ex.ranks(),
+    /// Wraps a built executor, measuring the initial state exactly.
+    pub(crate) fn new(
+        method: Method,
+        ex: Executor<R>,
+        view: V,
+        a: &CsrMatrix,
+        b: &[f64],
+        opts: DistOptions,
+    ) -> Self {
+        let mut monitor = MonitorCore::new(a.nrows());
+        let initial = monitor.exact_view(a, b, ex.ranks(), &view);
+        let log = SolveLog::new(monitor, &opts, initial, recovery_counts(ex.ranks()));
+        SuperstepRun {
+            method,
+            ex,
             view,
             opts,
-            initial,
-            step,
-            idle,
-            step == opts.max_steps,
-        );
-        push_record(&mut records, step, norm, &s, nranks);
-        if s.relaxations > 0 {
-            nudges_since_relax = 0;
-        }
-        // Every verdict below requires the exact norm; an unverified step
-        // can neither converge, deadlock, nor diverge (the triggers above
-        // guarantee `verified` whenever a verdict is actually possible).
-        if verified && converged_at.is_none() {
-            if let Some(t) = opts.target_residual {
-                if norm <= t {
-                    converged_at = Some(step);
-                    break;
-                }
-            }
-        }
-        if idle {
-            // Nothing moved and nothing is in flight (a stalled rank could
-            // still hold undelivered puts, hence the stall condition).
-            let frozen = norm > opts.target_residual.unwrap_or(0.0).max(1e-300);
-            if frozen && nudges_since_relax < 2 {
-                let mut any = false;
-                for r in ex.ranks_mut() {
-                    any |= r.nudge();
-                }
-                if any {
-                    watchdog_nudges += 1;
-                    nudges_since_relax += 1;
-                    continue;
-                }
-            }
-            deadlocked = frozen;
-            break;
-        }
-        if verified {
-            if !norm.is_finite() {
-                diverged = true;
-                break;
-            }
-            if let Some(cut) = opts.divergence_cutoff {
-                if norm > cut * initial.max(1e-300) {
-                    diverged = true;
-                    break;
-                }
-            }
+            log,
+            step: 0,
         }
     }
 
-    let x = monitor.gather_view(ex.ranks(), view);
-    ex.stats.monitor = monitor.stats;
-    let drift_repairs = ex.ranks().iter().map(|r| r.drift_repairs()).sum();
-    let stale_discards = ex.ranks().iter().map(|r| r.stale_discards()).sum();
-    DistReport {
-        method,
-        n,
-        nranks,
-        records,
-        stats: ex.stats,
-        converged_at,
-        deadlocked,
-        diverged,
-        watchdog_nudges,
-        drift_repairs,
-        stale_discards,
-        x,
+    /// Starts a new solve of `(a, b)` from the ranks' current state.
+    pub(crate) fn begin(&mut self, a: &CsrMatrix, b: &[f64]) {
+        let initial = self
+            .log
+            .monitor
+            .exact_view(a, b, self.ex.ranks(), &self.view);
+        self.log
+            .restart(&self.opts, initial, recovery_counts(self.ex.ranks()));
+        self.step = 0;
+    }
+
+    /// Leaves the run finished at the ranks' current state, whose exact
+    /// norm is `norm`: one step-0 record, no verdict, no steps to take.
+    pub(crate) fn settle(&mut self, norm: f64) {
+        self.log
+            .restart(&self.opts, norm, recovery_counts(self.ex.ranks()));
+        self.log.verdict.stop();
+    }
+
+    /// Whether the current solve has reached a verdict or its step budget.
+    pub(crate) fn is_done(&self) -> bool {
+        self.log.verdict.is_done()
+    }
+
+    /// Advances up to `quantum` supersteps of the solve; returns `true`
+    /// once it has reached a verdict or run out of steps.
+    pub(crate) fn step_batch(&mut self, a: &CsrMatrix, b: &[f64], quantum: usize) -> bool {
+        let nranks = self.ex.nranks();
+        for _ in 0..quantum {
+            if self.is_done() || self.step >= self.opts.max_steps {
+                break;
+            }
+            self.step += 1;
+            let s = self.ex.step();
+            // A step with no relaxations, no messages, and no stalled rank
+            // (which could still hold undelivered puts) is globally idle:
+            // nothing can change anymore.
+            let at = Boundary {
+                index: self.step,
+                relaxations: s.relaxations,
+                idle: s.relaxations == 0 && s.msgs == 0 && s.faults.stalled_ranks == 0,
+                last: self.step == self.opts.max_steps,
+            };
+            let reading =
+                self.log
+                    .monitor
+                    .measure(a, b, self.ex.ranks(), &self.view, &self.log.verdict, at);
+            let ranks = self.ex.ranks_mut();
+            self.log.push(at, reading, &s, nranks, || nudge_all(ranks));
+        }
+        if self.step >= self.opts.max_steps {
+            self.log.verdict.stop();
+        }
+        self.is_done()
+    }
+
+    /// Closes the current solve and returns its report. Stats cover this
+    /// solve only: the executor's accumulators are harvested as an epoch
+    /// ([`RunStats::take_epoch`]). The run is left
+    /// [settled](SuperstepRun::settle) at the final norm, so finishing
+    /// again reports an empty solve that still holds its step-0 record.
+    pub(crate) fn finish(&mut self) -> DistReport {
+        let x = self.log.monitor.gather_view(self.ex.ranks(), &self.view);
+        let stats = self.ex.stats.take_epoch();
+        let now = recovery_counts(self.ex.ranks());
+        let last = self.log.last_norm();
+        let report = self
+            .log
+            .report(self.method, self.ex.nranks(), stats, now, x);
+        self.settle(last);
+        report
     }
 }
 
@@ -1197,28 +1240,19 @@ where
     R: RankAlgorithm + Recoverable,
     V: NormView<R>,
 {
-    let n = a.nrows();
     let nranks = ranks.len();
     let nphases = ranks[0].phases();
-    let mut ex = match AsyncExecutor::with_chaos(ranks, aopts, opts.chaos) {
-        Ok(ex) => ex,
-        Err(e) => panic!("ExecBackend::Async: {e}"),
-    };
+    let mut ex = AsyncExecutor::with_chaos(ranks, aopts, opts.chaos)
+        .unwrap_or_else(|e| panic!("ExecBackend::Async: {e}"));
     // Under a coded placement the replica sets progress as logical owners:
     // the lag bound and the run goal track each block's freshest replica,
     // so a replica-covered straggler no longer gates the whole run.
     if let Some(groups) = view.lag_groups() {
         ex.set_lag_groups(groups);
     }
-    let mut monitor = MonitorCore::new(n);
-
+    let mut monitor = MonitorCore::new(a.nrows());
     let initial = monitor.exact_view(a, b, ex.ranks(), view);
-    let mut records = vec![initial_record(initial)];
-    let mut converged_at = None;
-    let mut deadlocked = false;
-    let mut diverged = false;
-    let mut watchdog_nudges = 0u64;
-    let mut nudges_since_relax = 0u32;
+    let mut log = SolveLog::new(monitor, opts, initial, recovery_counts(ex.ranks()));
 
     // Clock goal: the slowest logical owner completes `max_steps` full
     // steps (per-rank clocks without lag groups, per-replica-set freshest
@@ -1256,83 +1290,28 @@ where
             window_relax = 0;
             window_msgs = 0;
         }
-        let last = tick == budget || clocks.iter().all(|&c| c >= goal);
-
-        let (norm, verified) = measure_boundary(
-            &mut monitor,
-            a,
-            b,
-            ex.ranks(),
-            view,
-            opts,
-            initial,
-            tick,
+        let at = Boundary {
+            index: tick,
+            relaxations: s.relaxations,
             idle,
-            last,
-        );
-        push_record(&mut records, tick, norm, &s, nranks);
-        if s.relaxations > 0 {
-            nudges_since_relax = 0;
-        }
-        if verified && converged_at.is_none() {
-            if let Some(t) = opts.target_residual {
-                if norm <= t {
-                    converged_at = Some(tick);
-                    break;
-                }
-            }
-        }
-        if idle {
-            let frozen = norm > opts.target_residual.unwrap_or(0.0).max(1e-300);
-            if frozen && nudges_since_relax < 2 {
-                let mut any = false;
-                for r in ex.ranks_mut() {
-                    any |= r.nudge();
-                }
-                if any {
-                    watchdog_nudges += 1;
-                    nudges_since_relax += 1;
-                    continue;
-                }
-            }
-            deadlocked = frozen;
-            break;
-        }
-        if verified {
-            if !norm.is_finite() {
-                diverged = true;
-                break;
-            }
-            if let Some(cut) = opts.divergence_cutoff {
-                if norm > cut * initial.max(1e-300) {
-                    diverged = true;
-                    break;
-                }
-            }
-        }
-        if last {
-            break;
+            last: tick == budget || clocks.iter().all(|&c| c >= goal),
+        };
+        let reading = log
+            .monitor
+            .measure(a, b, ex.ranks(), view, &log.verdict, at);
+        match log.push(at, reading, &s, nranks, || nudge_all(ex.ranks_mut())) {
+            Transition::Done(_) => break,
+            // A nudge re-arms the run even at its last boundary.
+            Transition::Nudged => {}
+            Transition::Continue if at.last => break,
+            Transition::Continue => {}
         }
     }
 
-    let x = monitor.gather_view(ex.ranks(), view);
-    ex.stats.monitor = monitor.stats;
-    let drift_repairs = ex.ranks().iter().map(|r| r.drift_repairs()).sum();
-    let stale_discards = ex.ranks().iter().map(|r| r.stale_discards()).sum();
-    DistReport {
-        method,
-        n,
-        nranks,
-        records,
-        stats: ex.stats,
-        converged_at,
-        deadlocked,
-        diverged,
-        watchdog_nudges,
-        drift_repairs,
-        stale_discards,
-        x,
-    }
+    let x = log.monitor.gather_view(ex.ranks(), view);
+    let stats = std::mem::take(&mut ex.stats);
+    let now = recovery_counts(ex.ranks());
+    log.report(method, nranks, stats, now, x)
 }
 
 #[cfg(test)]

@@ -7,9 +7,10 @@
 //! * [`parallel_southwell`] — Algorithm 2 (and the deadlock-prone ICCS'16
 //!   piggyback-only variant),
 //! * [`distributed_southwell`] — Algorithm 3, the paper's contribution,
-//! * [`driver`] — the run loop with out-of-band residual measurement,
-//!   convergence / divergence / deadlock detection, and the per-step
-//!   records every table and figure of the evaluation is built from,
+//! * [`driver`] — the run loop with out-of-band residual measurement and
+//!   the per-step records every table and figure of the evaluation is
+//!   built from; its convergence / deadlock / divergence rule is one
+//!   crate-private `Verdict` shared by every loop,
 //! * [`seq`] / [`recovery`] — the fault-tolerant delivery and protocol
 //!   self-healing layer this reproduction adds for unreliable transports
 //!   (sequence numbers, periodic invariant audits, freeze watchdog),
@@ -28,6 +29,7 @@ pub mod parallel_southwell;
 pub mod recovery;
 pub mod seq;
 pub mod session;
+mod verdict;
 
 pub use block_jacobi::BlockJacobiRank;
 pub use distributed_southwell::{DistributedSouthwellRank, DsConfig};

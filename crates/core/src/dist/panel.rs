@@ -9,14 +9,13 @@
 //! the scalar session path (the `multirhs` proptests pin `k = 1`
 //! end-to-end and `k > 1` column-for-column against independent solves).
 //!
-//! Per-column bookkeeping mirrors the scalar session exactly:
+//! Per-column bookkeeping is the scalar session's own:
 //!
 //! * each column has its own [`MonitorCore`], maintained-norm view
-//!   ([`PanelColView`]), step records, and verdict state;
-//! * convergence / deadlock / divergence verdicts replicate
-//!   [`SolveSession::step_batch`]'s branch structure per column, including
-//!   the two-strikes freeze watchdog (nudges target one column's clones
-//!   only);
+//!   ([`PanelColView`]), step records, and verdict — the driver's
+//!   `SolveLog` and `Verdict`, so the exact-norm trigger and the
+//!   convergence / deadlock / divergence rule (with the two-strikes freeze
+//!   watchdog) are shared; nudges target one column's clones only;
 //! * a column that reaches a verdict **drops out**: its solution is
 //!   gathered, its clones are deactivated on every rank, and later panel
 //!   messages simply stop carrying (and stop charging for) its parts.
@@ -39,10 +38,12 @@
 //! solves continue from the panel's final solution.
 
 use super::driver::{
-    initial_record, push_record, DistOptions, DistReport, ExecBackend, MaintainedNorm, Method,
-    MonitorCore, MonitorMode, NormView,
+    recovery_counts, superstep_executor, DistOptions, DistReport, MaintainedNorm, Method,
+    MonitorCore, NormView, Reading, SolveLog,
 };
+use super::layout::LocalSystem;
 use super::session::{SolveSession, WarmStart};
+use super::verdict::{nudge_all, Boundary, Transition};
 use dsw_rma::{Executor, PanelRank, SharedPool};
 use dsw_sparse::vecops::norm2_sq_cols;
 use dsw_sparse::CsrMatrix;
@@ -54,41 +55,22 @@ use std::time::Instant;
 pub(crate) struct PanelColView(pub(crate) usize);
 
 impl<R: WarmStart> NormView<PanelRank<R>> for PanelColView {
-    fn scatter_into(&self, ranks: &[PanelRank<R>], x: &mut [f64]) {
-        for r in ranks {
-            let ls = r.col(self.0).local();
-            for (li, &g) in ls.rows.iter().enumerate() {
-                x[g] = ls.x[li];
-            }
-        }
+    type Block = R;
+
+    fn blocks<'a>(&'a self, ranks: &'a [PanelRank<R>]) -> impl Iterator<Item = &'a R> {
+        ranks.iter().map(|r| r.col(self.0))
     }
 
-    fn maintained_sums(&self, ranks: &[PanelRank<R>]) -> Option<(f64, f64)> {
-        let mut norm_sq = 0.0;
-        let mut slack_sq = 0.0;
-        for r in ranks {
-            norm_sq += r.col(self.0).maintained_norm_sq()?;
-            slack_sq += r.col(self.0).undelivered_delta_sq();
-        }
-        Some((norm_sq, slack_sq))
+    fn local<'a>(&self, block: &'a R) -> &'a LocalSystem {
+        block.local()
     }
 }
 
-/// Per-column solve progress — the panel's counterpart of the scalar
-/// session's `SolveState`, plus the column's own monitor scratch.
+/// Per-column solve progress: the column's log (monitor, records,
+/// verdict), plus its solution, gathered at drop-out time while the
+/// column's state is still warm.
 struct ColState {
-    monitor: MonitorCore,
-    records: Vec<super::driver::StepRecord>,
-    initial: f64,
-    converged_at: Option<usize>,
-    deadlocked: bool,
-    diverged: bool,
-    watchdog_nudges: u64,
-    nudges_since_relax: u32,
-    done: bool,
-    drift_base: u64,
-    stale_base: u64,
-    /// Gathered at drop-out time, while the column's state is still warm.
+    log: SolveLog,
     x: Option<Vec<f64>>,
 }
 
@@ -113,7 +95,6 @@ pub struct PanelRun<R: WarmStart> {
     need_exact: Vec<usize>,
     maintained: Vec<Option<MaintainedNorm>>,
     col_norms: Vec<f64>,
-    col_verified: Vec<bool>,
     // Blocked-verification scratch (n·|need_exact|, grown on demand).
     x_panel: Vec<f64>,
     ax_panel: Vec<f64>,
@@ -131,8 +112,8 @@ impl<R: WarmStart> PanelRun<R> {
     ///
     /// Panics unless the options satisfy the warm-start preconditions
     /// (superstep backend, no chaos, no redundancy, unbuffered solve
-    /// messages, recovery off) — the same set [`TenantSession`] asserts,
-    /// re-checked here because direct [`SolveSession`] construction
+    /// messages, recovery off) — the check [`TenantSession`] runs,
+    /// repeated here because direct [`SolveSession`] construction
     /// bypasses it.
     ///
     /// [`TenantSession`]: super::session::TenantSession
@@ -149,32 +130,7 @@ impl<R: WarmStart> PanelRun<R> {
         R: Clone,
     {
         assert!(!bs.is_empty(), "a panel solve needs at least one rhs");
-        let n = a.nrows();
-        for b in bs {
-            assert_eq!(b.len(), n, "rhs dimension mismatch");
-        }
-        let mode = match opts.backend {
-            ExecBackend::Superstep(mode) => mode,
-            ExecBackend::Async(_) => {
-                panic!("panel solves require the superstep backend (warm-start precondition)")
-            }
-        };
-        assert!(
-            !opts.chaos.is_active(),
-            "panel solves require a reliable transport (warm-start precondition)"
-        );
-        assert!(
-            opts.redundancy.is_none(),
-            "panel solves do not support coded redundancy"
-        );
-        assert_eq!(
-            opts.ds_config.solve_msg_threshold, 0.0,
-            "panel solves require unbuffered solve messages (warm-start precondition)"
-        );
-        assert!(
-            !opts.ds_config.recovery.is_active(),
-            "panel solves require the recovery layer off"
-        );
+        let mode = opts.warm_start_mode("a panel solve");
 
         let k = bs.len();
         assert!(
@@ -194,12 +150,7 @@ impl<R: WarmStart> PanelRun<R> {
                 panel
             })
             .collect();
-        let mut ex = match pool {
-            Some(pool) => Executor::with_shared_pool(ranks, opts.cost_model, opts.chaos, pool),
-            None => Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos),
-        };
-        ex.set_close_mode(opts.close_mode);
-
+        let ex = superstep_executor(ranks, &opts, mode, pool);
         let mut run = PanelRun {
             ex,
             cols: Vec::with_capacity(k),
@@ -207,13 +158,12 @@ impl<R: WarmStart> PanelRun<R> {
             step: 0,
             method,
             opts,
-            n,
+            n: a.nrows(),
             relax_sum: vec![0; k],
             msgs_sum: vec![0; k],
             need_exact: Vec::with_capacity(k),
             maintained: vec![None; k],
             col_norms: vec![0.0; k],
-            col_verified: vec![false; k],
             x_panel: Vec::new(),
             ax_panel: Vec::new(),
             sq_scratch: Vec::new(),
@@ -306,30 +256,9 @@ impl<R: WarmStart> PanelRun<R> {
             let mut monitor = MonitorCore::new(n);
             monitor.stats.verifications += 1;
             monitor.stats.verify_ns += init_ns_share + t0.elapsed().as_nanos() as u64;
-            let drift_base = self
-                .ex
-                .ranks()
-                .iter()
-                .map(|r| r.col(c).drift_repairs())
-                .sum();
-            let stale_base = self
-                .ex
-                .ranks()
-                .iter()
-                .map(|r| r.col(c).stale_discards())
-                .sum();
+            let base = recovery_counts(self.ex.ranks().iter().map(|r| r.col(c)));
             self.cols.push(ColState {
-                monitor,
-                records: vec![initial_record(initial)],
-                initial,
-                converged_at: None,
-                deadlocked: false,
-                diverged: false,
-                watchdog_nudges: 0,
-                nudges_since_relax: 0,
-                done: false,
-                drift_base,
-                stale_base,
+                log: SolveLog::new(monitor, &self.opts, initial, base),
                 x: None,
             });
         }
@@ -350,12 +279,15 @@ impl<R: WarmStart> PanelRun<R> {
 
     /// Whether every column has reached a verdict.
     pub fn all_done(&self) -> bool {
-        self.cols.iter().all(|c| c.done)
+        self.cols.iter().all(|c| c.log.verdict.is_done())
     }
 
     /// Columns still actively sweeping.
     pub fn active_cols(&self) -> usize {
-        self.cols.iter().filter(|c| !c.done).count()
+        self.cols
+            .iter()
+            .filter(|c| !c.log.verdict.is_done())
+            .count()
     }
 
     /// One blocked exact verification over every column in `need_exact`:
@@ -387,14 +319,10 @@ impl<R: WarmStart> PanelRun<R> {
         // The walk is shared; charge each column an equal share of it.
         let ns_share = t0.elapsed().as_nanos() as u64 / kk as u64;
         for (j, &c) in self.need_exact.iter().enumerate() {
-            let e = self.sq_scratch[j].sqrt();
-            let stats = &mut self.cols[c].monitor.stats;
-            stats.verifications += 1;
-            stats.verify_ns += ns_share;
-            if let Some(m) = self.maintained[c] {
-                stats.record_drift(e, m.norm);
-            }
-            self.col_norms[c] = e;
+            let monitor = &mut self.cols[c].log.monitor;
+            monitor.stats.verifications += 1;
+            monitor.stats.verify_ns += ns_share;
+            self.col_norms[c] = monitor.confirm(self.sq_scratch[j].sqrt(), self.maintained[c]);
         }
     }
 
@@ -407,25 +335,36 @@ impl<R: WarmStart> PanelRun<R> {
         }
     }
 
-    /// A column reached a verdict: gather its solution while the state is
-    /// warm, then deactivate its clones so it drops out of every
-    /// subsequent sweep and packed message.
+    /// A column reached a verdict or the step budget: gather its solution
+    /// while the state is warm, then deactivate its clones so it drops out
+    /// of every subsequent sweep and packed message.
     fn finish_col(&mut self, c: usize) {
         self.flush_resident_lanes();
-        let x = self.cols[c]
-            .monitor
-            .gather_view(self.ex.ranks(), &PanelColView(c));
-        self.cols[c].x = Some(x);
-        self.cols[c].done = true;
+        let col = &mut self.cols[c];
+        col.log.verdict.stop();
+        col.x = Some(
+            col.log
+                .monitor
+                .gather_view(self.ex.ranks(), &PanelColView(c)),
+        );
         for r in self.ex.ranks_mut() {
             r.set_active(c, false);
         }
     }
 
+    /// Column `c`'s view of the current step's boundary.
+    fn col_boundary(&self, c: usize, step: usize) -> Boundary {
+        Boundary {
+            index: step,
+            relaxations: self.relax_sum[c],
+            idle: self.relax_sum[c] == 0 && self.msgs_sum[c] == 0,
+            last: step == self.opts.max_steps,
+        }
+    }
+
     /// Advances up to `quantum` fused supersteps; returns `true` once
     /// every column has reached a verdict. Per column, the measurement
-    /// cadence and verdict branches mirror [`SolveSession::step_batch`]
-    /// exactly.
+    /// cadence and the stop rule are [`SolveSession::step_batch`]'s.
     pub(crate) fn step_batch(&mut self, a: &CsrMatrix, quantum: usize) -> bool {
         let k = self.bs.len();
         let nranks = self.ex.nranks();
@@ -438,7 +377,6 @@ impl<R: WarmStart> PanelRun<R> {
                 r.begin_step();
             }
             let s = self.ex.step();
-            let last = step == self.opts.max_steps;
 
             self.relax_sum.fill(0);
             self.msgs_sum.fill(0);
@@ -449,43 +387,24 @@ impl<R: WarmStart> PanelRun<R> {
                 }
             }
 
-            // Stage 1: per-column maintained norms and exact triggers —
-            // the decision tree of `measure_boundary`, with the exact
-            // recomputes deferred so they can be blocked.
+            // Stage 1: per-column maintained norms and exact triggers, with
+            // the exact recomputes deferred so they can be blocked.
             self.need_exact.clear();
             self.maintained.fill(None);
-            self.col_verified.fill(false);
             for c in 0..k {
-                if self.cols[c].done {
+                if self.cols[c].log.verdict.is_done() {
                     continue;
                 }
-                let idle = self.relax_sum[c] == 0 && self.msgs_sum[c] == 0;
-                match self.opts.monitor {
-                    MonitorMode::Exact => self.need_exact.push(c),
-                    MonitorMode::Maintained { verify_every } => {
-                        match self.cols[c]
-                            .monitor
-                            .maintained_view(self.ex.ranks(), &PanelColView(c))
-                        {
-                            Some(m) => {
-                                let due = verify_every > 0 && step.is_multiple_of(verify_every);
-                                let claims_convergence = self
-                                    .opts
-                                    .target_residual
-                                    .is_some_and(|t| m.norm - m.slack <= t * (1.0 + 1e-9));
-                                let claims_divergence = !m.norm.is_finite()
-                                    || self.opts.divergence_cutoff.is_some_and(|cut| {
-                                        m.norm > cut * self.cols[c].initial.max(1e-300)
-                                    });
-                                if due || claims_convergence || claims_divergence || idle || last {
-                                    self.maintained[c] = Some(m);
-                                    self.need_exact.push(c);
-                                } else {
-                                    self.col_norms[c] = m.norm;
-                                }
-                            }
-                            None => self.need_exact.push(c),
-                        }
+                let at = self.col_boundary(c, step);
+                let log = &mut self.cols[c].log;
+                match log
+                    .monitor
+                    .read(self.ex.ranks(), &PanelColView(c), &log.verdict, at)
+                {
+                    Reading::Maintained(norm) => self.col_norms[c] = norm,
+                    Reading::Exact(m) => {
+                        self.maintained[c] = m;
+                        self.need_exact.push(c);
                     }
                 }
             }
@@ -500,77 +419,28 @@ impl<R: WarmStart> PanelRun<R> {
             if self.need_exact.len() >= 2 {
                 self.blocked_exact(a);
             } else if let Some(&c) = self.need_exact.first() {
-                let e = self.cols[c].monitor.exact_view(
-                    a,
-                    &self.bs[c],
-                    self.ex.ranks(),
-                    &PanelColView(c),
-                );
-                if let Some(m) = self.maintained[c] {
-                    self.cols[c].monitor.stats.record_drift(e, m.norm);
-                }
-                self.col_norms[c] = e;
-            }
-            for i in 0..self.need_exact.len() {
-                self.col_verified[self.need_exact[i]] = true;
+                let monitor = &mut self.cols[c].log.monitor;
+                let e = monitor.exact_view(a, &self.bs[c], self.ex.ranks(), &PanelColView(c));
+                self.col_norms[c] = monitor.confirm(e, self.maintained[c]);
             }
 
             // Stage 3: per-column records and verdicts.
             for c in 0..k {
-                if self.cols[c].done {
+                if self.cols[c].log.verdict.is_done() {
                     continue;
                 }
-                let idle = self.relax_sum[c] == 0 && self.msgs_sum[c] == 0;
-                let norm = self.col_norms[c];
-                let verified = self.col_verified[c];
-                push_record(&mut self.cols[c].records, step, norm, &s, nranks);
-                if self.relax_sum[c] > 0 {
-                    self.cols[c].nudges_since_relax = 0;
-                }
-                if verified && self.cols[c].converged_at.is_none() {
-                    if let Some(t) = self.opts.target_residual {
-                        if norm <= t {
-                            self.cols[c].converged_at = Some(step);
-                            self.finish_col(c);
-                            continue;
-                        }
-                    }
-                }
-                if idle {
-                    let frozen = norm > self.opts.target_residual.unwrap_or(0.0).max(1e-300);
-                    if frozen && self.cols[c].nudges_since_relax < 2 {
-                        let mut any = false;
-                        for r in self.ex.ranks_mut() {
-                            any |= r.col_mut(c).nudge();
-                        }
-                        if any {
-                            self.cols[c].watchdog_nudges += 1;
-                            self.cols[c].nudges_since_relax += 1;
-                            continue;
-                        }
-                    }
-                    self.cols[c].deadlocked = frozen;
+                let at = self.col_boundary(c, step);
+                let reading = (self.col_norms[c], self.need_exact.contains(&c));
+                let ranks = self.ex.ranks_mut();
+                let nudge = || nudge_all(ranks.iter_mut().map(|r| r.col_mut(c)));
+                if let Transition::Done(_) = self.cols[c].log.push(at, reading, &s, nranks, nudge) {
                     self.finish_col(c);
-                    continue;
-                }
-                if verified {
-                    if !norm.is_finite() {
-                        self.cols[c].diverged = true;
-                        self.finish_col(c);
-                        continue;
-                    }
-                    if let Some(cut) = self.opts.divergence_cutoff {
-                        if norm > cut * self.cols[c].initial.max(1e-300) {
-                            self.cols[c].diverged = true;
-                            self.finish_col(c);
-                        }
-                    }
                 }
             }
         }
         if self.step >= self.opts.max_steps {
             for c in 0..k {
-                if !self.cols[c].done {
+                if !self.cols[c].log.verdict.is_done() {
                     self.finish_col(c);
                 }
             }
@@ -588,42 +458,20 @@ impl<R: WarmStart> PanelRun<R> {
         let k = self.bs.len();
         let nranks = self.ex.nranks();
         for c in 0..k {
-            if !self.cols[c].done {
+            if !self.cols[c].log.verdict.is_done() {
                 self.finish_col(c);
             }
         }
         let panel_stats = self.ex.stats.take_epoch();
         let mut reports = Vec::with_capacity(k);
         for c in 0..k {
-            let drift: u64 = self
-                .ex
-                .ranks()
-                .iter()
-                .map(|r| r.col(c).drift_repairs())
-                .sum();
-            let stale: u64 = self
-                .ex
-                .ranks()
-                .iter()
-                .map(|r| r.col(c).stale_discards())
-                .sum();
+            let now = recovery_counts(self.ex.ranks().iter().map(|r| r.col(c)));
             let col = &mut self.cols[c];
-            let mut stats = panel_stats.clone();
-            stats.monitor = std::mem::take(&mut col.monitor.stats);
-            reports.push(DistReport {
-                method: self.method,
-                n: self.n,
-                nranks,
-                records: std::mem::take(&mut col.records),
-                stats,
-                converged_at: col.converged_at,
-                deadlocked: col.deadlocked,
-                diverged: col.diverged,
-                watchdog_nudges: col.watchdog_nudges,
-                drift_repairs: drift - col.drift_base,
-                stale_discards: stale - col.stale_base,
-                x: col.x.take().expect("finished column has a gathered x"),
-            });
+            let x = col.x.take().expect("finished column has a gathered x");
+            reports.push(
+                col.log
+                    .report(self.method, nranks, panel_stats.clone(), now, x),
+            );
         }
 
         // Adoption: swap the last column into the session's ranks and
@@ -632,15 +480,15 @@ impl<R: WarmStart> PanelRun<R> {
         // panel's base, so its in-flight messages are superseded.
         session.b.copy_from_slice(&self.bs[k - 1]);
         session.delta_b.fill(0.0);
-        for (p, sr) in session.ex.ranks_mut().iter_mut().enumerate() {
+        for (p, sr) in session.run.ex.ranks_mut().iter_mut().enumerate() {
             std::mem::swap(sr, self.ex.ranks_mut()[p].col_mut(k - 1));
             session.norms_sq[p] = sr.reseed_rhs(&session.delta_b);
         }
-        for sr in session.ex.ranks_mut() {
+        for sr in session.run.ex.ranks_mut() {
             sr.reseed_estimates(&session.norms_sq);
         }
-        session.ex.discard_in_flight();
-        session.state.done = true;
+        session.run.ex.discard_in_flight();
+        session.run.settle(reports[k - 1].final_residual());
         reports
     }
 }

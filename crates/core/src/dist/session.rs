@@ -31,23 +31,25 @@
 //! there, every residual delta sent in phase 0 was applied in phase 1 of
 //! the same step, so in-flight messages carry norm estimates only — and
 //! those are superseded by the exact exchange. [`TenantSession::build`]
-//! asserts exactly these preconditions.
+//! and the fused panel assert exactly these preconditions (one
+//! `DistOptions` check).
 //!
 //! # Quantum stepping
 //!
 //! [`SolveSession::step_batch`] advances a bounded number of supersteps
 //! and returns whether the solve reached a verdict, so a serving layer
 //! can interleave many sessions on one shared [`SharedPool`] with
-//! per-tenant quanta (see the `dsw-serve` crate). The loop body is the
-//! driver's superstep loop — same measurement cadence, same verdict
-//! rules — so a session solve and a [`run_method`](super::run_method)
-//! solve of the same problem produce identical records.
+//! per-tenant quanta (see the `dsw-serve` crate). A session holds the
+//! driver's own superstep run and steps it — the loop
+//! [`run_method`](super::run_method) runs, with the same measurement
+//! cadence and verdict rule — so a cold session solve and a `run_method`
+//! solve of the same problem produce identical reports
+//! (`tests/driver_equivalence.rs`).
 
 use super::block_jacobi::BlockJacobiRank;
 use super::distributed_southwell::DistributedSouthwellRank;
 use super::driver::{
-    initial_record, measure_boundary, push_record, DirectView, DistOptions, DistReport,
-    ExecBackend, Method, MonitorCore, StepRecord,
+    superstep_executor, with_ranks, DirectView, DistOptions, DistReport, Method, SuperstepRun,
 };
 use super::layout::{distribute, LocalSystem};
 use super::panel::PanelRun;
@@ -122,24 +124,8 @@ pub trait WarmStart: RankAlgorithm + Recoverable {
     }
 }
 
-/// Per-solve progress — everything [`run_method`](super::run_method)
-/// keeps in loop locals, extracted so a solve can be suspended between
-/// quanta.
-pub(crate) struct SolveState {
-    records: Vec<StepRecord>,
-    initial: f64,
-    step: usize,
-    converged_at: Option<usize>,
-    deadlocked: bool,
-    diverged: bool,
-    watchdog_nudges: u64,
-    nudges_since_relax: u32,
-    pub(crate) done: bool,
-    /// Rank-cumulative recovery counters at solve start, so the report
-    /// carries per-solve deltas.
-    drift_base: u64,
-    stale_base: u64,
-}
+/// The monitor's view of a session's ranks.
+type LocalView<R> = DirectView<fn(&R) -> &LocalSystem>;
 
 /// A persistent solver instance: distributed state that survives across
 /// solves with evolving right-hand sides.
@@ -148,13 +134,10 @@ pub(crate) struct SolveState {
 /// type for the method and enforces the warm-start preconditions), or
 /// directly from pre-built ranks for tests.
 pub struct SolveSession<R: WarmStart> {
-    method: Method,
     a: CsrMatrix,
     pub(crate) b: Vec<f64>,
-    pub(crate) ex: Executor<R>,
-    monitor: MonitorCore,
-    opts: DistOptions,
-    pub(crate) state: SolveState,
+    /// The driver's superstep run: executor, monitor, records, verdict.
+    pub(crate) run: SuperstepRun<R, LocalView<R>>,
     /// `Δb` scratch (global indexing), reused across reseeds.
     pub(crate) delta_b: Vec<f64>,
     /// Exact per-rank `‖r_p‖²` scratch, reused across reseeds.
@@ -169,46 +152,25 @@ pub struct SolveSession<R: WarmStart> {
 }
 
 impl<R: WarmStart> SolveSession<R> {
-    fn view() -> DirectView<fn(&R) -> &LocalSystem> {
-        DirectView(R::local as fn(&R) -> &LocalSystem)
-    }
-
     /// Wraps a built executor into a session ready to solve `b`.
     pub fn new(
         method: Method,
         a: CsrMatrix,
         b: Vec<f64>,
-        mut ex: Executor<R>,
+        ex: Executor<R>,
         opts: DistOptions,
     ) -> Self {
         let n = a.nrows();
         let nranks = ex.nranks();
-        let mut monitor = MonitorCore::new(n);
-        let initial = monitor.exact_view(&a, &b, ex.ranks(), &Self::view());
-        let state = SolveState {
-            records: vec![initial_record(initial)],
-            initial,
-            step: 0,
-            converged_at: None,
-            deadlocked: false,
-            diverged: false,
-            watchdog_nudges: 0,
-            nudges_since_relax: 0,
-            done: false,
-            drift_base: ex.ranks().iter().map(|r| r.drift_repairs()).sum(),
-            stale_base: ex.ranks().iter().map(|r| r.stale_discards()).sum(),
-        };
+        let view = DirectView(R::local as fn(&R) -> &LocalSystem);
+        let mut run = SuperstepRun::new(method, ex, view, &a, &b, opts);
         // Harvest setup-time accounting so the first solve's stats start
         // from a clean epoch (the distribute/build work is not a step).
-        let _ = ex.stats.take_epoch();
+        let _ = run.ex.stats.take_epoch();
         SolveSession {
-            method,
             a,
             b,
-            ex,
-            monitor,
-            opts,
-            state,
+            run,
             delta_b: vec![0.0; n],
             norms_sq: vec![0.0; nranks],
             panel: None,
@@ -218,30 +180,30 @@ impl<R: WarmStart> SolveSession<R> {
 
     /// Number of ranks (blocks) in the session's partition.
     pub fn nranks(&self) -> usize {
-        self.ex.nranks()
+        self.run.ex.nranks()
     }
 
     /// Read access to the per-rank state (tests audit warm-start
     /// invariants through this).
     pub fn ranks(&self) -> &[R] {
-        self.ex.ranks()
+        self.run.ex.ranks()
     }
 
     /// Mutable access to the per-rank state (test harnesses only;
     /// out-of-band mutation of a rank's residual requires the rank's own
     /// cache invalidation hooks).
     pub fn ranks_mut(&mut self) -> &mut [R] {
-        self.ex.ranks_mut()
+        self.run.ex.ranks_mut()
     }
 
     /// The method this session runs.
     pub fn method(&self) -> Method {
-        self.method
+        self.run.method
     }
 
     /// Whether the current solve has reached a verdict.
     pub fn is_done(&self) -> bool {
-        self.state.done
+        self.run.is_done()
     }
 
     /// Begins a solve of `A x = b_new`, warm-starting from the current
@@ -265,147 +227,46 @@ impl<R: WarmStart> SolveSession<R> {
                 *d = new - *old;
                 *old = new;
             }
-            for (p, r) in self.ex.ranks_mut().iter_mut().enumerate() {
+            for (p, r) in self.run.ex.ranks_mut().iter_mut().enumerate() {
                 self.norms_sq[p] = r.reseed_rhs(&self.delta_b);
             }
-            for r in self.ex.ranks_mut() {
+            for r in self.run.ex.ranks_mut() {
                 r.reseed_estimates(&self.norms_sq);
             }
             // Only norm-estimate messages can be in flight at a step
             // boundary under the session preconditions; the exact
             // exchange above supersedes them.
-            self.ex.discard_in_flight();
+            self.run.ex.discard_in_flight();
         }
-        let initial = self
-            .monitor
-            .exact_view(&self.a, &self.b, self.ex.ranks(), &Self::view());
-        self.state = SolveState {
-            records: vec![initial_record(initial)],
-            initial,
-            step: 0,
-            converged_at: None,
-            deadlocked: false,
-            diverged: false,
-            watchdog_nudges: 0,
-            nudges_since_relax: 0,
-            // Even a below-target initial state steps at least once —
-            // exactly like the driver's loop, which only checks verdicts
-            // at step boundaries. Keeps session records comparable to
-            // `run_method` records step for step.
-            done: false,
-            drift_base: self.ex.ranks().iter().map(|r| r.drift_repairs()).sum(),
-            stale_base: self.ex.ranks().iter().map(|r| r.stale_discards()).sum(),
-        };
+        // Even a below-target initial state steps at least once — the
+        // driver's loop only checks verdicts at step boundaries.
+        self.run.begin(&self.a, &self.b);
     }
 
     /// Advances up to `quantum` supersteps of the current solve; returns
     /// `true` once the solve has reached a verdict (converged, deadlocked,
-    /// diverged, or out of steps). The loop body mirrors the driver's
-    /// superstep loop exactly.
+    /// diverged, or out of steps).
     pub fn step_batch(&mut self, quantum: usize) -> bool {
-        let view = Self::view();
-        let nranks = self.ex.nranks();
-        let mut left = quantum;
-        while !self.state.done && left > 0 && self.state.step < self.opts.max_steps {
-            left -= 1;
-            self.state.step += 1;
-            let step = self.state.step;
-            let s = self.ex.step();
-            let idle = s.relaxations == 0 && s.msgs == 0 && s.faults.stalled_ranks == 0;
-
-            let (norm, verified) = measure_boundary(
-                &mut self.monitor,
-                &self.a,
-                &self.b,
-                self.ex.ranks(),
-                &view,
-                &self.opts,
-                self.state.initial,
-                step,
-                idle,
-                step == self.opts.max_steps,
-            );
-            push_record(&mut self.state.records, step, norm, &s, nranks);
-            if s.relaxations > 0 {
-                self.state.nudges_since_relax = 0;
-            }
-            if verified && self.state.converged_at.is_none() {
-                if let Some(t) = self.opts.target_residual {
-                    if norm <= t {
-                        self.state.converged_at = Some(step);
-                        self.state.done = true;
-                        break;
-                    }
-                }
-            }
-            if idle {
-                let frozen = norm > self.opts.target_residual.unwrap_or(0.0).max(1e-300);
-                if frozen && self.state.nudges_since_relax < 2 {
-                    let mut any = false;
-                    for r in self.ex.ranks_mut() {
-                        any |= r.nudge();
-                    }
-                    if any {
-                        self.state.watchdog_nudges += 1;
-                        self.state.nudges_since_relax += 1;
-                        continue;
-                    }
-                }
-                self.state.deadlocked = frozen;
-                self.state.done = true;
-                break;
-            }
-            if verified {
-                if !norm.is_finite() {
-                    self.state.diverged = true;
-                    self.state.done = true;
-                    break;
-                }
-                if let Some(cut) = self.opts.divergence_cutoff {
-                    if norm > cut * self.state.initial.max(1e-300) {
-                        self.state.diverged = true;
-                        self.state.done = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if self.state.step >= self.opts.max_steps {
-            self.state.done = true;
-        }
-        self.state.done
+        self.run.step_batch(&self.a, &self.b, quantum)
     }
 
     /// Closes the current solve and returns its report. Stats cover this
     /// solve only: the executor's accumulators are harvested as an epoch
     /// ([`dsw_rma::RunStats::take_epoch`]), so back-to-back solves on one
     /// session never bleed into each other.
+    ///
+    /// The session is left finished at its final state: a second
+    /// `finish` (or one after [`finish_panel`](SolveSession::finish_panel))
+    /// reports an empty solve — the step-0 record at the current norm, no
+    /// steps, no verdict — instead of a report without records.
     pub fn finish(&mut self) -> DistReport {
-        let x = self.monitor.gather_view(self.ex.ranks(), &Self::view());
-        let mut stats = self.ex.stats.take_epoch();
-        stats.monitor = std::mem::take(&mut self.monitor.stats);
-        let drift: u64 = self.ex.ranks().iter().map(|r| r.drift_repairs()).sum();
-        let stale: u64 = self.ex.ranks().iter().map(|r| r.stale_discards()).sum();
-        DistReport {
-            method: self.method,
-            n: self.a.nrows(),
-            nranks: self.ex.nranks(),
-            records: std::mem::take(&mut self.state.records),
-            stats,
-            converged_at: self.state.converged_at,
-            deadlocked: self.state.deadlocked,
-            diverged: self.state.diverged,
-            watchdog_nudges: self.state.watchdog_nudges,
-            drift_repairs: drift - self.state.drift_base,
-            stale_discards: stale - self.state.stale_base,
-            x,
-        }
+        self.run.finish()
     }
 
     /// One full solve: begin, run to a verdict, report.
     pub fn solve(&mut self, b: &[f64]) -> DistReport {
         self.begin_solve(b);
-        while !self.step_batch(self.opts.max_steps) {}
+        while !self.step_batch(self.run.opts.max_steps) {}
         self.finish()
     }
 
@@ -418,14 +279,14 @@ impl<R: WarmStart> SolveSession<R> {
     /// [`SolveSession::begin_solve`]: an unchanged `b` continues the
     /// previous pass bit-identically, a changed `b` reseeds by `Δb`.
     pub fn smooth(&mut self, b: &[f64], steps: usize) -> DistReport {
-        let saved = self.opts;
-        self.opts.target_residual = None;
-        self.opts.divergence_cutoff = None;
-        self.opts.max_steps = steps;
+        let saved = self.run.opts;
+        self.run.opts.target_residual = None;
+        self.run.opts.divergence_cutoff = None;
+        self.run.opts.max_steps = steps;
         self.begin_solve(b);
         while !self.step_batch(steps.max(1)) {}
         let rep = self.finish();
-        self.opts = saved;
+        self.run.opts = saved;
         rep
     }
 
@@ -453,18 +314,18 @@ impl<R: WarmStart> SolveSession<R> {
             // match, re-adopting the session state and reseeding is
             // bit-identical to a fresh build at a fraction of the cost.
             if run.k() == bs.len() && run.pool_id() == pool.map(SharedPool::id) {
-                run.reseed(&self.a, &self.b, self.ex.ranks(), bs);
+                run.reseed(&self.a, &self.b, self.run.ex.ranks(), bs);
                 self.panel = Some(run);
                 return;
             }
         }
         self.panel = Some(PanelRun::new(
-            self.method,
+            self.run.method,
             &self.a,
             &self.b,
-            self.ex.ranks(),
+            self.run.ex.ranks(),
             bs,
-            self.opts,
+            self.run.opts,
             pool,
         ));
     }
@@ -497,9 +358,20 @@ impl<R: WarmStart> SolveSession<R> {
         R: Clone,
     {
         self.begin_panel(bs, pool);
-        while !self.step_panel(self.opts.max_steps) {}
+        while !self.step_panel(self.run.opts.max_steps) {}
         self.finish_panel()
     }
+}
+
+/// Forwards a call to the session a [`TenantSession`] holds.
+macro_rules! each {
+    ($self:ident, $s:ident => $call:expr) => {
+        match $self {
+            TenantSession::Bj($s) => $call,
+            TenantSession::Ps($s) => $call,
+            TenantSession::Ds($s) => $call,
+        }
+    };
 }
 
 /// A method-erased [`SolveSession`] — what a serving layer holds per
@@ -531,196 +403,127 @@ impl TenantSession {
         opts: &DistOptions,
         pool: Option<&SharedPool>,
     ) -> TenantSession {
-        let mode = match opts.backend {
-            ExecBackend::Superstep(mode) => mode,
-            ExecBackend::Async(_) => {
-                panic!("TenantSession requires the superstep backend (warm-start precondition)")
-            }
-        };
-        assert!(
-            !opts.chaos.is_active(),
-            "TenantSession requires a reliable transport (warm-start precondition)"
-        );
-        assert!(
-            opts.redundancy.is_none(),
-            "TenantSession does not support coded redundancy"
-        );
-        assert_eq!(
-            opts.ds_config.solve_msg_threshold, 0.0,
-            "TenantSession requires unbuffered solve messages (warm-start precondition)"
-        );
-        assert!(
-            !opts.ds_config.recovery.is_active(),
-            "TenantSession requires the recovery layer off (discarding in-flight \
-             messages would violate sequencing)"
-        );
-
+        let mode = opts.warm_start_mode("TenantSession");
         let locals = distribute(&a, b, x0, partition).expect("valid distribution");
-        let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
-        macro_rules! session {
-            ($ranks:expr) => {{
-                let ranks = $ranks;
-                let mut ex = match pool {
-                    Some(pool) => {
-                        Executor::with_shared_pool(ranks, opts.cost_model, opts.chaos, pool)
-                    }
-                    None => Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos),
-                };
-                ex.set_close_mode(opts.close_mode);
-                SolveSession::new(method, a, b.to_vec(), ex, *opts)
-            }};
-        }
-        match method {
-            Method::BlockJacobi => TenantSession::Bj(session!(BlockJacobiRank::build_with_solver(
-                locals,
-                opts.ds_config.local_solver
-            ))),
-            Method::ParallelSouthwell => TenantSession::Ps(session!(
-                ParallelSouthwellRank::build_cfg(locals, &norms, true, opts.ds_config.local_solver)
-            )),
-            Method::ParallelSouthwellPiggybackOnly => {
-                TenantSession::Ps(session!(ParallelSouthwellRank::build_cfg(
-                    locals,
-                    &norms,
-                    false,
-                    opts.ds_config.local_solver
-                )))
-            }
-            Method::DistributedSouthwell => {
-                let r0 = a.residual(b, x0);
-                TenantSession::Ds(session!(DistributedSouthwellRank::build_with(
-                    locals,
-                    &norms,
-                    &r0,
-                    opts.ds_config
-                )))
-            }
-        }
+        with_ranks!(method, opts.ds_config, (a, b, x0), |build, wrap| {
+            let ex = superstep_executor(build(locals), opts, mode, pool);
+            wrap(SolveSession::new(method, a, b.to_vec(), ex, *opts))
+        })
     }
 
     /// See [`SolveSession::begin_solve`].
     pub fn begin_solve(&mut self, b: &[f64]) {
-        match self {
-            TenantSession::Bj(s) => s.begin_solve(b),
-            TenantSession::Ps(s) => s.begin_solve(b),
-            TenantSession::Ds(s) => s.begin_solve(b),
-        }
+        each!(self, s => s.begin_solve(b))
     }
 
     /// See [`SolveSession::step_batch`].
     pub fn step_batch(&mut self, quantum: usize) -> bool {
-        match self {
-            TenantSession::Bj(s) => s.step_batch(quantum),
-            TenantSession::Ps(s) => s.step_batch(quantum),
-            TenantSession::Ds(s) => s.step_batch(quantum),
-        }
+        each!(self, s => s.step_batch(quantum))
     }
 
     /// See [`SolveSession::is_done`].
     pub fn is_done(&self) -> bool {
-        match self {
-            TenantSession::Bj(s) => s.is_done(),
-            TenantSession::Ps(s) => s.is_done(),
-            TenantSession::Ds(s) => s.is_done(),
-        }
+        each!(self, s => s.is_done())
     }
 
     /// See [`SolveSession::finish`].
     pub fn finish(&mut self) -> DistReport {
-        match self {
-            TenantSession::Bj(s) => s.finish(),
-            TenantSession::Ps(s) => s.finish(),
-            TenantSession::Ds(s) => s.finish(),
-        }
+        each!(self, s => s.finish())
     }
 
     /// See [`SolveSession::solve`].
     pub fn solve(&mut self, b: &[f64]) -> DistReport {
-        match self {
-            TenantSession::Bj(s) => s.solve(b),
-            TenantSession::Ps(s) => s.solve(b),
-            TenantSession::Ds(s) => s.solve(b),
-        }
+        each!(self, s => s.solve(b))
     }
 
     /// See [`SolveSession::smooth`].
     pub fn smooth(&mut self, b: &[f64], steps: usize) -> DistReport {
-        match self {
-            TenantSession::Bj(s) => s.smooth(b, steps),
-            TenantSession::Ps(s) => s.smooth(b, steps),
-            TenantSession::Ds(s) => s.smooth(b, steps),
-        }
+        each!(self, s => s.smooth(b, steps))
     }
 
     /// See [`SolveSession::solve_many`].
     pub fn solve_many(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport> {
-        match self {
-            TenantSession::Bj(s) => s.solve_many(bs),
-            TenantSession::Ps(s) => s.solve_many(bs),
-            TenantSession::Ds(s) => s.solve_many(bs),
-        }
+        each!(self, s => s.solve_many(bs))
     }
 
     /// See [`SolveSession::begin_panel`].
     pub fn begin_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) {
-        match self {
-            TenantSession::Bj(s) => s.begin_panel(bs, pool),
-            TenantSession::Ps(s) => s.begin_panel(bs, pool),
-            TenantSession::Ds(s) => s.begin_panel(bs, pool),
-        }
+        each!(self, s => s.begin_panel(bs, pool))
     }
 
     /// See [`SolveSession::panel_active`].
     pub fn panel_active(&self) -> bool {
-        match self {
-            TenantSession::Bj(s) => s.panel_active(),
-            TenantSession::Ps(s) => s.panel_active(),
-            TenantSession::Ds(s) => s.panel_active(),
-        }
+        each!(self, s => s.panel_active())
     }
 
     /// See [`SolveSession::step_panel`].
     pub fn step_panel(&mut self, quantum: usize) -> bool {
-        match self {
-            TenantSession::Bj(s) => s.step_panel(quantum),
-            TenantSession::Ps(s) => s.step_panel(quantum),
-            TenantSession::Ds(s) => s.step_panel(quantum),
-        }
+        each!(self, s => s.step_panel(quantum))
     }
 
     /// See [`SolveSession::finish_panel`].
     pub fn finish_panel(&mut self) -> Vec<DistReport> {
-        match self {
-            TenantSession::Bj(s) => s.finish_panel(),
-            TenantSession::Ps(s) => s.finish_panel(),
-            TenantSession::Ds(s) => s.finish_panel(),
-        }
+        each!(self, s => s.finish_panel())
     }
 
     /// See [`SolveSession::solve_panel`].
     pub fn solve_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) -> Vec<DistReport> {
-        match self {
-            TenantSession::Bj(s) => s.solve_panel(bs, pool),
-            TenantSession::Ps(s) => s.solve_panel(bs, pool),
-            TenantSession::Ds(s) => s.solve_panel(bs, pool),
-        }
+        each!(self, s => s.solve_panel(bs, pool))
     }
 
     /// See [`SolveSession::nranks`].
     pub fn nranks(&self) -> usize {
-        match self {
-            TenantSession::Bj(s) => s.nranks(),
-            TenantSession::Ps(s) => s.nranks(),
-            TenantSession::Ds(s) => s.nranks(),
-        }
+        each!(self, s => s.nranks())
     }
 
     /// See [`SolveSession::method`].
     pub fn method(&self) -> Method {
-        match self {
-            TenantSession::Bj(s) => s.method(),
-            TenantSession::Ps(s) => s.method(),
-            TenantSession::Ds(s) => s.method(),
+        each!(self, s => s.method())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsw_sparse::gen;
+
+    /// Regression: `finish` used to move the records out, so a second
+    /// `finish`, or one after `finish_panel`, returned a report without
+    /// records and `final_residual` / `comm_cost` panicked. The session is
+    /// now left settled at its final state: finishing again reports an
+    /// empty solve that still holds its step-0 record.
+    #[test]
+    fn finishing_again_reports_an_empty_solve() {
+        let mut a = gen::grid2d_poisson(8, 8);
+        a.scale_unit_diagonal().expect("nonzero diagonal");
+        let n = a.nrows();
+        let part = Partition::new(4, (0..n).map(|i| i * 4 / n).collect());
+        let b = vec![0.5; n];
+        let opts = DistOptions {
+            target_residual: Some(1e-3),
+            max_steps: 200,
+            ..DistOptions::default()
+        };
+        for method in [Method::BlockJacobi, Method::DistributedSouthwell] {
+            let mut s =
+                TenantSession::build(method, a.clone(), &b, &vec![0.0; n], &part, &opts, None);
+            let first = s.solve(&b);
+            assert!(first.converged_at.is_some());
+            let again = s.finish();
+            assert_eq!(again.records.len(), 1, "{method:?}");
+            assert_eq!(again.final_residual(), first.final_residual());
+            assert_eq!(again.comm_cost(), 0.0);
+            assert_eq!(again.x, first.x);
+            assert!(again.converged_at.is_none() && !again.deadlocked && !again.diverged);
+            assert!(s.is_done() && again.stats.steps.is_empty());
+
+            let bs = vec![vec![0.25; n], vec![0.75; n]];
+            let cols = s.solve_panel(&bs, None);
+            let adopted = s.finish();
+            assert_eq!(adopted.records.len(), 1, "{method:?}");
+            assert_eq!(adopted.final_residual(), cols[1].final_residual());
+            assert_eq!(adopted.x, cols[1].x);
+            assert_eq!(adopted.comm_cost(), 0.0);
         }
     }
 }

@@ -383,13 +383,6 @@ pub enum ExecMode {
     /// serially or over disjoint per-target state, and fault decisions are
     /// pure functions of per-message keys.
     Threaded(usize),
-    /// The legacy scheduler: a fresh `crossbeam::thread::scope` of `n`
-    /// threads per phase, ranks statically chunked contiguously. Same
-    /// bit-identical results, strictly worse performance (spawn/join per
-    /// phase, hot ranks cluster on one chunk). Kept so the `kernels`
-    /// criterion bench can measure the pool against it; prefer
-    /// [`ExecMode::Threaded`].
-    ThreadedSpawn(usize),
 }
 
 /// How the executor closes epochs (routes the phase's puts into inboxes).
@@ -642,19 +635,15 @@ impl<A: RankAlgorithm> Executor<A> {
     /// If `chaos` fails [`ChaosConfig::validate`].
     pub fn with_chaos(ranks: Vec<A>, model: CostModel, mode: ExecMode, chaos: ChaosConfig) -> Self {
         assert!(!ranks.is_empty(), "need at least one rank");
-        if let ExecMode::Threaded(t) | ExecMode::ThreadedSpawn(t) = mode {
-            assert!(t > 0, "threaded mode needs at least one thread");
-        }
         let n = ranks.len();
         // Workers are created once, here, and live for the executor's
         // lifetime; `step` only parks/unparks them.
-        let pool = match mode {
-            ExecMode::Threaded(t) => Some(Arc::new(WorkerPool::new(t.min(n)))),
-            _ => None,
-        };
-        let nworkers = match mode {
-            ExecMode::Sequential => 1,
-            ExecMode::Threaded(t) | ExecMode::ThreadedSpawn(t) => t.min(n),
+        let (pool, nworkers) = match mode {
+            ExecMode::Sequential => (None, 1),
+            ExecMode::Threaded(t) => {
+                assert!(t > 0, "threaded mode needs at least one thread");
+                (Some(Arc::new(WorkerPool::new(t.min(n)))), t.min(n))
+            }
         };
         let mut stats = RunStats::new(n);
         stats.worker_busy_ns = vec![0; nworkers];
@@ -1210,80 +1199,6 @@ impl<A: RankAlgorithm> Executor<A> {
                     }
                 });
             }
-            ExecMode::ThreadedSpawn(nthreads) => {
-                let nthreads = nthreads.min(n);
-                let chunk = n.div_ceil(nthreads);
-                let buckets = SyncPtr(self.buckets.as_mut_ptr());
-                let touched = &self.touched;
-                let topo = self.topo.as_ref();
-                let ranks = &mut self.ranks;
-                let inboxes = &self.inboxes;
-                let results = &mut self.phase_totals;
-                let flat_out = &mut self.flat_out;
-                let mut chunk_busy = vec![0u64; nthreads];
-                crossbeam::thread::scope(|scope| {
-                    let mut rank_chunks = ranks.chunks_mut(chunk);
-                    let mut inbox_chunks = inboxes.chunks(chunk);
-                    let mut result_chunks = results.chunks_mut(chunk);
-                    let mut flat_chunks = flat_out.chunks_mut(chunk);
-                    let mut busy_slots = chunk_busy.iter_mut();
-                    let mut base = 0usize;
-                    let buckets = &buckets;
-                    for _ in 0..nthreads {
-                        let (Some(rc), Some(ic), Some(out), Some(fc), Some(busy)) = (
-                            rank_chunks.next(),
-                            inbox_chunks.next(),
-                            result_chunks.next(),
-                            flat_chunks.next(),
-                            busy_slots.next(),
-                        ) else {
-                            break;
-                        };
-                        let start = base;
-                        base += rc.len();
-                        scope.spawn(move |_| {
-                            let t0 = Instant::now();
-                            for (k, (((rank, inbox), slot), fbuf)) in rc
-                                .iter_mut()
-                                .zip(ic)
-                                .zip(out.iter_mut())
-                                .zip(fc.iter_mut())
-                                .enumerate()
-                            {
-                                let i = start + k;
-                                if stalled[i] {
-                                    *slot = PhaseTotals::default();
-                                    continue;
-                                }
-                                let ctx = match topo {
-                                    Some(tp) => {
-                                        let edges = &tp.out_edges[i];
-                                        // SAFETY: origin i's buckets are
-                                        // touched only by this thread (the
-                                        // chunks are disjoint).
-                                        PhaseCtx::bucketed(
-                                            i,
-                                            edges.as_ptr(),
-                                            edges.len(),
-                                            buckets.0,
-                                            touched.as_ptr(),
-                                        )
-                                    }
-                                    None => PhaseCtx::with_outbox(i, std::mem::take(fbuf)),
-                                };
-                                if let Some(buf) = run_one_rank(rank, phase, inbox, ctx, slot) {
-                                    *fbuf = buf;
-                                }
-                            }
-                            *busy = t0.elapsed().as_nanos() as u64;
-                        });
-                    }
-                })
-                .expect("superstep worker panicked");
-                for (w, b) in chunk_busy.into_iter().enumerate() {
-                    self.stats.worker_busy_ns[w] += b;
-                }
-            }
         }
     }
 }
@@ -1575,7 +1490,6 @@ mod tests {
                 (ExecMode::Threaded(4), Some(1)),
                 (ExecMode::Threaded(7), Some(3)),
                 (ExecMode::Threaded(32), Some(1000)),
-                (ExecMode::ThreadedSpawn(3), None),
             ] {
                 let mut ex = Executor::new(ring_with(13, declare), CostModel::default(), mode);
                 assert_eq!(ex.has_routing_index(), declare);
@@ -1627,11 +1541,7 @@ mod tests {
 
     #[test]
     fn timing_observables_populate() {
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::Threaded(2),
-            ExecMode::ThreadedSpawn(2),
-        ] {
+        for mode in [ExecMode::Sequential, ExecMode::Threaded(2)] {
             let mut ex = Executor::new(ring(5), CostModel::default(), mode);
             let s = ex.step();
             assert_eq!(s.workers, ex.nworkers() as u32, "{mode:?}");

@@ -16,7 +16,7 @@
 //!   are read by targets in phase `k + 1` — never earlier, which is the
 //!   one-sided visibility rule;
 //! * the [`Executor`] runs all ranks phase-by-phase, either sequentially or
-//!   on a crossbeam thread pool ([`ExecMode`]); both modes produce
+//!   on its persistent `WorkerPool` ([`ExecMode`]); both modes produce
 //!   bit-identical results because ranks only interact through the epoch
 //!   boundary;
 //! * every put is counted, per rank and per [`CommClass`] — message counts

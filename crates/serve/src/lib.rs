@@ -100,6 +100,13 @@ pub enum SubmitError {
         /// The submitted vector's length.
         got: usize,
     },
+    /// The right-hand side has a NaN or infinite entry. Admitting it would
+    /// poison the tenant: the warm-start reseed adds `Δb` to every rank's
+    /// residual, so every later solve would inherit the non-finite values.
+    NonFiniteRhs {
+        /// Index of the first non-finite entry.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -110,11 +117,28 @@ impl std::fmt::Display for SubmitError {
             SubmitError::BadRhs { expected, got } => {
                 write!(f, "rhs dimension {got}, tenant system is {expected}")
             }
+            SubmitError::NonFiniteRhs { index } => {
+                write!(f, "rhs entry {index} is not finite")
+            }
         }
     }
 }
 
 impl std::error::Error for SubmitError {}
+
+/// Admission check of one right-hand side against a tenant's dimension.
+fn check_rhs(b: &[f64], n: usize) -> Result<(), SubmitError> {
+    if b.len() != n {
+        return Err(SubmitError::BadRhs {
+            expected: n,
+            got: b.len(),
+        });
+    }
+    match b.iter().position(|v| !v.is_finite()) {
+        Some(index) => Err(SubmitError::NonFiniteRhs { index }),
+        None => Ok(()),
+    }
+}
 
 /// An admitted, not-yet-started job: one right-hand side (the scalar
 /// path) or a tenant batch fused into a single multi-RHS panel solve.
@@ -309,7 +333,9 @@ impl SolveService {
 
     /// Submits one right-hand side for `tenant`. Fails with
     /// [`SubmitError::QueueFull`] when the bounded admission queue is at
-    /// capacity — callers should drain ([`run_until_idle`]) and retry.
+    /// capacity — callers should drain ([`run_until_idle`]) and retry —
+    /// and rejects a wrong-length or non-finite `b` without touching the
+    /// tenant.
     ///
     /// [`run_until_idle`]: SolveService::run_until_idle
     pub fn submit(&mut self, tenant: TenantId, b: Vec<f64>) -> Result<(), SubmitError> {
@@ -317,12 +343,7 @@ impl SolveService {
             .tenants
             .get_mut(tenant.0)
             .ok_or(SubmitError::UnknownTenant)?;
-        if b.len() != slot.n {
-            return Err(SubmitError::BadRhs {
-                expected: slot.n,
-                got: b.len(),
-            });
-        }
+        check_rhs(&b, slot.n)?;
         if self.queued >= self.cfg.queue_capacity {
             return Err(SubmitError::QueueFull);
         }
@@ -358,11 +379,8 @@ impl SolveService {
         let mut admitted: Vec<Vec<f64>> = Vec::with_capacity(bs.len());
         let mut rejected: Option<SubmitError> = None;
         for b in bs {
-            if b.len() != slot.n {
-                rejected = Some(SubmitError::BadRhs {
-                    expected: slot.n,
-                    got: b.len(),
-                });
+            if let Err(e) = check_rhs(&b, slot.n) {
+                rejected = Some(e);
                 break;
             }
             if self.queued + admitted.len() >= self.cfg.queue_capacity {
@@ -739,6 +757,62 @@ mod tests {
         let stats = svc.run_until_idle();
         assert_eq!(stats.solves, 2);
         assert_eq!(svc.take_reports(id).len(), 2);
+    }
+
+    /// Regression: a non-finite rhs used to be admitted, and its warm
+    /// reseed (`Δb = NaN`) poisoned every later solve of the tenant. It is
+    /// now rejected at admission, on both submit paths, and leaves the
+    /// tenant exactly as an untouched twin.
+    #[test]
+    fn non_finite_rhs_is_rejected_and_leaves_the_tenant_untouched() {
+        let a = poisson(8);
+        let n = a.nrows();
+        let part = block_partition(n, 4);
+        let mut svc = SolveService::new(ServeConfig::default());
+        let b0 = vec![0.5; n];
+        let x0 = vec![0.0; n];
+        let [hit, twin] = [0, 1].map(|_| {
+            svc.add_tenant(
+                Method::DistributedSouthwell,
+                a.clone(),
+                &b0,
+                &x0,
+                &part,
+                &opts(),
+            )
+        });
+        let mut bad = vec![0.2; n];
+        bad[5] = f64::NAN;
+        assert_eq!(
+            svc.submit(hit, bad.clone()),
+            Err(SubmitError::NonFiniteRhs { index: 5 })
+        );
+        bad[5] = f64::INFINITY;
+        assert_eq!(
+            svc.submit_many(hit, vec![vec![0.3; n], bad]),
+            Err((1, SubmitError::NonFiniteRhs { index: 5 }))
+        );
+        svc.submit(twin, vec![0.3; n]).expect("queue has room");
+        svc.run_until_idle();
+        let b = vec![0.7; n];
+        svc.submit(hit, b.clone()).expect("queue has room");
+        svc.submit(twin, b).expect("queue has room");
+        svc.run_until_idle();
+        let (hit_reps, twin_reps) = (svc.take_reports(hit), svc.take_reports(twin));
+        assert_eq!(hit_reps.len(), 2);
+        for (h, t) in hit_reps.iter().zip(&twin_reps) {
+            assert!(h.x.iter().all(|v| v.is_finite()));
+            let bits = |r: &DistReport| -> Vec<u64> {
+                r.records
+                    .iter()
+                    .map(|rec| rec.residual_norm.to_bits())
+                    .chain(r.x.iter().map(|v| v.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(h), bits(t));
+            assert_eq!(h.converged_at, t.converged_at);
+            assert!(h.stats.steps == t.stats.steps);
+        }
     }
 
     #[test]

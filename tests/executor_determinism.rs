@@ -219,7 +219,6 @@ fn drive_is_bit_identical_across_exec_modes_in_both_monitor_modes() {
                 (ExecMode::Threaded(4), CloseMode::Parallel),
                 (ExecMode::Threaded(4), CloseMode::Serial),
                 (ExecMode::Threaded(2), CloseMode::Auto),
-                (ExecMode::ThreadedSpawn(3), CloseMode::Auto),
             ] {
                 assert_eq!(
                     reference,

@@ -387,7 +387,6 @@ fn targeted_stall_accumulation_identical_across_paths() {
     for (mode, close, declare) in [
         (ExecMode::Sequential, CloseMode::Serial, true),
         (ExecMode::Threaded(4), CloseMode::Parallel, true),
-        (ExecMode::ThreadedSpawn(3), CloseMode::Auto, true),
     ] {
         assert_eq!(
             reference,
