@@ -119,7 +119,7 @@ pub struct ChaosRow {
     /// Mean per-step load imbalance (slowest rank / mean measured compute
     /// time) — stalls and drops skew this beyond the protocol's own skew.
     pub mean_imbalance: f64,
-    /// Executor worker utilization (busy / (span × workers)).
+    /// Executor worker utilization (busy / ((span + route) × workers)).
     pub worker_utilization: f64,
 }
 

@@ -37,7 +37,7 @@ pub struct ScalingPoint {
     /// Mean per-step load imbalance (slowest rank / mean measured compute
     /// time): the paper's few-winners regime made visible.
     pub mean_imbalance: f64,
-    /// Executor worker utilization (busy / (span × workers)).
+    /// Executor worker utilization (busy / ((span + route) × workers)).
     pub worker_utilization: f64,
 }
 

@@ -411,11 +411,10 @@ impl RankAlgorithm for DistributedSouthwellRank {
         2
     }
 
-    fn put_targets(&self) -> Option<Vec<usize>> {
+    fn put_targets(&self) -> Vec<usize> {
         // Every message class (solve, residual, recovery) flows only along
-        // the static subdomain neighbor set (enables the executor's
-        // target-major parallel close).
-        Some(self.ls.neighbors.clone())
+        // the static subdomain neighbor set.
+        self.ls.neighbors.clone()
     }
 
     fn phase(&mut self, phase: usize, inbox: &[Envelope<SeqMsg>], ctx: &mut PhaseCtx<SeqMsg>) {

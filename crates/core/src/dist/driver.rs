@@ -785,8 +785,8 @@ impl DistReport {
         self.stats.mean_imbalance()
     }
 
-    /// Executor worker utilization: busy time / (dispatch span × workers).
-    /// 0.0 when timing was not measured.
+    /// Executor worker utilization: busy time / ((dispatch span + epoch
+    /// close) × workers); 0.0 when timing was not measured.
     pub fn worker_utilization(&self) -> f64 {
         self.stats.worker_utilization()
     }

@@ -160,10 +160,10 @@ impl RankAlgorithm for ParallelSouthwellRank {
         2
     }
 
-    fn put_targets(&self) -> Option<Vec<usize>> {
+    fn put_targets(&self) -> Vec<usize> {
         // Solve and residual traffic both stay on the static subdomain
-        // neighbor set (enables the executor's target-major parallel close).
-        Some(self.ls.neighbors.clone())
+        // neighbor set.
+        self.ls.neighbors.clone()
     }
 
     fn phase(&mut self, phase: usize, inbox: &[Envelope<DistMsg>], ctx: &mut PhaseCtx<DistMsg>) {

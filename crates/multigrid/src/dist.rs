@@ -201,8 +201,8 @@ impl RankAlgorithm for TransferRank {
         }
     }
 
-    fn put_targets(&self) -> Option<Vec<usize>> {
-        Some(self.targets.clone())
+    fn put_targets(&self) -> Vec<usize> {
+        self.targets.clone()
     }
 }
 

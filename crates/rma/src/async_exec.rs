@@ -339,31 +339,16 @@ impl<A: RankAlgorithm> AsyncExecutor<A> {
             // Deterministic order regardless of arrival interleaving.
             self.inboxes[i].sort_by_key(|e| e.src);
             let phase = self.clock[i] % nphases;
-            let mut ctx = PhaseCtx::new_for_async(i);
+            let mut ctx = PhaseCtx::capture(i);
             let t0 = std::time::Instant::now();
             self.ranks[i].phase(phase, &self.inboxes[i], &mut ctx);
             self.inboxes[i].clear();
-            let wall_ns = t0.elapsed().as_nanos() as u64;
-            let (outbox, totals) = ctx.into_outbox_and_totals();
-            self.stats.msgs_per_rank[i] += totals.msgs;
-            self.stats.rank_time_ns[i] += wall_ns;
-            step.compute_ns += wall_ns;
-            step.compute_ns_max_rank = step.compute_ns_max_rank.max(wall_ns);
-            step.msgs += totals.msgs;
-            step.msgs_solve += totals.msgs_solve;
-            step.msgs_residual += totals.msgs_residual;
-            step.msgs_recovery += totals.msgs_recovery;
-            step.msgs_redundancy += totals.msgs_redundancy;
-            step.msgs_transfer += totals.msgs_transfer;
-            step.bytes += totals.bytes;
-            step.bytes_solve += totals.bytes_solve;
-            step.bytes_residual += totals.bytes_residual;
-            step.bytes_recovery += totals.bytes_recovery;
-            step.bytes_redundancy += totals.bytes_redundancy;
-            step.bytes_transfer += totals.bytes_transfer;
-            step.flops += totals.flops;
-            step.relaxations += totals.relaxations;
-            step.active_ranks += u64::from(totals.active);
+            let (outbox, mut totals) = ctx.into_outbox_and_totals();
+            totals.wall_ns = t0.elapsed().as_nanos() as u64;
+            self.stats.msgs_per_rank[i] += totals.msgs.total();
+            self.stats.rank_time_ns[i] += totals.wall_ns;
+            step.compute_ns_max_rank = step.compute_ns_max_rank.max(totals.wall_ns);
+            step.absorb(&totals);
             tick_out.extend(outbox);
             self.clock[i] += 1;
             advanced += 1;
@@ -479,6 +464,9 @@ mod tests {
             }
             ctx.put((self.id + 1) % self.n, CommClass::Solve, self.value, 8);
         }
+        fn put_targets(&self) -> Vec<usize> {
+            vec![(self.id + 1) % self.n]
+        }
     }
 
     #[test]
@@ -557,6 +545,9 @@ mod tests {
             self.received += inbox.len() as u64;
             ctx.put((self.id + 1) % self.n, CommClass::Solve, 1, 8);
             self.sent += 1;
+        }
+        fn put_targets(&self) -> Vec<usize> {
+            vec![(self.id + 1) % self.n]
         }
     }
 

@@ -2,37 +2,29 @@
 //!
 //! # Epoch close
 //!
-//! Delivering the puts of a phase — deciding fault fates, routing
-//! envelopes into target inboxes, expiring delayed puts, folding the
-//! per-rank counters — used to be a serial section that grew with total
-//! message volume, the Amdahl bottleneck of large-P runs. The executor
-//! now has two routing strategies:
+//! Every rank declares the ranks it may put to up front
+//! ([`RankAlgorithm::put_targets`]), as an MPI-3 process names its
+//! neighbour group before an access epoch. From those sets the executor
+//! builds a *reverse-neighbor index* once at construction: for every
+//! target, the ordered list of origins that may message it, each with a
+//! dedicated outbox bucket. [`PhaseCtx::put`] appends into the
+//! per-(origin, target) bucket; at the close, each target drains its
+//! senders' buckets in origin order, so delivery is origin-major *by
+//! construction* and no post-hoc sort is needed on the fault-free path.
+//! Because distinct targets touch disjoint buckets, inboxes, and delayed
+//! queues, the close runs serially or chunked over the worker pool
+//! ([`CloseMode`]), folding the per-rank [`PhaseTotals`] and the
+//! modelled-time reduction in the same pass.
 //!
-//! * **origin-major (flat)**: the original path, used when the rank
-//!   topology is unknown. Each origin's outbox is scanned in rank order
-//!   on the calling thread.
-//! * **target-major (bucketed)**: when every rank declares its possible
-//!   put targets up front ([`RankAlgorithm::put_targets`]), the executor
-//!   builds a *reverse-neighbor index* once at construction — for every
-//!   target, the ordered list of origins that may message it, each with a
-//!   dedicated outbox bucket. [`PhaseCtx::put`] appends into the
-//!   per-(origin, target) bucket; at the close, each target drains its
-//!   senders' buckets in origin order, so delivery is origin-major *by
-//!   construction* and no post-hoc sort is needed on the fault-free path.
-//!   Because distinct targets touch disjoint buckets, inboxes, and
-//!   delayed queues, the close parallelizes over the worker pool
-//!   ([`CloseMode`]), folding the per-rank [`PhaseTotals`] and the
-//!   modelled-time reduction in the same pass.
-//!
-//! Both strategies, serial or pooled, at any worker count or grain,
-//! produce bit-identical results: fault fates are pure functions of
+//! Serial or pooled, at any worker count or grain, the close produces
+//! bit-identical results: fault fates are pure functions of
 //! `(epoch, origin, target, index, class)` (see
 //! [`FaultInjector::fate_at`]), per-target work is independent, and the
 //! chunk partials combine with exact integer arithmetic.
 
-use crate::fault::{ChaosConfig, Fate, FaultInjector};
+use crate::fault::{ChaosConfig, FaultInjector};
 use crate::pool::{SharedPool, WorkerPool};
-use crate::stats::{CommClass, CostModel, FaultStats, RunStats, StepStats};
+use crate::stats::{ClassCounts, CommClass, CostModel, FaultStats, RunStats, StepStats};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,28 +44,34 @@ pub struct Envelope<M> {
     pub payload: M,
 }
 
-/// Per-rank, per-phase counters the executor folds into [`StepStats`].
+/// Deterministic counters of one rank's phase, or — folded with
+/// [`PhaseTotals::accumulate`] — of many; [`StepStats::absorb`] adds them
+/// to a step.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PhaseTotals {
-    pub msgs: u64,
-    pub msgs_solve: u64,
-    pub msgs_residual: u64,
-    pub msgs_recovery: u64,
-    pub msgs_redundancy: u64,
-    pub msgs_transfer: u64,
-    pub bytes: u64,
-    pub bytes_solve: u64,
-    pub bytes_residual: u64,
-    pub bytes_recovery: u64,
-    pub bytes_redundancy: u64,
-    pub bytes_transfer: u64,
+    /// Messages put, per class.
+    pub msgs: ClassCounts,
+    /// Modelled payload bytes put, per class.
+    pub bytes: ClassCounts,
     pub flops: u64,
     pub relaxations: u64,
-    pub active: bool,
-    /// Measured wall-clock ns of this rank's phase callback (set by the
-    /// executor, not the rank; feeds the load-imbalance observables only —
-    /// never the deterministic counters).
+    /// Ranks that reported relaxing (0 or 1 for a single rank's phase).
+    pub active: u64,
+    /// Measured wall-clock ns of the phase callbacks (set by the executor,
+    /// not the rank; feeds the load-imbalance observables only — never
+    /// the deterministic counters).
     pub wall_ns: u64,
+}
+
+impl PhaseTotals {
+    fn accumulate(&mut self, other: &PhaseTotals) {
+        self.msgs.accumulate(&other.msgs);
+        self.bytes.accumulate(&other.bytes);
+        self.flops += other.flops;
+        self.relaxations += other.relaxations;
+        self.active += other.active;
+        self.wall_ns += other.wall_ns;
+    }
 }
 
 /// Public summary of a capture context's counters (see
@@ -93,17 +91,14 @@ pub struct CaptureTotals {
     pub relaxations: u64,
 }
 
-/// A flat per-origin outbox: `(target, envelope)` pairs in put order.
-type FlatOutbox<M> = Vec<(usize, Envelope<M>)>;
-
 /// Where a [`PhaseCtx`]'s puts go.
 enum Sink<M> {
-    /// Dynamic routing: `(target, envelope)` pairs in put order, drained
-    /// origin-major at the epoch close.
-    Flat(Vec<(usize, Envelope<M>)>),
-    /// Static routing: this origin's `(target, bucket id)` edge list plus
-    /// the base of the executor's shared bucket storage. Each put lands
-    /// directly in its `(origin, target)` bucket.
+    /// A capture context: `(target, envelope)` pairs in put order, handed
+    /// back to the composition layer that created the context.
+    Capture(Vec<(usize, Envelope<M>)>),
+    /// An executor context: this origin's `(target, bucket id)` edge list
+    /// plus the base of the executor's shared bucket storage. Each put
+    /// lands directly in its `(origin, target)` bucket.
     Bucketed {
         edges: *const (u32, u32),
         nedges: usize,
@@ -126,37 +121,26 @@ pub struct PhaseCtx<M> {
 }
 
 impl<M> PhaseCtx<M> {
-    /// Constructor reusing a preallocated (cleared) outbox buffer, so the
-    /// hot path stops reallocating every phase.
-    fn with_outbox(rank: usize, outbox: Vec<(usize, Envelope<M>)>) -> Self {
-        debug_assert!(outbox.is_empty());
-        PhaseCtx {
-            rank,
-            sink: Sink::Flat(outbox),
-            totals: PhaseTotals::default(),
-        }
-    }
-
-    /// Constructor for the bucketed (reverse-neighbor-indexed) path.
+    /// Constructor for the executor's bucketed (reverse-neighbor-indexed)
+    /// path.
     ///
     /// # Safety contract (upheld by the executor)
-    /// `edges` must point at `nedges` valid `(target, bucket id)` pairs
-    /// that outlive the context, every bucket id must be in bounds of the
+    /// The `(target, bucket id)` pairs in `edges` must outlive the
+    /// context, every bucket id must be in bounds of the
     /// storage at `base`, and no other thread may touch those buckets
     /// while the context lives (each `(origin, target)` bucket belongs to
     /// exactly one origin, and one origin runs on exactly one worker).
     fn bucketed(
         rank: usize,
-        edges: *const (u32, u32),
-        nedges: usize,
+        edges: &[(u32, u32)],
         base: *mut Vec<Envelope<M>>,
         touched: *const AtomicBool,
     ) -> Self {
         PhaseCtx {
             rank,
             sink: Sink::Bucketed {
-                edges,
-                nedges,
+                edges: edges.as_ptr(),
+                nedges: edges.len(),
                 base,
                 touched,
             },
@@ -170,26 +154,11 @@ impl<M> PhaseCtx<M> {
         self.rank
     }
 
-    /// Constructor for alternate executors in this crate.
-    pub(crate) fn new_for_async(rank: usize) -> Self {
-        Self::with_outbox(rank, Vec::new())
-    }
-
-    /// Consumes the context, yielding the outbox and the counters
-    /// (flat-sink contexts only — the async executor's path).
+    /// Consumes a capture context, yielding the outbox and the counters.
     pub(crate) fn into_outbox_and_totals(self) -> (Vec<(usize, Envelope<M>)>, PhaseTotals) {
         match self.sink {
-            Sink::Flat(outbox) => (outbox, self.totals),
-            Sink::Bucketed { .. } => unreachable!("bucketed contexts have no flat outbox"),
-        }
-    }
-
-    /// Consumes the context, yielding the flat outbox (if any) and the
-    /// counters.
-    fn finish(self) -> (Option<FlatOutbox<M>>, PhaseTotals) {
-        match self.sink {
-            Sink::Flat(outbox) => (Some(outbox), self.totals),
-            Sink::Bucketed { .. } => (None, self.totals),
+            Sink::Capture(outbox) => (outbox, self.totals),
+            Sink::Bucketed { .. } => unreachable!("bucketed contexts have no outbox"),
         }
     }
 
@@ -198,8 +167,8 @@ impl<M> PhaseCtx<M> {
     /// size used by the β term of the cost model.
     ///
     /// # Panics
-    /// If `target` is the calling rank, or — on the statically routed path
-    /// — if `target` is not in the set this rank declared via
+    /// If `target` is the calling rank, or — in an executor context — if
+    /// `target` is not in the set this rank declared via
     /// [`RankAlgorithm::put_targets`].
     pub fn put(&mut self, target: usize, class: CommClass, payload: M, bytes: u64) {
         assert_ne!(target, self.rank, "a rank must not put to itself");
@@ -210,7 +179,7 @@ impl<M> PhaseCtx<M> {
             payload,
         };
         match &mut self.sink {
-            Sink::Flat(outbox) => outbox.push((target, env)),
+            Sink::Capture(outbox) => outbox.push((target, env)),
             Sink::Bucketed {
                 edges,
                 nedges,
@@ -239,30 +208,8 @@ impl<M> PhaseCtx<M> {
                 }
             }
         }
-        self.totals.msgs += 1;
-        match class {
-            CommClass::Solve => {
-                self.totals.msgs_solve += 1;
-                self.totals.bytes_solve += bytes;
-            }
-            CommClass::Residual => {
-                self.totals.msgs_residual += 1;
-                self.totals.bytes_residual += bytes;
-            }
-            CommClass::Recovery => {
-                self.totals.msgs_recovery += 1;
-                self.totals.bytes_recovery += bytes;
-            }
-            CommClass::Redundancy => {
-                self.totals.msgs_redundancy += 1;
-                self.totals.bytes_redundancy += bytes;
-            }
-            CommClass::Transfer => {
-                self.totals.msgs_transfer += 1;
-                self.totals.bytes_transfer += bytes;
-            }
-        }
-        self.totals.bytes += bytes;
+        self.totals.msgs.add(class, 1);
+        self.totals.bytes.add(class, bytes);
     }
 
     /// Reports computational work for the γ term of the cost model.
@@ -276,15 +223,16 @@ impl<M> PhaseCtx<M> {
     #[inline]
     pub fn record_relaxations(&mut self, rows: u64) {
         self.totals.relaxations += rows;
-        self.totals.active = true;
+        self.totals.active = 1;
     }
 
-    /// Constructor for a *capture* context: a flat-sink context handed by a
-    /// composition layer (the multi-RHS panel adapter in [`crate::panel`])
-    /// to an inner algorithm's phase so its puts are collected rather than
-    /// routed. Pair with [`PhaseCtx::into_captured`].
+    /// Constructor for a *capture* context, whose puts are collected
+    /// rather than routed: the context a composition layer (the multi-RHS
+    /// panel adapter in [`crate::panel`], the redundancy wrapper) or the
+    /// asynchronous executor hands to a rank's phase. Pair with
+    /// [`PhaseCtx::into_captured`].
     pub fn capture(rank: usize) -> Self {
-        Self::with_outbox(rank, Vec::new())
+        Self::capture_reusing(rank, Vec::new())
     }
 
     /// As [`PhaseCtx::capture`], reusing a caller-owned (empty) outbox
@@ -292,7 +240,12 @@ impl<M> PhaseCtx<M> {
     /// inner call. Recover the buffer from [`PhaseCtx::into_captured`]
     /// after draining it.
     pub fn capture_reusing(rank: usize, outbox: Vec<(usize, Envelope<M>)>) -> Self {
-        Self::with_outbox(rank, outbox)
+        debug_assert!(outbox.is_empty());
+        PhaseCtx {
+            rank,
+            sink: Sink::Capture(outbox),
+            totals: PhaseTotals::default(),
+        }
     }
 
     /// Consumes a capture context, yielding the captured `(target,
@@ -306,8 +259,8 @@ impl<M> PhaseCtx<M> {
         (
             outbox,
             CaptureTotals {
-                msgs: totals.msgs,
-                bytes: totals.bytes,
+                msgs: totals.msgs.total(),
+                bytes: totals.bytes.total(),
                 flops: totals.flops,
                 relaxations: totals.relaxations,
             },
@@ -331,19 +284,15 @@ pub trait RankAlgorithm: Send {
     /// close of the previous epoch, ordered by origin rank.
     fn phase(&mut self, phase: usize, inbox: &[Envelope<Self::Msg>], ctx: &mut PhaseCtx<Self::Msg>);
 
-    /// The static set of ranks this rank may ever `put` to, if known up
-    /// front (for the solvers: the subdomain neighbor set).
+    /// The static set of ranks this rank may ever `put` to (for the
+    /// solvers: the subdomain neighbor set) — the neighbour group an MPI-3
+    /// process names before its access epochs.
     ///
-    /// Returning `Some` from **every** rank lets the executor build a
-    /// reverse-neighbor routing index at construction and close epochs
-    /// target-major — in parallel on the worker pool — instead of
-    /// scanning origin outboxes serially; a put to a rank outside the
-    /// declared set then panics. `None` (the default) keeps dynamic
-    /// origin-major routing; if any rank returns `None` the whole
-    /// executor falls back to it.
-    fn put_targets(&self) -> Option<Vec<usize>> {
-        None
-    }
+    /// The executor builds its reverse-neighbor routing index from these
+    /// sets at construction and closes every epoch target-major. It panics
+    /// if a rank declares itself or an out-of-range rank, or puts to a
+    /// rank outside its declared set.
+    fn put_targets(&self) -> Vec<usize>;
 
     /// The squared 2-norm of this rank's locally maintained residual, kept
     /// current at parallel-step boundaries, if the algorithm maintains one.
@@ -379,9 +328,9 @@ pub enum ExecMode {
     /// ranks from a shared atomic cursor (work stealing — see
     /// [`crate::pool`]). Results are bit-identical to
     /// [`ExecMode::Sequential`] for any `n` and any steal order: ranks
-    /// interact only at epoch boundaries, which the executor routes either
-    /// serially or over disjoint per-target state, and fault decisions are
-    /// pure functions of per-message keys.
+    /// interact only at epoch boundaries, which the executor closes over
+    /// disjoint per-target state, and fault decisions are pure functions
+    /// of per-message keys.
     Threaded(usize),
 }
 
@@ -391,16 +340,15 @@ pub enum ExecMode {
 /// *where* the routing work runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CloseMode {
-    /// Close on the worker pool when it pays: the routing index exists
-    /// ([`RankAlgorithm::put_targets`]), the executor has a pool with ≥ 2
-    /// workers, tracing is off, and the phase's message volume clears
+    /// Close on the worker pool when it pays: the executor has a pool with
+    /// ≥ 2 workers, tracing is off, and the phase's message volume clears
     /// [`Executor::set_parallel_close_threshold`]. Serial otherwise.
     #[default]
     Auto,
-    /// Always close on the calling thread (the reference path).
+    /// Always close on the calling thread.
     Serial,
-    /// Close on the worker pool whenever structurally possible (routing
-    /// index + pool present, tracing off), regardless of volume.
+    /// Close on the worker pool whenever one is present and tracing is
+    /// off, regardless of volume.
     Parallel,
 }
 
@@ -418,18 +366,20 @@ struct Topology {
     /// origin → `(target, bucket id)`, target-ascending.
     out_edges: Vec<Vec<(u32, u32)>>,
     /// target → `(origin, bucket id)`, origin-ascending — the
-    /// reverse-neighbor index the target-major close scans.
+    /// reverse-neighbor index the close scans.
     in_edges: Vec<Vec<(u32, u32)>>,
+    /// Number of buckets (directed edges).
+    nbuckets: usize,
 }
 
-/// Builds the routing index if every rank declares its put targets.
-fn build_topology<A: RankAlgorithm>(ranks: &[A]) -> Option<(Topology, usize)> {
+/// Builds the routing index from every rank's declared put targets.
+fn build_topology<A: RankAlgorithm>(ranks: &[A]) -> Topology {
     let n = ranks.len();
     assert!(n < u32::MAX as usize, "rank count must fit in u32");
     let mut out_edges = Vec::with_capacity(n);
     let mut nbuckets = 0usize;
     for (i, r) in ranks.iter().enumerate() {
-        let mut ts = r.put_targets()?;
+        let mut ts = r.put_targets();
         ts.sort_unstable();
         ts.dedup();
         assert!(
@@ -452,13 +402,11 @@ fn build_topology<A: RankAlgorithm>(ranks: &[A]) -> Option<(Topology, usize)> {
             in_edges[t as usize].push((o as u32, bid));
         }
     }
-    Some((
-        Topology {
-            out_edges,
-            in_edges,
-        },
+    Topology {
+        out_edges,
+        in_edges,
         nbuckets,
-    ))
+    }
 }
 
 /// Per-chunk partial of the epoch-close fold: fault outcomes of the
@@ -468,65 +416,20 @@ fn build_topology<A: RankAlgorithm>(ranks: &[A]) -> Option<(Topology, usize)> {
 #[derive(Debug, Clone, Copy, Default)]
 struct ClosePartial {
     faults: FaultStats,
-    msgs: u64,
-    msgs_solve: u64,
-    msgs_residual: u64,
-    msgs_recovery: u64,
-    msgs_redundancy: u64,
-    msgs_transfer: u64,
-    bytes: u64,
-    bytes_solve: u64,
-    bytes_residual: u64,
-    bytes_recovery: u64,
-    bytes_redundancy: u64,
-    bytes_transfer: u64,
-    flops: u64,
+    totals: PhaseTotals,
     max_flops: u64,
-    relaxations: u64,
-    active: u64,
-    compute_ns: u64,
 }
 
 impl ClosePartial {
     fn absorb_rank(&mut self, t: &PhaseTotals) {
-        self.msgs += t.msgs;
-        self.msgs_solve += t.msgs_solve;
-        self.msgs_residual += t.msgs_residual;
-        self.msgs_recovery += t.msgs_recovery;
-        self.msgs_redundancy += t.msgs_redundancy;
-        self.msgs_transfer += t.msgs_transfer;
-        self.bytes += t.bytes;
-        self.bytes_solve += t.bytes_solve;
-        self.bytes_residual += t.bytes_residual;
-        self.bytes_recovery += t.bytes_recovery;
-        self.bytes_redundancy += t.bytes_redundancy;
-        self.bytes_transfer += t.bytes_transfer;
-        self.flops += t.flops;
+        self.totals.accumulate(t);
         self.max_flops = self.max_flops.max(t.flops);
-        self.relaxations += t.relaxations;
-        self.active += u64::from(t.active);
-        self.compute_ns += t.wall_ns;
     }
 
     fn merge(&mut self, other: &ClosePartial) {
         self.faults.accumulate(&other.faults);
-        self.msgs += other.msgs;
-        self.msgs_solve += other.msgs_solve;
-        self.msgs_residual += other.msgs_residual;
-        self.msgs_recovery += other.msgs_recovery;
-        self.msgs_redundancy += other.msgs_redundancy;
-        self.msgs_transfer += other.msgs_transfer;
-        self.bytes += other.bytes;
-        self.bytes_solve += other.bytes_solve;
-        self.bytes_residual += other.bytes_residual;
-        self.bytes_recovery += other.bytes_recovery;
-        self.bytes_redundancy += other.bytes_redundancy;
-        self.bytes_transfer += other.bytes_transfer;
-        self.flops += other.flops;
+        self.totals.accumulate(&other.totals);
         self.max_flops = self.max_flops.max(other.max_flops);
-        self.relaxations += other.relaxations;
-        self.active += other.active;
-        self.compute_ns += other.compute_ns;
     }
 }
 
@@ -537,29 +440,20 @@ pub struct Executor<A: RankAlgorithm> {
     inboxes: Vec<Vec<Envelope<A::Msg>>>,
     /// Per-rank counters of the current phase, refilled every phase.
     phase_totals: Vec<PhaseTotals>,
-    /// Preallocated per-origin outboxes (flat routing only), drained in
-    /// place at the close so the hot path stops reallocating.
-    flat_out: Vec<Vec<(usize, Envelope<A::Msg>)>>,
-    /// The static routing index (`None` = flat routing).
-    topo: Option<Topology>,
+    /// The static routing index.
+    topo: Topology,
     /// Bucket storage, one slot per directed `(origin, target)` edge.
     buckets: Vec<Vec<Envelope<A::Msg>>>,
     /// Per-target queues of delay-injected puts, in deferral order.
     delayed_q: Vec<Vec<DelayedEnv<A::Msg>>>,
-    /// Delay-injected puts currently parked (flat path bookkeeping).
-    delayed_pending: usize,
     /// Per-target flag: a fault perturbed this inbox's origin order this
     /// phase, so it needs the stable re-sort (and only then).
     unsorted: Vec<bool>,
-    /// Per-target dirty flags for the bucketed close: [`PhaseCtx::put`]
-    /// marks a target when one of its inbound buckets goes empty →
-    /// non-empty, and the close skips unmarked targets entirely (atomic
-    /// because concurrent origins may mark the same target).
+    /// Per-target dirty flags: [`PhaseCtx::put`] marks a target when one
+    /// of its inbound buckets goes empty → non-empty, and the close skips
+    /// unmarked targets entirely (atomic because concurrent origins may
+    /// mark the same target).
     touched: Vec<AtomicBool>,
-    /// Per-(origin, target) put indices for the flat path's fate keys.
-    fate_seq: Vec<u32>,
-    /// Targets touched in `fate_seq` by the current origin.
-    seq_touched: Vec<usize>,
     /// Per-chunk partials of the close fold.
     partials: Vec<ClosePartial>,
     /// Per-rank compute-ns scratch for the current step (reset each step).
@@ -596,8 +490,8 @@ struct SyncPtr<T>(*mut T);
 unsafe impl<T> Send for SyncPtr<T> {}
 unsafe impl<T> Sync for SyncPtr<T> {}
 
-/// Everything the target-major close touches, shared across close workers.
-/// Raw pointers cover the per-target state (inboxes, delayed queues, sort
+/// Everything the close touches, shared across close workers. Raw
+/// pointers cover the per-target state (inboxes, delayed queues, sort
 /// flags, chunk partials) and the per-origin state (`msgs_per_rank`,
 /// `step_rank_ns`); a worker only dereferences indices inside its chunk,
 /// and chunks are disjoint. Buckets are indexed per `(origin, target)`
@@ -632,7 +526,8 @@ impl<A: RankAlgorithm> Executor<A> {
     /// As [`new`](Self::new), with fault injection at epoch boundaries.
     ///
     /// # Panics
-    /// If `chaos` fails [`ChaosConfig::validate`].
+    /// If `chaos` fails [`ChaosConfig::validate`], or a rank's
+    /// [`RankAlgorithm::put_targets`] names itself or an out-of-range rank.
     pub fn with_chaos(ranks: Vec<A>, model: CostModel, mode: ExecMode, chaos: ChaosConfig) -> Self {
         assert!(!ranks.is_empty(), "need at least one rank");
         let n = ranks.len();
@@ -647,24 +542,17 @@ impl<A: RankAlgorithm> Executor<A> {
         };
         let mut stats = RunStats::new(n);
         stats.worker_busy_ns = vec![0; nworkers];
-        let (topo, nbuckets) = match build_topology(&ranks) {
-            Some((t, nb)) => (Some(t), nb),
-            None => (None, 0),
-        };
+        let topo = build_topology(&ranks);
         Executor {
             injector: FaultInjector::new(chaos, n),
             ranks,
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             phase_totals: vec![PhaseTotals::default(); n],
-            flat_out: (0..n).map(|_| Vec::new()).collect(),
+            buckets: (0..topo.nbuckets).map(|_| Vec::new()).collect(),
             topo,
-            buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
             delayed_q: (0..n).map(|_| Vec::new()).collect(),
-            delayed_pending: 0,
             unsorted: vec![false; n],
             touched: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            fate_seq: vec![0; n],
-            seq_touched: Vec::new(),
             partials: Vec::new(),
             step_rank_ns: vec![0; n],
             pool,
@@ -739,12 +627,6 @@ impl<A: RankAlgorithm> Executor<A> {
         self.parallel_close_min_msgs = msgs;
     }
 
-    /// Whether the reverse-neighbor routing index exists (every rank
-    /// declared [`RankAlgorithm::put_targets`]).
-    pub fn has_routing_index(&self) -> bool {
-        self.topo.is_some()
-    }
-
     /// The number of compute workers (1 for [`ExecMode::Sequential`]).
     pub fn nworkers(&self) -> usize {
         self.worker_busy_seen.len()
@@ -798,7 +680,6 @@ impl<A: RankAlgorithm> Executor<A> {
         for q in &mut self.delayed_q {
             q.clear();
         }
-        self.delayed_pending = 0;
         for u in &mut self.unsorted {
             *u = false;
         }
@@ -831,18 +712,12 @@ impl<A: RankAlgorithm> Executor<A> {
         // Stall decisions hold for every phase of this step.
         let stalled = self.injector.step_stalls();
         step.faults.stalled_ranks += stalled.iter().filter(|&&s| s).count() as u64;
-        // Covers configured faults and targeted `inject_stall` calls.
-        let faults_possible = self.injector.config().is_active() || stalled.contains(&true);
         for phase in 0..nphases {
             let t_dispatch = Instant::now();
             self.run_phase(phase, &stalled);
             step.span_ns += t_dispatch.elapsed().as_nanos() as u64;
             let t_close = Instant::now();
-            if self.topo.is_some() {
-                self.close_bucketed(phase, &stalled, &mut step);
-            } else {
-                self.close_flat(phase, &stalled, faults_possible, &mut step);
-            }
+            self.close(phase, &stalled, &mut step);
             step.route_ns += t_close.elapsed().as_nanos() as u64;
             self.epochs_executed += 1;
         }
@@ -866,155 +741,12 @@ impl<A: RankAlgorithm> Executor<A> {
         step
     }
 
-    /// Applies one phase's combined close partial to the step counters and
-    /// the modelled clock. Shared by every close path, so the arithmetic —
-    /// and therefore the `f64` result — is identical across them.
-    fn apply_phase_partial(&self, ph: &ClosePartial, step: &mut StepStats) {
-        step.faults.accumulate(&ph.faults);
-        step.msgs += ph.msgs;
-        step.msgs_solve += ph.msgs_solve;
-        step.msgs_residual += ph.msgs_residual;
-        step.msgs_recovery += ph.msgs_recovery;
-        step.msgs_redundancy += ph.msgs_redundancy;
-        step.msgs_transfer += ph.msgs_transfer;
-        step.bytes += ph.bytes;
-        step.bytes_solve += ph.bytes_solve;
-        step.bytes_residual += ph.bytes_residual;
-        step.bytes_recovery += ph.bytes_recovery;
-        step.bytes_redundancy += ph.bytes_redundancy;
-        step.bytes_transfer += ph.bytes_transfer;
-        step.flops += ph.flops;
-        step.relaxations += ph.relaxations;
-        step.active_ranks += ph.active;
-        step.compute_ns += ph.compute_ns;
-        // Time: the slowest rank gates the computation; message and byte
-        // volume are charged at the per-rank average (congestion /
-        // epoch-overhead model — see `CostModel`).
-        let p = self.ranks.len() as f64;
-        step.time += self.model.sync
-            + self.model.gamma * ph.max_flops as f64
-            + self.model.alpha * ph.msgs as f64 / p
-            + self.model.beta * ph.bytes as f64 / p;
-    }
-
-    /// The origin-major close for topology-unknown algorithms: scan every
-    /// origin's outbox in rank order on the calling thread.
-    fn close_flat(
-        &mut self,
-        phase: usize,
-        stalled: &[bool],
-        faults_possible: bool,
-        step: &mut StepStats,
-    ) {
-        let n = self.ranks.len();
-        // A stalled rank has not read its inbox, so it keeps accumulating
-        // until the rank next executes a phase.
-        for (inbox, &is_stalled) in self.inboxes.iter_mut().zip(stalled) {
-            if !is_stalled {
-                inbox.clear();
-            }
-        }
-        let message_faults = self.injector.config().message_faults_active();
-        let epoch = self.epochs_executed;
-        let mut ph = ClosePartial::default();
-        // Detach the outboxes so `deliver` can borrow `self`; `drain`
-        // keeps every slot's capacity for the next phase.
-        let mut slots = std::mem::take(&mut self.flat_out);
-        for (origin, outbox) in slots.iter_mut().enumerate() {
-            self.stats.msgs_per_rank[origin] += outbox.len() as u64;
-            for (target, env) in outbox.drain(..) {
-                let fate = if message_faults {
-                    // Per-(origin, target) put index for the fate key.
-                    let idx = self.fate_seq[target];
-                    self.fate_seq[target] += 1;
-                    if idx == 0 {
-                        self.seq_touched.push(target);
-                    }
-                    self.injector
-                        .fate_at(epoch, origin as u32, target as u32, idx, env.class)
-                } else {
-                    Fate::DELIVER
-                };
-                if fate.dropped {
-                    ph.faults.dropped.add(env.class, 1);
-                    continue;
-                }
-                if fate.duplicated {
-                    ph.faults.duplicated.add(env.class, 1);
-                    if stalled[target] {
-                        self.unsorted[target] = true;
-                    }
-                    self.deliver(phase, target, env.clone());
-                }
-                if fate.delay > 0 {
-                    ph.faults.delayed.add(env.class, 1);
-                    self.delayed_q[target].push(DelayedEnv {
-                        due_epoch: epoch + fate.delay as u64,
-                        env,
-                    });
-                    self.delayed_pending += 1;
-                } else {
-                    if stalled[target] {
-                        self.unsorted[target] = true;
-                    }
-                    self.deliver(phase, target, env);
-                }
-            }
-            for &t in &self.seq_touched {
-                self.fate_seq[t] = 0;
-            }
-            self.seq_touched.clear();
-        }
-        self.flat_out = slots;
-        // Surface deferred puts whose delay expired at this close, per
-        // target in the order they were deferred (a single order-preserving
-        // partition pass — `extract_if` keeps both the extraction order and
-        // the retained order).
-        if self.delayed_pending > 0 {
-            for t in 0..n {
-                if self.delayed_q[t].is_empty() {
-                    continue;
-                }
-                let mut dq = std::mem::take(&mut self.delayed_q[t]);
-                for d in dq.extract_if(.., |d| d.due_epoch <= epoch) {
-                    self.deliver(phase, t, d.env);
-                    self.delayed_pending -= 1;
-                    // A late arrival interleaves origins: this inbox needs
-                    // the re-sort.
-                    self.unsorted[t] = true;
-                }
-                self.delayed_q[t] = dq;
-            }
-        }
-        // Restore the "ordered by origin rank" inbox contract — but only
-        // where a fate actually perturbed delivery this phase (late
-        // arrival, or appends behind a stalled rank's accumulation). The
-        // sort is stable, so within one origin the delivery order (which
-        // delays may have scrambled — that is the injected fault) is
-        // preserved.
-        if faults_possible {
-            for t in 0..n {
-                if self.unsorted[t] {
-                    self.inboxes[t].sort_by_key(|env| env.src);
-                    self.unsorted[t] = false;
-                }
-            }
-        }
-        // Fold the per-rank counters (serially here; the bucketed close
-        // folds them in its parallel pass).
-        for (i, totals) in self.phase_totals.iter().enumerate() {
-            ph.absorb_rank(totals);
-            self.step_rank_ns[i] += totals.wall_ns;
-        }
-        self.apply_phase_partial(&ph, step);
-    }
-
-    /// The target-major close over the reverse-neighbor index: each target
+    /// Closes one epoch over the reverse-neighbor index: each target
     /// drains its senders' buckets in origin order. Runs on the calling
     /// thread or chunked across the worker pool ([`CloseMode`]); both
     /// produce bit-identical results because distinct targets touch
     /// disjoint state and chunk partials combine exactly.
-    fn close_bucketed(&mut self, phase: usize, stalled: &[bool], step: &mut StepStats) {
+    fn close(&mut self, phase: usize, stalled: &[bool], step: &mut StepStats) {
         let n = self.ranks.len();
         let use_pool = match self.close_mode {
             CloseMode::Serial => false,
@@ -1022,7 +754,11 @@ impl<A: RankAlgorithm> Executor<A> {
             CloseMode::Auto => {
                 self.pool.as_ref().is_some_and(|p| p.nworkers() >= 2)
                     && self.trace.is_none()
-                    && self.phase_totals.iter().map(|t| t.msgs).sum::<u64>()
+                    && self
+                        .phase_totals
+                        .iter()
+                        .map(|t| t.msgs.total())
+                        .sum::<u64>()
                         >= self.parallel_close_min_msgs
             }
         };
@@ -1035,7 +771,6 @@ impl<A: RankAlgorithm> Executor<A> {
         let chunk = n.div_ceil(nchunks);
         self.partials.clear();
         self.partials.resize(nchunks, ClosePartial::default());
-        let topo = self.topo.as_ref().expect("bucketed close has a topology");
         let sh = CloseShared {
             inboxes: self.inboxes.as_mut_ptr(),
             buckets: self.buckets.as_mut_ptr(),
@@ -1045,7 +780,7 @@ impl<A: RankAlgorithm> Executor<A> {
             partials: self.partials.as_mut_ptr(),
             msgs_per_rank: self.stats.msgs_per_rank.as_mut_ptr(),
             step_rank_ns: self.step_rank_ns.as_mut_ptr(),
-            in_edges: &topo.in_edges,
+            in_edges: &self.topo.in_edges,
             totals: &self.phase_totals,
             stalled,
             injector: &self.injector,
@@ -1077,35 +812,28 @@ impl<A: RankAlgorithm> Executor<A> {
         for c in 0..nchunks {
             ph.merge(&self.partials[c]);
         }
-        self.apply_phase_partial(&ph, step);
-    }
-
-    /// Delivers one envelope to `target` (trace + inbox push) — flat path.
-    fn deliver(&mut self, phase: usize, target: usize, env: Envelope<A::Msg>) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(crate::trace::TraceEvent {
-                step: self.steps_executed,
-                phase,
-                src: env.src,
-                dst: target,
-                class: env.class,
-            });
-        }
-        self.inboxes[target].push(env);
+        step.faults.accumulate(&ph.faults);
+        step.absorb(&ph.totals);
+        // Time: the slowest rank gates the computation; message and byte
+        // volume are charged at the per-rank average (congestion /
+        // epoch-overhead model — see `CostModel`).
+        let p = n as f64;
+        step.time += self.model.sync
+            + self.model.gamma * ph.max_flops as f64
+            + self.model.alpha * ph.totals.msgs.total() as f64 / p
+            + self.model.beta * ph.totals.bytes.total() as f64 / p;
     }
 
     /// Runs `phase` on every non-stalled rank, filling the preallocated
-    /// `self.phase_totals` slots and either the per-origin flat outboxes or
-    /// the per-edge buckets (every container is empty on entry — the
-    /// previous epoch close drained it in place). Stalled ranks contribute
-    /// no puts and zero counters (they perform no work at all this phase).
+    /// `self.phase_totals` slots and the per-edge buckets (every container
+    /// is empty on entry — the previous epoch close drained it in place).
+    /// Stalled ranks contribute no puts and zero counters (they perform no
+    /// work at all this phase).
     fn run_phase(&mut self, phase: usize, stalled: &[bool]) {
         let n = self.ranks.len();
-
+        let buckets = SyncPtr(self.buckets.as_mut_ptr());
         match self.mode {
             ExecMode::Sequential => {
-                let buckets_base = self.buckets.as_mut_ptr();
-                let touched_base = self.touched.as_ptr();
                 let mut busy = 0u64;
                 // Chained timing: one clock read per rank boundary instead
                 // of two per rank — the delta between consecutive reads is
@@ -1119,29 +847,14 @@ impl<A: RankAlgorithm> Executor<A> {
                         self.phase_totals[i] = PhaseTotals::default();
                         continue;
                     }
-                    let mut ctx = match &self.topo {
-                        Some(tp) => {
-                            let edges = &tp.out_edges[i];
-                            PhaseCtx::bucketed(
-                                i,
-                                edges.as_ptr(),
-                                edges.len(),
-                                buckets_base,
-                                touched_base,
-                            )
-                        }
-                        None => PhaseCtx::with_outbox(i, std::mem::take(&mut self.flat_out[i])),
-                    };
+                    let edges = &self.topo.out_edges[i];
+                    let mut ctx = PhaseCtx::bucketed(i, edges, buckets.0, self.touched.as_ptr());
                     self.ranks[i].phase(phase, &self.inboxes[i], &mut ctx);
                     let now = Instant::now();
                     let wall_ns = now.duration_since(t_prev).as_nanos() as u64;
                     t_prev = now;
-                    let (flat, mut totals) = ctx.finish();
-                    totals.wall_ns = wall_ns;
-                    self.phase_totals[i] = totals;
-                    if let Some(buf) = flat {
-                        self.flat_out[i] = buf;
-                    }
+                    ctx.totals.wall_ns = wall_ns;
+                    self.phase_totals[i] = ctx.totals;
                     busy += wall_ns;
                 }
                 self.stats.worker_busy_ns[0] += busy;
@@ -1156,47 +869,29 @@ impl<A: RankAlgorithm> Executor<A> {
                     .unwrap_or_else(|| (n / (8 * pool.nworkers())).max(1));
                 let ranks = SyncPtr(self.ranks.as_mut_ptr());
                 let slots = SyncPtr(self.phase_totals.as_mut_ptr());
-                let flat = SyncPtr(self.flat_out.as_mut_ptr());
-                let buckets = SyncPtr(self.buckets.as_mut_ptr());
                 let touched = &self.touched;
                 let inboxes = &self.inboxes;
-                let topo = self.topo.as_ref();
+                let out_edges = &self.topo.out_edges;
                 pool.run(n, grain, &|i| {
                     // Capture the `SyncPtr` wrappers whole (precise capture
                     // would otherwise grab the raw-pointer fields, which are
                     // not `Sync`).
-                    let (ranks, slots, flat, buckets) = (&ranks, &slots, &flat, &buckets);
+                    let (ranks, slots, buckets) = (&ranks, &slots, &buckets);
                     // SAFETY: the pool hands each index to exactly one
-                    // worker, so `ranks[i]`, `slots[i]`, `flat[i]` — and,
-                    // through the edge list, origin `i`'s buckets — are
-                    // accessed exclusively; `inboxes` is only read.
+                    // worker, so `ranks[i]`, `slots[i]` — and, through the
+                    // edge list, origin `i`'s buckets — are accessed
+                    // exclusively; `inboxes` is only read.
                     let rank = unsafe { &mut *ranks.0.add(i) };
                     let slot = unsafe { &mut *slots.0.add(i) };
                     if stalled[i] {
                         *slot = PhaseTotals::default();
                         return;
                     }
-                    let ctx = match topo {
-                        Some(tp) => {
-                            let edges = &tp.out_edges[i];
-                            PhaseCtx::bucketed(
-                                i,
-                                edges.as_ptr(),
-                                edges.len(),
-                                buckets.0,
-                                touched.as_ptr(),
-                            )
-                        }
-                        None => {
-                            let buf = unsafe { std::mem::take(&mut *flat.0.add(i)) };
-                            PhaseCtx::with_outbox(i, buf)
-                        }
-                    };
-                    if let Some(buf) = run_one_rank(rank, phase, &inboxes[i], ctx, slot) {
-                        unsafe {
-                            *flat.0.add(i) = buf;
-                        }
-                    }
+                    let mut ctx = PhaseCtx::bucketed(i, &out_edges[i], buckets.0, touched.as_ptr());
+                    let t0 = Instant::now();
+                    rank.phase(phase, &inboxes[i], &mut ctx);
+                    ctx.totals.wall_ns = t0.elapsed().as_nanos() as u64;
+                    *slot = ctx.totals;
                 });
             }
         }
@@ -1233,7 +928,7 @@ unsafe fn close_chunk<M: Clone + Send>(
     for i in lo..hi {
         let totals = &sh.totals[i];
         part.absorb_rank(totals);
-        *sh.msgs_per_rank.add(i) += totals.msgs;
+        *sh.msgs_per_rank.add(i) += totals.msgs.total();
         *sh.step_rank_ns.add(i) += totals.wall_ns;
     }
     *sh.partials.add(c) = part;
@@ -1262,8 +957,8 @@ unsafe fn close_one_target<M: Clone>(
     // buckets this phase and no delayed put is parked, there is nothing to
     // route — skip the per-edge bucket scan entirely. The inbox still
     // empties (the target read it this phase) unless the target is
-    // stalled, and `unsorted[t]` cannot be pending here (the bucketed
-    // close always clears it before returning).
+    // stalled, and `unsorted[t]` cannot be pending here (the close
+    // always clears it before returning).
     let touched = sh.touched[t].load(Ordering::Relaxed);
     if !touched && (*sh.delayed.add(t)).is_empty() {
         if !is_stalled {
@@ -1375,25 +1070,6 @@ unsafe fn close_one_target<M: Clone>(
     }
 }
 
-/// Executes one rank's phase, timing the callback for the load-imbalance
-/// observables. Returns the flat outbox buffer for recycling (flat path
-/// only — bucketed puts already sit in their buckets).
-fn run_one_rank<A: RankAlgorithm>(
-    rank: &mut A,
-    phase: usize,
-    inbox: &[Envelope<A::Msg>],
-    mut ctx: PhaseCtx<A::Msg>,
-    slot: &mut PhaseTotals,
-) -> Option<Vec<(usize, Envelope<A::Msg>)>> {
-    let t0 = Instant::now();
-    rank.phase(phase, inbox, &mut ctx);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let (flat, mut totals) = ctx.finish();
-    totals.wall_ns = wall_ns;
-    *slot = totals;
-    flat
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1401,14 +1077,10 @@ mod tests {
     /// Toy algorithm on a ring: each rank holds a value; every step it puts
     /// the value to its right neighbor in phase 0 and adds what it received
     /// (visible in phase 0 of the *next* step, per the epoch rule).
-    /// With `declare` set the rank advertises its put target up front,
-    /// switching the executor to the bucketed (reverse-neighbor-indexed)
-    /// routing path.
     struct Ring {
         id: usize,
         n: usize,
         value: u64,
-        declare: bool,
         received_this_phase: Vec<u64>,
     }
 
@@ -1427,25 +1099,20 @@ mod tests {
             ctx.add_flops(1);
             ctx.record_relaxations(1);
         }
-        fn put_targets(&self) -> Option<Vec<usize>> {
-            self.declare.then(|| vec![(self.id + 1) % self.n])
+        fn put_targets(&self) -> Vec<usize> {
+            vec![(self.id + 1) % self.n]
         }
     }
 
-    fn ring_with(n: usize, declare: bool) -> Vec<Ring> {
+    fn ring(n: usize) -> Vec<Ring> {
         (0..n)
             .map(|id| Ring {
                 id,
                 n,
                 value: id as u64 + 1,
-                declare,
                 received_this_phase: Vec::new(),
             })
             .collect()
-    }
-
-    fn ring(n: usize) -> Vec<Ring> {
-        ring_with(n, false)
     }
 
     #[test]
@@ -1483,28 +1150,25 @@ mod tests {
             reference.step();
         }
         let vref: Vec<u64> = reference.ranks().iter().map(|r| r.value).collect();
-        for declare in [false, true] {
-            for (mode, grain) in [
-                (ExecMode::Sequential, None),
-                (ExecMode::Threaded(2), None),
-                (ExecMode::Threaded(4), Some(1)),
-                (ExecMode::Threaded(7), Some(3)),
-                (ExecMode::Threaded(32), Some(1000)),
-            ] {
-                let mut ex = Executor::new(ring_with(13, declare), CostModel::default(), mode);
-                assert_eq!(ex.has_routing_index(), declare);
-                if let Some(g) = grain {
-                    ex.set_grain(g);
-                }
-                for _ in 0..6 {
-                    ex.step();
-                }
-                let v: Vec<u64> = ex.ranks().iter().map(|r| r.value).collect();
-                assert_eq!(v, vref, "{mode:?} grain {grain:?} declare {declare}");
-                assert_eq!(ex.stats.msgs_per_rank, reference.stats.msgs_per_rank);
-                for (sa, sb) in reference.stats.steps.iter().zip(&ex.stats.steps) {
-                    assert_eq!(sa, sb, "{mode:?} grain {grain:?} declare {declare}");
-                }
+        for (mode, grain) in [
+            (ExecMode::Sequential, None),
+            (ExecMode::Threaded(2), None),
+            (ExecMode::Threaded(4), Some(1)),
+            (ExecMode::Threaded(7), Some(3)),
+            (ExecMode::Threaded(32), Some(1000)),
+        ] {
+            let mut ex = Executor::new(ring(13), CostModel::default(), mode);
+            if let Some(g) = grain {
+                ex.set_grain(g);
+            }
+            for _ in 0..6 {
+                ex.step();
+            }
+            let v: Vec<u64> = ex.ranks().iter().map(|r| r.value).collect();
+            assert_eq!(v, vref, "{mode:?} grain {grain:?}");
+            assert_eq!(ex.stats.msgs_per_rank, reference.stats.msgs_per_rank);
+            for (sa, sb) in reference.stats.steps.iter().zip(&ex.stats.steps) {
+                assert_eq!(sa, sb, "{mode:?} grain {grain:?}");
             }
         }
     }
@@ -1513,18 +1177,14 @@ mod tests {
     fn close_modes_agree_bit_for_bit() {
         // The close strategy is a pure scheduling knob: Serial, Parallel,
         // and Auto (with a zero threshold, forcing the pool at this tiny
-        // size) must all match the flat-path sequential reference.
+        // size) must all match the sequential reference.
         let mut reference = Executor::new(ring(13), CostModel::default(), ExecMode::Sequential);
         for _ in 0..6 {
             reference.step();
         }
         let vref: Vec<u64> = reference.ranks().iter().map(|r| r.value).collect();
         for close in [CloseMode::Serial, CloseMode::Parallel, CloseMode::Auto] {
-            let mut ex = Executor::new(
-                ring_with(13, true),
-                CostModel::default(),
-                ExecMode::Threaded(3),
-            );
+            let mut ex = Executor::new(ring(13), CostModel::default(), ExecMode::Threaded(3));
             ex.set_close_mode(close);
             ex.set_parallel_close_threshold(0);
             for _ in 0..6 {
@@ -1691,6 +1351,9 @@ mod tests {
             // phase it was sent in.
             ctx.put(peer, CommClass::Residual, (10 * phase) as u64, 8);
         }
+        fn put_targets(&self) -> Vec<usize> {
+            vec![1 - self.id]
+        }
     }
 
     #[test]
@@ -1714,25 +1377,19 @@ mod tests {
 
     #[test]
     fn trace_records_deliveries() {
-        for declare in [false, true] {
-            let mut ex = Executor::new(
-                ring_with(3, declare),
-                CostModel::default(),
-                ExecMode::Sequential,
-            );
-            ex.enable_trace(100);
-            ex.step();
-            ex.step();
-            let trace = ex.trace.as_ref().unwrap();
-            // First step's puts are delivered at its epoch close (3 events),
-            // second step likewise.
-            assert_eq!(trace.len(), 6);
-            let m = trace.traffic_matrix(3);
-            assert_eq!(m[0][1], 2);
-            assert_eq!(m[2][0], 2);
-            assert_eq!(m[0][2], 0);
-            assert!(trace.to_csv().contains("0,0,0,1,Solve"));
-        }
+        let mut ex = Executor::new(ring(3), CostModel::default(), ExecMode::Sequential);
+        ex.enable_trace(100);
+        ex.step();
+        ex.step();
+        let trace = ex.trace.as_ref().unwrap();
+        // First step's puts are delivered at its epoch close (3 events),
+        // second step likewise.
+        assert_eq!(trace.len(), 6);
+        let m = trace.traffic_matrix(3);
+        assert_eq!(m[0][1], 2);
+        assert_eq!(m[2][0], 2);
+        assert_eq!(m[0][2], 0);
+        assert!(trace.to_csv().contains("0,0,0,1,Solve"));
     }
 
     #[test]
@@ -1746,6 +1403,9 @@ mod tests {
             }
             fn phase(&mut self, _p: usize, _i: &[Envelope<()>], ctx: &mut PhaseCtx<()>) {
                 ctx.put(0, CommClass::Solve, (), 0);
+            }
+            fn put_targets(&self) -> Vec<usize> {
+                Vec::new()
             }
         }
         let ranks = vec![SelfPut, SelfPut];
@@ -1768,8 +1428,8 @@ mod tests {
                 // Declared only the right neighbor; puts left.
                 ctx.put((self.id + 2) % 3, CommClass::Solve, (), 0);
             }
-            fn put_targets(&self) -> Option<Vec<usize>> {
-                Some(vec![(self.id + 1) % 3])
+            fn put_targets(&self) -> Vec<usize> {
+                vec![(self.id + 1) % 3]
             }
         }
         let ranks = (0..3).map(|id| Liar { id }).collect();
@@ -1777,14 +1437,40 @@ mod tests {
         ex.step();
     }
 
+    /// A rank declaring the given put targets (and never putting).
+    struct Declares(Vec<usize>);
+
+    impl RankAlgorithm for Declares {
+        type Msg = ();
+        fn phases(&self) -> usize {
+            1
+        }
+        fn phase(&mut self, _p: usize, _i: &[Envelope<()>], _ctx: &mut PhaseCtx<()>) {}
+        fn put_targets(&self) -> Vec<usize> {
+            self.0.clone()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "declared an out-of-range or self put target")]
+    fn self_put_target_panics() {
+        let ranks = vec![Declares(vec![1]), Declares(vec![0, 1])];
+        Executor::new(ranks, CostModel::default(), ExecMode::Sequential);
+    }
+
+    #[test]
+    #[should_panic(expected = "declared an out-of-range or self put target")]
+    fn out_of_range_put_target_panics() {
+        let ranks = vec![Declares(vec![1]), Declares(vec![2])];
+        Executor::new(ranks, CostModel::default(), ExecMode::Sequential);
+    }
+
     #[test]
     fn inbox_ordered_by_origin_rank() {
         // Every rank sends to rank 0 in one phase; rank 0 must see origins
-        // in increasing order in every exec mode, with and without the
-        // routing index.
+        // in increasing order in every exec mode.
         struct AllToZero {
             id: usize,
-            declare: bool,
             seen: Vec<usize>,
         }
         impl RankAlgorithm for AllToZero {
@@ -1799,26 +1485,21 @@ mod tests {
                     ctx.put(0, CommClass::Solve, (), 1);
                 }
             }
-            fn put_targets(&self) -> Option<Vec<usize>> {
-                self.declare
-                    .then(|| if self.id == 0 { vec![] } else { vec![0] })
+            fn put_targets(&self) -> Vec<usize> {
+                if self.id == 0 {
+                    vec![]
+                } else {
+                    vec![0]
+                }
             }
         }
-        for declare in [false, true] {
-            for mode in [ExecMode::Sequential, ExecMode::Threaded(4)] {
-                let ranks: Vec<AllToZero> = (0..9)
-                    .map(|id| AllToZero {
-                        id,
-                        declare,
-                        seen: vec![],
-                    })
-                    .collect();
-                let mut ex = Executor::new(ranks, CostModel::default(), mode);
-                ex.set_close_mode(CloseMode::Parallel);
-                ex.step();
-                ex.step();
-                assert_eq!(ex.ranks()[0].seen, (1..9).collect::<Vec<_>>());
-            }
+        for mode in [ExecMode::Sequential, ExecMode::Threaded(4)] {
+            let ranks: Vec<AllToZero> = (0..9).map(|id| AllToZero { id, seen: vec![] }).collect();
+            let mut ex = Executor::new(ranks, CostModel::default(), mode);
+            ex.set_close_mode(CloseMode::Parallel);
+            ex.step();
+            ex.step();
+            assert_eq!(ex.ranks()[0].seen, (1..9).collect::<Vec<_>>());
         }
     }
 
@@ -1888,7 +1569,6 @@ mod tests {
         // remove loop).
         struct Burst {
             id: usize,
-            declare: bool,
             step: u64,
             seen: Vec<u64>,
         }
@@ -1907,9 +1587,12 @@ mod tests {
                 }
                 self.step += 1;
             }
-            fn put_targets(&self) -> Option<Vec<usize>> {
-                self.declare
-                    .then(|| if self.id == 0 { vec![1] } else { vec![] })
+            fn put_targets(&self) -> Vec<usize> {
+                if self.id == 0 {
+                    vec![1]
+                } else {
+                    vec![]
+                }
             }
         }
         let chaos = ChaosConfig {
@@ -1918,55 +1601,46 @@ mod tests {
             seed: 7,
             ..ChaosConfig::none()
         };
-        for declare in [false, true] {
-            for mode in [ExecMode::Sequential, ExecMode::Threaded(2)] {
-                let ranks = (0..2)
-                    .map(|id| Burst {
-                        id,
-                        declare,
-                        step: 0,
-                        seen: vec![],
-                    })
-                    .collect();
-                let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
-                ex.set_close_mode(CloseMode::Parallel);
-                for _ in 0..5 {
-                    ex.step();
-                }
-                // Every step's burst is delayed one epoch, then arrives
-                // intact and in put order.
-                assert_eq!(
-                    ex.ranks()[1].seen,
-                    vec![0, 1, 2, 10, 11, 12, 20, 21, 22],
-                    "declare {declare} {mode:?}"
-                );
+        for mode in [ExecMode::Sequential, ExecMode::Threaded(2)] {
+            let ranks = (0..2)
+                .map(|id| Burst {
+                    id,
+                    step: 0,
+                    seen: vec![],
+                })
+                .collect();
+            let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
+            ex.set_close_mode(CloseMode::Parallel);
+            for _ in 0..5 {
+                ex.step();
             }
+            // Every step's burst is delayed one epoch, then arrives intact
+            // and in put order.
+            assert_eq!(
+                ex.ranks()[1].seen,
+                vec![0, 1, 2, 10, 11, 12, 20, 21, 22],
+                "{mode:?}"
+            );
         }
     }
 
     #[test]
     fn stalled_rank_skips_compute_and_keeps_inbox() {
-        for declare in [false, true] {
-            let mut ex = Executor::new(
-                ring_with(3, declare),
-                CostModel::default(),
-                ExecMode::Sequential,
-            );
-            ex.injector_mut().inject_stall(1, 2);
-            let s1 = ex.step();
-            assert_eq!(s1.faults.stalled_ranks, 1);
-            assert_eq!(s1.relaxations, 2, "stalled rank does no work");
-            assert_eq!(s1.active_ranks, 2);
-            let s2 = ex.step();
-            assert_eq!(s2.faults.stalled_ranks, 1);
-            let s3 = ex.step();
-            assert_eq!(s3.faults.stalled_ranks, 0);
-            // While stalled, rank 1's inbox accumulated rank 0's puts from both
-            // steps (values 1, then 1+3 after rank 0 absorbed rank 2's put);
-            // nothing was lost, only late.
-            assert_eq!(ex.ranks()[1].received_this_phase, vec![1, 4]);
-            assert_eq!(ex.ranks()[1].value, 2 + 1 + 4);
-        }
+        let mut ex = Executor::new(ring(3), CostModel::default(), ExecMode::Sequential);
+        ex.injector_mut().inject_stall(1, 2);
+        let s1 = ex.step();
+        assert_eq!(s1.faults.stalled_ranks, 1);
+        assert_eq!(s1.relaxations, 2, "stalled rank does no work");
+        assert_eq!(s1.active_ranks, 2);
+        let s2 = ex.step();
+        assert_eq!(s2.faults.stalled_ranks, 1);
+        let s3 = ex.step();
+        assert_eq!(s3.faults.stalled_ranks, 0);
+        // While stalled, rank 1's inbox accumulated rank 0's puts from both
+        // steps (values 1, then 1+3 after rank 0 absorbed rank 2's put);
+        // nothing was lost, only late.
+        assert_eq!(ex.ranks()[1].received_this_phase, vec![1, 4]);
+        assert_eq!(ex.ranks()[1].value, 2 + 1 + 4);
     }
 
     #[test]
@@ -1985,20 +1659,9 @@ mod tests {
             Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Sequential, chaos);
         let mut bs: Vec<Executor<Ring>> = vec![
             Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Threaded(3), chaos),
-            Executor::with_chaos(
-                ring_with(7, true),
-                CostModel::default(),
-                ExecMode::Sequential,
-                chaos,
-            ),
-            Executor::with_chaos(
-                ring_with(7, true),
-                CostModel::default(),
-                ExecMode::Threaded(3),
-                chaos,
-            ),
+            Executor::with_chaos(ring(7), CostModel::default(), ExecMode::Threaded(3), chaos),
         ];
-        bs[2].set_close_mode(CloseMode::Parallel);
+        bs[1].set_close_mode(CloseMode::Parallel);
         for _ in 0..12 {
             let sa = a.step();
             for b in &mut bs {

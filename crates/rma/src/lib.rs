@@ -26,8 +26,9 @@
 //! * wall-clock time is *modelled* with an α–β–γ [`CostModel`] (latency per
 //!   message, inverse bandwidth per byte, time per flop, plus a per-epoch
 //!   synchronization charge), since the simulator is not a supercomputer.
-//!   Per phase the charge is `max` over ranks — ranks progress together
-//!   through epochs, so the slowest rank gates each phase.
+//!   Per phase the charge is `sync + γ·max_p flops + α·Σmsgs/P +
+//!   β·Σbytes/P`: the slowest rank gates the computation, while message
+//!   and byte volume are charged at the per-rank average.
 
 // `unwrap()` is banned in non-test code (clippy `disallowed-methods`, see
 // clippy.toml): use `expect` naming the invariant, or propagate the error.

@@ -339,7 +339,7 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
         self.cols[0].phases()
     }
 
-    fn put_targets(&self) -> Option<Vec<usize>> {
+    fn put_targets(&self) -> Vec<usize> {
         self.cols[0].put_targets()
     }
 
@@ -502,6 +502,10 @@ mod tests {
             ctx.put(next, CommClass::Solve, self.value + self.rank as f64, 8);
             ctx.record_relaxations(1);
             ctx.add_flops(1);
+        }
+
+        fn put_targets(&self) -> Vec<usize> {
+            vec![(self.rank + 1) % self.n]
         }
     }
 

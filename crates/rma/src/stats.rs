@@ -1,5 +1,7 @@
 //! Communication statistics and the modelled time.
 
+use crate::executor::PhaseTotals;
+
 /// Classification of a message, mirroring Table 3 of the paper (plus the
 /// recovery class this reproduction adds for its self-healing protocol).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -265,6 +267,28 @@ impl PartialEq for StepStats {
 }
 
 impl StepStats {
+    /// Adds the deterministic counters of one or more rank phases, plus
+    /// their measured compute time. The one place the per-class counters
+    /// are spelled out, shared by the superstep and asynchronous executors.
+    pub(crate) fn absorb(&mut self, t: &PhaseTotals) {
+        self.msgs += t.msgs.total();
+        self.msgs_solve += t.msgs.solve;
+        self.msgs_residual += t.msgs.residual;
+        self.msgs_recovery += t.msgs.recovery;
+        self.msgs_redundancy += t.msgs.redundancy;
+        self.msgs_transfer += t.msgs.transfer;
+        self.bytes += t.bytes.total();
+        self.bytes_solve += t.bytes.solve;
+        self.bytes_residual += t.bytes.residual;
+        self.bytes_recovery += t.bytes.recovery;
+        self.bytes_redundancy += t.bytes.redundancy;
+        self.bytes_transfer += t.bytes.transfer;
+        self.flops += t.flops;
+        self.relaxations += t.relaxations;
+        self.active_ranks += t.active;
+        self.compute_ns += t.wall_ns;
+    }
+
     /// The step's measured load-imbalance factor: the critical-path rank's
     /// compute time over the per-rank mean (`max / mean` across `nranks`
     /// ranks). `1.0` is perfect balance; Distributed Southwell's "few ranks
@@ -522,18 +546,20 @@ impl RunStats {
     }
 
     /// Mean worker utilization: total busy time across workers over the
-    /// total dispatch-window time they were collectively available
-    /// (`span × workers`). `1.0` means every worker computed for the whole
-    /// span; low values quantify how much of the pool the "few ranks
-    /// relax" regime leaves idle. Returns `0.0` when nothing was measured.
+    /// total time they were collectively available — the dispatch windows
+    /// plus the epoch closes (`(span + route) × workers`), since a pooled
+    /// close also counts as worker busy time. `1.0` means every worker was
+    /// busy for the whole step; low values quantify how much of the pool
+    /// the "few ranks relax" regime leaves idle. Returns `0.0` when nothing
+    /// was measured.
     pub fn worker_utilization(&self) -> f64 {
-        let span = self.total_span_ns();
+        let window = self.total_span_ns() + self.total_route_ns();
         let nworkers = self.worker_busy_ns.len();
-        if span == 0 || nworkers == 0 {
+        if window == 0 || nworkers == 0 {
             return 0.0;
         }
         let busy: u64 = self.worker_busy_ns.iter().sum();
-        (busy as f64 / (span as f64 * nworkers as f64)).min(1.0)
+        (busy as f64 / (window as f64 * nworkers as f64)).min(1.0)
     }
 
     /// Mean fraction of ranks active per step (the paper's
@@ -688,5 +714,17 @@ mod tests {
         assert_eq!(rs.total_span_ns(), 800);
         rs.worker_busy_ns = vec![500, 300];
         assert!((rs.worker_utilization() - 0.5).abs() < 1e-12);
+        // A pooled close is worker busy time too, so the available window
+        // includes the route time: span 200 + route 200 on 2 workers, with
+        // one worker busy for 400 ns, is half used.
+        let mut routed = RunStats::new(4);
+        routed.steps.push(StepStats {
+            span_ns: 200,
+            route_ns: 200,
+            workers: 2,
+            ..StepStats::default()
+        });
+        routed.worker_busy_ns = vec![400, 0];
+        assert!((routed.worker_utilization() - 0.5).abs() < 1e-12);
     }
 }

@@ -65,10 +65,6 @@ fn run(mode: ExecMode, close: CloseMode, chaos: ChaosConfig, nsteps: usize) -> F
     let r0 = a.residual(&b, &x0);
     let ranks = DistributedSouthwellRank::build(locals, &norms, &r0);
     let mut ex = Executor::with_chaos(ranks, CostModel::default(), mode, chaos);
-    assert!(
-        ex.has_routing_index(),
-        "DS ranks declare put_targets, so the executor must route target-major"
-    );
     ex.set_close_mode(close);
     for _ in 0..nsteps {
         ex.step();
