@@ -2,7 +2,7 @@
 
 use super::layout::LocalSystem;
 use super::local_solver::{LocalSolver, LocalSolverImpl};
-use super::msg::{DistMsg, SlabVec};
+use super::msg::SlabVec;
 use dsw_rma::{
     CommClass, Envelope, FlushFn, FusedPhaseFn, PanelMsg, PanelPart, PanelPhaseCtx, PhaseCtx,
     RankAlgorithm,
@@ -60,23 +60,45 @@ impl BlockJacobiRank {
     }
 
     /// Applies incoming neighbor deltas to the maintained residual.
-    fn apply_inbox(&mut self, inbox: &[Envelope<DistMsg>]) {
+    fn apply_inbox(&mut self, inbox: &[Envelope<BjMsg>]) {
         for env in inbox {
             let s = self.ls.neighbor_slot(env.src);
-            if let DistMsg::Solve { dr, .. } = &env.payload {
-                for (&li, &d) in self.ls.boundary_rows_to[s].iter().zip(dr) {
-                    self.ls.r[li as usize] += d;
-                }
+            for (&li, &d) in self.ls.boundary_rows_to[s].iter().zip(&env.payload.dr) {
+                self.ls.r[li as usize] += d;
             }
         }
     }
 }
 
-/// Wire size of a [`DistMsg::Solve`] with empty payloads: the
-/// per-message fixed cost (norms + framing) every scalar solve pays per
-/// neighbor per step. A shared panel part is charged this once per
-/// *column* it carries, so fused wire bytes model "the same payloads,
-/// the same per-message overheads, fewer physical messages".
+/// What a Block Jacobi rank puts into a neighbor's window (Alg. 1 l.8):
+/// only the additive residual deltas for the receiver's boundary rows
+/// facing the sender, in the agreed ordering of [`super::layout`].
+///
+/// Block Jacobi never reads norms or ghost residuals, so it carries none
+/// of [`DistMsg::Solve`](super::msg::DistMsg::Solve)'s other fields. That
+/// keeps an envelope at one slab: every byte of it is written, routed and
+/// read once per edge per step, at tens of thousands of edges per step.
+#[derive(Debug, Clone)]
+pub struct BjMsg {
+    /// Additive residual deltas for the receiver's boundary rows.
+    pub dr: SlabVec,
+}
+
+impl BjMsg {
+    /// Modelled wire size in bytes: 8 per delta plus the 16-byte
+    /// per-message fixed cost.
+    pub fn wire_bytes(&self) -> u64 {
+        8 * self.dr.len() as u64 + EMPTY_SOLVE_BYTES
+    }
+}
+
+/// Wire size of an empty [`BjMsg`]: the per-message fixed cost every
+/// scalar solve pays per neighbor per step. It equals what a
+/// [`DistMsg::Solve`](super::msg::DistMsg::Solve) with empty payloads
+/// charges, so Table 3 and Figure 7 compare the methods under one framing
+/// cost. A shared panel part is charged this once per *column* it
+/// carries, so fused wire bytes model "the same payloads, the same
+/// per-message overheads, fewer physical messages".
 const EMPTY_SOLVE_BYTES: u64 = 16;
 
 /// Dispatches a lane-width-generic kernel at the common compile-time
@@ -111,16 +133,14 @@ macro_rules! dispatch_lanes {
 fn apply_packed(
     cols: &mut [BlockJacobiRank],
     active: &[bool],
-    inbox: &[Envelope<PanelMsg<DistMsg>>],
+    inbox: &[Envelope<PanelMsg<BjMsg>>],
 ) {
     for env in inbox {
         // All columns are clones of one rank, so the neighbor topology is
         // shared: resolve the sender's slot once per packed message.
         let s = cols[0].ls.neighbor_slot(env.src);
         for part in &env.payload.parts {
-            let DistMsg::Solve { dr, .. } = &part.msg else {
-                continue;
-            };
+            let dr = &part.msg.dr;
             if part.mask == 0 {
                 // Plain single-column part (the fallback wire format).
                 let c = part.col as usize;
@@ -167,7 +187,7 @@ fn apply_packed(
 /// active-set change is preceded by a driver flush.
 fn apply_packed_resident(
     cols: &[BlockJacobiRank],
-    inbox: &[Envelope<PanelMsg<DistMsg>>],
+    inbox: &[Envelope<PanelMsg<BjMsg>>],
     kk: usize,
     r_panel: &mut [f64],
 ) {
@@ -176,9 +196,7 @@ fn apply_packed_resident(
         let s = ls0.neighbor_slot(env.src);
         let rows = &ls0.boundary_rows_to[s];
         for part in &env.payload.parts {
-            let DistMsg::Solve { dr, .. } = &part.msg else {
-                continue;
-            };
+            let dr = &part.msg.dr;
             debug_assert_eq!(part.mask.count_ones() as usize, kk);
             debug_assert_eq!(dr.len(), rows.len() * kk);
             dispatch_lanes!(kk, apply_lane_rows, (rows, dr, r_panel), {
@@ -354,11 +372,7 @@ fn gs_sweep_rows_dyn(
 /// lanes never mix — so each column's trajectory stays bit-identical to
 /// its scalar solve while the index walk, bounds checks, and message
 /// staging amortize over `kk`.
-fn fused_gs_sweep(
-    cols: &mut [BlockJacobiRank],
-    sel: &[usize],
-    out: &mut PanelPhaseCtx<'_, DistMsg>,
-) {
+fn fused_gs_sweep(cols: &mut [BlockJacobiRank], sel: &[usize], out: &mut PanelPhaseCtx<'_, BjMsg>) {
     let kk = sel.len();
     let m = cols[sel[0]].ls.nrows();
     let g = cols[sel[0]].ls.ext_cols.len();
@@ -432,12 +446,8 @@ fn fused_gs_sweep(
             let base = slot as usize * kk;
             lanes.extend_from_slice(&gp[base..base + kk]);
         }
-        let dr = SlabVec::from(lanes);
-        let msg = DistMsg::Solve {
-            dr,
-            boundary_r: SlabVec::new(),
-            norm_sq: 0.0,
-            est_of_target_sq: 0.0,
+        let msg = BjMsg {
+            dr: SlabVec::from(lanes),
         };
         let bytes = msg.wire_bytes() + (kk as u64 - 1) * EMPTY_SOLVE_BYTES;
         out.stage_shared(
@@ -466,8 +476,8 @@ fn fused_panel_phase(
     cols: &mut [BlockJacobiRank],
     active: &[bool],
     phase: usize,
-    inbox: &[Envelope<PanelMsg<DistMsg>>],
-    out: &mut PanelPhaseCtx<'_, DistMsg>,
+    inbox: &[Envelope<PanelMsg<BjMsg>>],
+    out: &mut PanelPhaseCtx<'_, BjMsg>,
 ) {
     match phase {
         0 => {
@@ -510,12 +520,8 @@ fn fused_panel_phase(
                         lanes.push(cols[c].ghost_dr[slot as usize]);
                     }
                 }
-                let dr = SlabVec::from(lanes);
-                let msg = DistMsg::Solve {
-                    dr,
-                    boundary_r: SlabVec::new(),
-                    norm_sq: 0.0,
-                    est_of_target_sq: 0.0,
+                let msg = BjMsg {
+                    dr: SlabVec::from(lanes),
                 };
                 let bytes = msg.wire_bytes() + (kk as u64 - 1) * EMPTY_SOLVE_BYTES;
                 out.stage_shared(
@@ -608,7 +614,7 @@ impl super::session::WarmStart for BlockJacobiRank {
 }
 
 impl RankAlgorithm for BlockJacobiRank {
-    type Msg = DistMsg;
+    type Msg = BjMsg;
 
     fn phases(&self) -> usize {
         2
@@ -619,7 +625,7 @@ impl RankAlgorithm for BlockJacobiRank {
         self.ls.neighbors.clone()
     }
 
-    fn phase(&mut self, phase: usize, inbox: &[Envelope<DistMsg>], ctx: &mut PhaseCtx<DistMsg>) {
+    fn phase(&mut self, phase: usize, inbox: &[Envelope<BjMsg>], ctx: &mut PhaseCtx<BjMsg>) {
         match phase {
             0 => {
                 // Empty on a reliable link (all deltas were applied in the
@@ -637,12 +643,7 @@ impl RankAlgorithm for BlockJacobiRank {
                         .iter()
                         .map(|&slot| self.ghost_dr[slot as usize])
                         .collect();
-                    let msg = DistMsg::Solve {
-                        dr,
-                        boundary_r: SlabVec::new(),
-                        norm_sq: 0.0,
-                        est_of_target_sq: 0.0,
-                    };
+                    let msg = BjMsg { dr };
                     let bytes = msg.wire_bytes();
                     ctx.put(self.ls.neighbors[s], CommClass::Solve, msg, bytes);
                 }
@@ -668,8 +669,10 @@ impl RankAlgorithm for BlockJacobiRank {
 mod tests {
     use super::*;
     use crate::dist::layout::{distribute, gather_x};
+    use crate::dist::msg::DistMsg;
+    use crate::dist::session::WarmStart;
     use dsw_partition::partition_strip;
-    use dsw_rma::{CostModel, ExecMode, Executor};
+    use dsw_rma::{CostModel, ExecMode, Executor, PanelRank};
     use dsw_sparse::gen;
 
     #[test]
@@ -735,5 +738,86 @@ mod tests {
             assert_eq!(s.msgs_residual, 0, "BJ never sends explicit updates");
         }
         assert!((ex.stats.mean_active_fraction() - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn bj_wire_bytes_counts_payload() {
+        // Block Jacobi's leaner message must charge exactly what the
+        // `DistMsg::Solve` it replaced charged for the same deltas.
+        let m = BjMsg {
+            dr: vec![1.0; 3].into(),
+        };
+        assert_eq!(m.wire_bytes(), 40);
+        for n in [0, 1, 8, 11] {
+            let dr: SlabVec = vec![0.5; n].into();
+            let solve = DistMsg::Solve {
+                dr: dr.clone(),
+                boundary_r: SlabVec::new(),
+                norm_sq: 0.0,
+                est_of_target_sq: 0.0,
+            };
+            assert_eq!(BjMsg { dr }.wire_bytes(), solve.wire_bytes(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn envelope_footprint_stays_one_slab() {
+        // Every byte of a Block Jacobi envelope is written, copied through
+        // the epoch close and read back once per edge per step, at ~97 000
+        // edges per step on 8192 ranks. A field added to `BjMsg` or
+        // `Envelope` must fail here rather than silently in the benchmark.
+        // (The `DistMsg` envelope Block Jacobi used to send is 192 bytes.)
+        assert!(std::mem::size_of::<Envelope<BjMsg>>() <= 96);
+    }
+
+    #[test]
+    fn fused_shared_part_charges_every_column_its_scalar_bytes() {
+        // The byte counts behind Table 3 and Figure 7: a shared panel part
+        // over `k` columns charges the `BjMsg` it carries plus one empty
+        // message's fixed cost per extra column, which is exactly `k`
+        // scalar puts on that edge. Covers the interleaved Gauss–Seidel
+        // sweep and the column-by-column fallback.
+        let a = gen::grid2d_poisson(12, 12);
+        let n = a.nrows();
+        let b = gen::random_rhs(n, 4);
+        let part = partition_strip(n, 4);
+        let locals = distribute(&a, &b, &vec![0.0; n], &part).unwrap();
+        for solver in [LocalSolver::GaussSeidel, LocalSolver::MulticolorGaussSeidel] {
+            let ranks = BlockJacobiRank::build_with_solver(locals.clone(), solver);
+            let id = 1;
+            let mut scalar = ranks[id].clone();
+            let mut ctx = PhaseCtx::capture(id);
+            scalar.phase(0, &[], &mut ctx);
+            let (scalar_out, _) = ctx.into_captured();
+            assert_eq!(scalar_out.len(), 2, "a middle strip has two neighbors");
+            for (_, env) in &scalar_out {
+                assert_eq!(env.bytes, env.payload.wire_bytes());
+                assert_eq!(
+                    env.bytes,
+                    8 * env.payload.dr.len() as u64 + EMPTY_SOLVE_BYTES
+                );
+            }
+            for k in [1usize, 3] {
+                let mut panel = PanelRank::new(vec![ranks[id].clone(); k], ranks.len());
+                panel.set_fused(BlockJacobiRank::panel_fused());
+                let mut ctx = PhaseCtx::capture(id);
+                panel.phase(0, &[], &mut ctx);
+                let (fused_out, _) = ctx.into_captured();
+                assert_eq!(fused_out.len(), scalar_out.len());
+                for ((t, env), (st, senv)) in fused_out.iter().zip(&scalar_out) {
+                    assert_eq!(t, st);
+                    let [part] = &env.payload.parts[..] else {
+                        panic!("one shared part per neighbor");
+                    };
+                    assert_eq!(part.mask.count_ones() as usize, k);
+                    assert_eq!(
+                        part.bytes,
+                        part.msg.wire_bytes() + (k as u64 - 1) * EMPTY_SOLVE_BYTES,
+                        "{solver:?} k = {k}"
+                    );
+                    assert_eq!(part.bytes, k as u64 * senv.bytes, "{solver:?} k = {k}");
+                }
+            }
+        }
     }
 }

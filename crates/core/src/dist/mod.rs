@@ -31,7 +31,7 @@ pub mod seq;
 pub mod session;
 mod verdict;
 
-pub use block_jacobi::BlockJacobiRank;
+pub use block_jacobi::{BjMsg, BlockJacobiRank};
 pub use distributed_southwell::{DistributedSouthwellRank, DsConfig};
 pub use driver::{
     drive, run_method, DistOptions, DistReport, ExecBackend, MaintainedNorm, Method, Monitor,

@@ -124,8 +124,9 @@ impl FromIterator<f64> for SlabVec {
 /// order, so no index arrays travel on the wire.
 #[derive(Debug, Clone)]
 pub enum DistMsg {
-    /// Sent by a rank that relaxed its subdomain (Alg. 1 l.8, Alg. 2 l.10,
-    /// Alg. 3 l.17).
+    /// Sent by a rank that relaxed its subdomain (Alg. 2 l.10, Alg. 3
+    /// l.17; Block Jacobi's Alg. 1 l.8 puts the leaner
+    /// [`BjMsg`](super::block_jacobi::BjMsg)).
     Solve {
         /// Additive residual deltas for the receiver's boundary rows.
         dr: SlabVec,

@@ -443,6 +443,12 @@ pub struct Executor<A: RankAlgorithm> {
     /// The static routing index.
     topo: Topology,
     /// Bucket storage, one slot per directed `(origin, target)` edge.
+    /// Every bucket is allocated at construction, in bucket-id
+    /// (origin-major) order, with room for one envelope, the usual load
+    /// of an edge per phase: one origin's buckets then sit together in
+    /// memory, and a first put never grows a bucket to `Vec`'s
+    /// four-element minimum. The close moves envelopes out and keeps the
+    /// capacity.
     buckets: Vec<Vec<Envelope<A::Msg>>>,
     /// Per-target queues of delay-injected puts, in deferral order.
     delayed_q: Vec<Vec<DelayedEnv<A::Msg>>>,
@@ -548,7 +554,7 @@ impl<A: RankAlgorithm> Executor<A> {
             ranks,
             inboxes: (0..n).map(|_| Vec::new()).collect(),
             phase_totals: vec![PhaseTotals::default(); n],
-            buckets: (0..topo.nbuckets).map(|_| Vec::new()).collect(),
+            buckets: (0..topo.nbuckets).map(|_| Vec::with_capacity(1)).collect(),
             topo,
             delayed_q: (0..n).map(|_| Vec::new()).collect(),
             unsorted: vec![false; n],
@@ -1621,6 +1627,101 @@ mod tests {
                 vec![0, 1, 2, 10, 11, 12, 20, 21, 22],
                 "{mode:?}"
             );
+        }
+    }
+
+    #[test]
+    fn several_puts_on_one_edge_deliver_in_put_order() {
+        // Fault-free counterpart of the burst test above: origins put a
+        // step-dependent number of messages (0 to 3) to each neighbor in
+        // one phase, interleaving targets, so buckets fill past the one
+        // envelope allocated at construction, drain, and refill. Every
+        // inbox must hold the previous phase's puts origin-major, each
+        // origin's in put order, under every exec and close mode.
+        const N: usize = 5;
+        struct Fan {
+            id: usize,
+            step: u64,
+            seen: Vec<Vec<u64>>,
+        }
+        impl RankAlgorithm for Fan {
+            type Msg = u64;
+            fn phases(&self) -> usize {
+                1
+            }
+            fn phase(&mut self, _p: usize, inbox: &[Envelope<u64>], ctx: &mut PhaseCtx<u64>) {
+                self.seen.push(inbox.iter().map(|e| e.payload).collect());
+                for (k, t) in fan_puts(self.id, self.step).into_iter().enumerate() {
+                    let payload = fan_payload(self.id, self.step, k);
+                    ctx.put(t, CommClass::Solve, payload, 8);
+                }
+                self.step += 1;
+            }
+            fn put_targets(&self) -> Vec<usize> {
+                vec![(self.id + N - 1) % N, (self.id + 1) % N]
+            }
+        }
+        // The targets of one origin's puts in one step, in put order.
+        fn fan_puts(id: usize, step: u64) -> Vec<usize> {
+            let (left, right) = ((id + N - 1) % N, (id + 1) % N);
+            let (nl, nr) = ((id + step as usize) % 4, (2 * id + step as usize + 1) % 4);
+            let mut ts = Vec::new();
+            for i in 0..nl.max(nr) {
+                if i < nr {
+                    ts.push(right);
+                }
+                if i < nl {
+                    ts.push(left);
+                }
+            }
+            ts
+        }
+        fn fan_payload(id: usize, step: u64, k: usize) -> u64 {
+            (id as u64) * 1_000_000 + step * 1_000 + k as u64
+        }
+        let steps = 8u64;
+        // The epoch rule, spelled out: step `s` sees step `s − 1`'s puts.
+        let mut expected = vec![vec![Vec::new()]; N];
+        for step in 0..steps - 1 {
+            for (t, exp) in expected.iter_mut().enumerate() {
+                let mut inbox = Vec::new();
+                for o in 0..N {
+                    for (k, tt) in fan_puts(o, step).into_iter().enumerate() {
+                        if tt == t {
+                            inbox.push(fan_payload(o, step, k));
+                        }
+                    }
+                }
+                exp.push(inbox);
+            }
+        }
+        assert!(
+            expected.iter().flatten().any(|inbox| inbox.len() > 2),
+            "some edge must carry several puts in one phase"
+        );
+        let mut reference: Option<Vec<StepStats>> = None;
+        for (mode, close) in [
+            (ExecMode::Sequential, CloseMode::Serial),
+            (ExecMode::Threaded(2), CloseMode::Serial),
+            (ExecMode::Threaded(2), CloseMode::Parallel),
+        ] {
+            let ranks = (0..N)
+                .map(|id| Fan {
+                    id,
+                    step: 0,
+                    seen: vec![],
+                })
+                .collect();
+            let mut ex = Executor::new(ranks, CostModel::default(), mode);
+            ex.set_close_mode(close);
+            let stats: Vec<StepStats> = (0..steps).map(|_| ex.step()).collect();
+            for (t, r) in ex.ranks().iter().enumerate() {
+                assert_eq!(r.seen, expected[t], "{mode:?} {close:?} rank {t}");
+            }
+            match &reference {
+                None => reference = Some(stats),
+                Some(s) => assert_eq!(s, &stats, "{mode:?} {close:?}"),
+            }
         }
     }
 
