@@ -1,13 +1,16 @@
 //! Communication-pattern study (beyond the paper's tables): who talks to
-//! whom. Uses the substrate's message trace to contrast Block Jacobi's
-//! uniform all-neighbors traffic with Distributed Southwell's sparse,
-//! shifting pattern, and reports the hottest links.
+//! whom. Each rank runs inside a counting wrapper that tallies its own
+//! puts per target and class, to contrast Block Jacobi's uniform
+//! all-neighbors traffic with Distributed Southwell's sparse, shifting
+//! pattern, and to report the hottest links.
 
 use crate::harness::{setup_problem, suite_partition, write_csv, ExperimentCtx};
 use dsw_core::dist::{
     distribute, BlockJacobiRank, DistributedSouthwellRank, ParallelSouthwellRank,
 };
-use dsw_rma::{CommClass, CostModel, ExecMode, Executor, RankAlgorithm};
+use dsw_rma::{
+    ClassCounts, CommClass, CostModel, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm,
+};
 use dsw_sparse::suite::by_name;
 
 /// Per-method traffic summary.
@@ -24,35 +27,78 @@ pub struct PatternRow {
     pub solve_share: f64,
 }
 
+/// Runs the inner rank's phase on a capture context, counts each put per
+/// target and class, and forwards it unchanged. The study runs without
+/// faults, so every counted put is delivered.
+struct Tap<R> {
+    inner: R,
+    /// `(target, puts per class)`, target-ascending.
+    links: Vec<(usize, ClassCounts)>,
+}
+
+impl<R: RankAlgorithm> Tap<R> {
+    fn new(inner: R) -> Self {
+        let mut targets = inner.put_targets();
+        targets.sort_unstable();
+        targets.dedup();
+        let links = targets
+            .into_iter()
+            .map(|t| (t, ClassCounts::default()))
+            .collect();
+        Tap { inner, links }
+    }
+}
+
+impl<R: RankAlgorithm> RankAlgorithm for Tap<R> {
+    type Msg = R::Msg;
+
+    fn phases(&self) -> usize {
+        self.inner.phases()
+    }
+
+    fn phase(&mut self, phase: usize, inbox: &[Envelope<R::Msg>], ctx: &mut PhaseCtx<R::Msg>) {
+        let mut cap = PhaseCtx::capture(ctx.rank());
+        self.inner.phase(phase, inbox, &mut cap);
+        let (outbox, totals) = cap.into_captured();
+        ctx.add_flops(totals.flops);
+        if totals.relaxations > 0 {
+            ctx.record_relaxations(totals.relaxations);
+        }
+        for (target, env) in outbox {
+            let at = self
+                .links
+                .binary_search_by_key(&target, |&(t, _)| t)
+                .expect("put to a declared target");
+            self.links[at].1.add(env.class, 1);
+            ctx.put(target, env.class, env.payload, env.bytes);
+        }
+    }
+
+    fn put_targets(&self) -> Vec<usize> {
+        self.inner.put_targets()
+    }
+}
+
 fn run_one<R>(label: &'static str, ranks: Vec<R>, steps: usize, npairs: usize) -> PatternRow
 where
     R: RankAlgorithm,
 {
-    let n = ranks.len();
-    let mut ex = Executor::new(ranks, CostModel::default(), ExecMode::Sequential);
-    ex.enable_trace(1_000_000);
+    let taps = ranks.into_iter().map(Tap::new).collect();
+    let mut ex = Executor::new(taps, CostModel::default(), ExecMode::Sequential);
     for _ in 0..steps {
         ex.step();
     }
-    let trace = ex.trace.as_ref().unwrap();
-    let m = trace.traffic_matrix(n);
-    let used = m
-        .iter()
-        .flat_map(|row| row.iter())
-        .filter(|&&c| c > 0)
-        .count();
-    let hottest = m
-        .iter()
-        .flat_map(|row| row.iter())
-        .copied()
-        .max()
-        .unwrap_or(0);
+    let links = || ex.ranks().iter().flat_map(|tap| tap.links.iter());
+    let delivered: u64 = links().map(|(_, c)| c.total()).sum();
+    let solve: u64 = links().map(|(_, c)| c.of(CommClass::Solve)).sum();
+    let used = links().filter(|(_, c)| c.total() > 0).count();
+    let hottest = links().map(|(_, c)| c.total()).max().unwrap_or(0);
     PatternRow {
         label,
-        delivered: trace.len(),
+        delivered: delivered as usize,
         link_utilization: used as f64 / npairs.max(1) as f64,
         hottest_link: hottest,
-        solve_share: trace.count_class(CommClass::Solve) as f64 / trace.len().max(1) as f64,
+        solve_share: solve as f64 / delivered.max(1) as f64,
     }
 }
 

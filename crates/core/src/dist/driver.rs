@@ -700,42 +700,10 @@ impl DistReport {
         self.last_record().bytes as f64 / self.nranks as f64
     }
 
-    /// Solve-class payload volume per rank, bytes.
-    pub fn byte_cost_solve(&self) -> f64 {
-        self.last_record().bytes_solve as f64 / self.nranks as f64
-    }
-
-    /// Explicit-residual payload volume per rank, bytes.
-    pub fn byte_cost_residual(&self) -> f64 {
-        self.last_record().bytes_residual as f64 / self.nranks as f64
-    }
-
-    /// Recovery payload volume per rank, bytes.
-    pub fn byte_cost_recovery(&self) -> f64 {
-        self.last_record().bytes_recovery as f64 / self.nranks as f64
-    }
-
     /// Redundancy payload volume per rank, bytes (replica fan-out copies;
     /// zero on uncoded runs).
     pub fn byte_cost_redundancy(&self) -> f64 {
         self.last_record().bytes_redundancy as f64 / self.nranks as f64
-    }
-
-    /// Redundancy messages per rank (the coded placement's overhead in the
-    /// paper's communication metric).
-    pub fn comm_cost_redundancy(&self) -> f64 {
-        self.last_record().msgs_redundancy as f64 / self.nranks as f64
-    }
-
-    /// Transfer payload volume per rank, bytes (inter-level grid
-    /// transfers; zero outside distributed multigrid runs).
-    pub fn byte_cost_transfer(&self) -> f64 {
-        self.last_record().bytes_transfer as f64 / self.nranks as f64
-    }
-
-    /// Transfer messages per rank (inter-level grid transfers).
-    pub fn comm_cost_transfer(&self) -> f64 {
-        self.last_record().msgs_transfer as f64 / self.nranks as f64
     }
 
     /// Mean fraction of active ranks per executed step.

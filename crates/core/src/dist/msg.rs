@@ -7,7 +7,7 @@ const INLINE: usize = 8;
 
 /// A small-buffer-optimized f64 payload slab.
 ///
-/// Up to [`INLINE`] values are stored inline in the message; longer
+/// Up to `INLINE` (8) values are stored inline in the message; longer
 /// payloads spill to a heap `Vec`. Replaces `Vec<f64>` in [`DistMsg`] so
 /// the per-message malloc/free churn on the epoch-close hot path
 /// disappears for typical boundary sizes. Derefs to `&[f64]`, so
@@ -22,7 +22,7 @@ pub enum SlabVec {
         /// Inline storage.
         buf: [f64; INLINE],
     },
-    /// The spilled form for payloads longer than [`INLINE`].
+    /// The spilled form for payloads longer than `INLINE`.
     Heap(Vec<f64>),
 }
 

@@ -12,7 +12,7 @@
 //! Per-column bookkeeping is the scalar session's own:
 //!
 //! * each column has its own [`MonitorCore`], maintained-norm view
-//!   ([`PanelColView`]), step records, and verdict — the driver's
+//!   (`PanelColView`), step records, and verdict — the driver's
 //!   `SolveLog` and `Verdict`, so the exact-norm trigger and the
 //!   convergence / deadlock / divergence rule (with the two-strikes freeze
 //!   watchdog) are shared; nudges target one column's clones only;
@@ -25,12 +25,12 @@
 //!
 //! Exact residual verification is *blocked*: when two or more columns
 //! need an exact `‖b_c − A x_c‖₂` at the same boundary (always, in
-//! [`MonitorMode::Exact`]), the panel interleaves their iterates row-major
-//! and runs one [`CsrMatrix::spmv_panel`] — a single CSR index walk for
-//! all columns — then reduces per-column norms with
-//! [`norm2_sq_cols`]. Both kernels keep the repo's ordered-accumulation
-//! contract, so each column's exact norm is bit-identical to the scalar
-//! monitor's gather + SpMV.
+//! [`MonitorMode::Exact`](crate::dist::MonitorMode::Exact)), the panel
+//! interleaves their iterates row-major and runs one
+//! [`CsrMatrix::spmv_panel`] — a single CSR index walk for all columns —
+//! then reduces per-column norms with [`norm2_sq_cols`]. Both kernels
+//! keep the repo's ordered-accumulation contract, so each column's exact
+//! norm is bit-identical to the scalar monitor's gather + SpMV.
 //!
 //! When the run finishes, the **last** column's solver state is swapped
 //! into the owning session (and re-seeded by the same exact out-of-band
@@ -42,9 +42,9 @@ use super::driver::{
     MonitorCore, NormView, Reading, SolveLog,
 };
 use super::layout::LocalSystem;
-use super::session::{SolveSession, WarmStart};
+use super::session::{reseed_warm, SolveSession, WarmStart};
 use super::verdict::{nudge_all, Boundary, Transition};
-use dsw_rma::{Executor, PanelRank, SharedPool};
+use dsw_rma::{Executor, PanelRank, SharedPool, PANEL_MAX_COLS};
 use dsw_sparse::vecops::norm2_sq_cols;
 use dsw_sparse::CsrMatrix;
 use std::time::Instant;
@@ -134,8 +134,8 @@ impl<R: WarmStart> PanelRun<R> {
 
         let k = bs.len();
         assert!(
-            k <= 64,
-            "panel width is capped at 64 columns (shared-part column masks)"
+            k <= PANEL_MAX_COLS,
+            "panel width is capped at {PANEL_MAX_COLS} columns (shared-part column masks)"
         );
         let nranks = base_ranks.len();
         let ranks: Vec<PanelRank<R>> = base_ranks
@@ -223,12 +223,12 @@ impl<R: WarmStart> PanelRun<R> {
             for ((d, &new), &old) in delta.iter_mut().zip(b_new).zip(session_b) {
                 *d = new - old;
             }
-            for (p, panel) in self.ex.ranks_mut().iter_mut().enumerate() {
-                norms[p] = panel.col_mut(c).reseed_rhs(&delta);
-            }
-            for panel in self.ex.ranks_mut() {
-                panel.col_mut(c).reseed_estimates(&norms);
-            }
+            reseed_warm(
+                self.ex.ranks_mut(),
+                |panel| panel.col_mut(c),
+                &delta,
+                &mut norms,
+            );
         }
 
         // Every column starts from the session's current solution, so one
@@ -280,14 +280,6 @@ impl<R: WarmStart> PanelRun<R> {
     /// Whether every column has reached a verdict.
     pub fn all_done(&self) -> bool {
         self.cols.iter().all(|c| c.log.verdict.is_done())
-    }
-
-    /// Columns still actively sweeping.
-    pub fn active_cols(&self) -> usize {
-        self.cols
-            .iter()
-            .filter(|c| !c.log.verdict.is_done())
-            .count()
     }
 
     /// One blocked exact verification over every column in `need_exact`:
@@ -482,11 +474,13 @@ impl<R: WarmStart> PanelRun<R> {
         session.delta_b.fill(0.0);
         for (p, sr) in session.run.ex.ranks_mut().iter_mut().enumerate() {
             std::mem::swap(sr, self.ex.ranks_mut()[p].col_mut(k - 1));
-            session.norms_sq[p] = sr.reseed_rhs(&session.delta_b);
         }
-        for sr in session.run.ex.ranks_mut() {
-            sr.reseed_estimates(&session.norms_sq);
-        }
+        reseed_warm(
+            session.run.ex.ranks_mut(),
+            |r| r,
+            &session.delta_b,
+            &mut session.norms_sq,
+        );
         session.run.ex.discard_in_flight();
         session.run.settle(reports[k - 1].final_residual());
         reports

@@ -124,6 +124,26 @@ pub trait WarmStart: RankAlgorithm + Recoverable {
     }
 }
 
+/// The changed-`b` warm-start reseed over one executor's ranks: shifts
+/// each rank's `b` and `r` by `delta_b`, writes the recomputed exact
+/// `‖r_p‖²` into `norms_sq`, and re-seeds every rank's estimates from
+/// them. `rank` picks the warm-started solver inside an executor rank:
+/// the rank itself for a session, one column for a panel. The caller
+/// discards the in-flight messages this exact exchange supersedes.
+pub(crate) fn reseed_warm<P, R: WarmStart>(
+    ranks: &mut [P],
+    rank: impl Fn(&mut P) -> &mut R,
+    delta_b: &[f64],
+    norms_sq: &mut [f64],
+) {
+    for (p, r) in ranks.iter_mut().enumerate() {
+        norms_sq[p] = rank(r).reseed_rhs(delta_b);
+    }
+    for r in ranks {
+        rank(r).reseed_estimates(norms_sq);
+    }
+}
+
 /// The monitor's view of a session's ranks.
 type LocalView<R> = DirectView<fn(&R) -> &LocalSystem>;
 
@@ -227,12 +247,12 @@ impl<R: WarmStart> SolveSession<R> {
                 *d = new - *old;
                 *old = new;
             }
-            for (p, r) in self.run.ex.ranks_mut().iter_mut().enumerate() {
-                self.norms_sq[p] = r.reseed_rhs(&self.delta_b);
-            }
-            for r in self.run.ex.ranks_mut() {
-                r.reseed_estimates(&self.norms_sq);
-            }
+            reseed_warm(
+                self.run.ex.ranks_mut(),
+                |r| r,
+                &self.delta_b,
+                &mut self.norms_sq,
+            );
             // Only norm-estimate messages can be in flight at a step
             // boundary under the session preconditions; the exact
             // exchange above supersedes them.

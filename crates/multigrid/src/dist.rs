@@ -59,8 +59,9 @@ pub enum TransferMode {
 ///
 /// Two phases per step: sources put their owned values (pre-routed,
 /// deduplicated per destination at build time); destinations evaluate the
-/// stencils of [`transfer`] verbatim — same expressions, same FP order —
-/// so the distributed operators are bit-identical to the scalar ones.
+/// stencils of [`transfer`](crate::transfer) verbatim — same expressions,
+/// same FP order — so the distributed operators are bit-identical to the
+/// scalar ones.
 pub struct TransferRank {
     /// Owned row range on this rank's own grid (fine or coarse).
     rows: Range<usize>,
@@ -335,8 +336,9 @@ fn build_transfer(
 
 /// A persistent inter-level transfer exchange: the union-rank executor
 /// for one fine/coarse level pair, reusable in both directions. Both
-/// operations are bit-identical to the scalar [`transfer`] operators for
-/// any partition pair and any [`ExecMode`].
+/// operations are bit-identical to the scalar
+/// [`transfer`](crate::transfer) operators for any partition pair and any
+/// [`ExecMode`].
 pub struct TransferExchange {
     ex: Executor<TransferRank>,
     fine_dim: usize,
@@ -369,14 +371,14 @@ impl TransferExchange {
     }
 
     /// Distributed `r_c = Pᵀ r_f` — one superstep on the substrate,
-    /// bit-identical to [`transfer::restrict`].
+    /// bit-identical to [`transfer::restrict`](crate::transfer::restrict).
     pub fn restrict(&mut self, fine: &[f64]) -> Vec<f64> {
         let cd = self.coarse_dim;
         self.run(TransferMode::Restrict, fine, cd * cd)
     }
 
     /// Distributed `e_f = P e_c` — one superstep on the substrate,
-    /// bit-identical to [`transfer::prolong`].
+    /// bit-identical to [`transfer::prolong`](crate::transfer::prolong).
     pub fn prolong(&mut self, coarse: &[f64]) -> Vec<f64> {
         let fd = self.fine_dim;
         self.run(TransferMode::Prolong, coarse, fd * fd)

@@ -69,12 +69,6 @@ impl Graph {
         self.vwgt.len()
     }
 
-    /// Number of directed adjacency entries (twice the undirected edges).
-    #[inline]
-    pub fn nadj(&self) -> usize {
-        self.adjncy.len()
-    }
-
     /// Neighbors of vertex `v`.
     #[inline]
     pub fn neighbors(&self, v: usize) -> &[usize] {

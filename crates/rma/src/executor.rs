@@ -13,7 +13,7 @@
 //! construction* and no post-hoc sort is needed on the fault-free path.
 //! Because distinct targets touch disjoint buckets, inboxes, and delayed
 //! queues, the close runs serially or chunked over the worker pool
-//! ([`CloseMode`]), folding the per-rank [`PhaseTotals`] and the
+//! ([`CloseMode`]), folding the per-rank `PhaseTotals` and the
 //! modelled-time reduction in the same pass.
 //!
 //! Serial or pooled, at any worker count or grain, the close produces
@@ -325,12 +325,11 @@ pub enum ExecMode {
     Sequential,
     /// Rank phases are dispatched to a **persistent pool** of `n` worker
     /// threads (created once per executor), which self-schedule batches of
-    /// ranks from a shared atomic cursor (work stealing — see
-    /// [`crate::pool`]). Results are bit-identical to
-    /// [`ExecMode::Sequential`] for any `n` and any steal order: ranks
-    /// interact only at epoch boundaries, which the executor closes over
-    /// disjoint per-target state, and fault decisions are pure functions
-    /// of per-message keys.
+    /// ranks from a shared atomic cursor (work stealing). Results are
+    /// bit-identical to [`ExecMode::Sequential`] for any `n` and any steal
+    /// order: ranks interact only at epoch boundaries, which the executor
+    /// closes over disjoint per-target state, and fault decisions are pure
+    /// functions of per-message keys.
     Threaded(usize),
 }
 
@@ -341,14 +340,14 @@ pub enum ExecMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CloseMode {
     /// Close on the worker pool when it pays: the executor has a pool with
-    /// ≥ 2 workers, tracing is off, and the phase's message volume clears
+    /// ≥ 2 workers and the phase's message volume clears
     /// [`Executor::set_parallel_close_threshold`]. Serial otherwise.
     #[default]
     Auto,
     /// Always close on the calling thread.
     Serial,
-    /// Close on the worker pool whenever one is present and tracing is
-    /// off, regardless of volume.
+    /// Close on the worker pool whenever one is present, regardless of
+    /// volume.
     Parallel,
 }
 
@@ -482,9 +481,6 @@ pub struct Executor<A: RankAlgorithm> {
     injector: FaultInjector,
     /// Global epoch (phase) counter, for delay due-dates and fate keys.
     epochs_executed: u64,
-    /// Optional delivery log (see [`Executor::enable_trace`]).
-    pub trace: Option<crate::trace::Trace>,
-    steps_executed: usize,
     /// Statistics accumulated over all executed steps.
     pub stats: RunStats,
 }
@@ -569,8 +565,6 @@ impl<A: RankAlgorithm> Executor<A> {
             close_mode: CloseMode::Auto,
             parallel_close_min_msgs: 256,
             epochs_executed: 0,
-            trace: None,
-            steps_executed: 0,
             stats,
         }
     }
@@ -642,13 +636,6 @@ impl<A: RankAlgorithm> Executor<A> {
     /// stragglers with [`FaultInjector::inject_stall`].
     pub fn injector_mut(&mut self) -> &mut FaultInjector {
         &mut self.injector
-    }
-
-    /// Starts logging every delivered message (up to `capacity` events)
-    /// into [`Executor::trace`]. Tracing serializes the epoch close (the
-    /// log is ordered), so it overrides [`CloseMode::Parallel`].
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(crate::trace::Trace::new(capacity));
     }
 
     /// Number of ranks.
@@ -723,7 +710,7 @@ impl<A: RankAlgorithm> Executor<A> {
             self.run_phase(phase, &stalled);
             step.span_ns += t_dispatch.elapsed().as_nanos() as u64;
             let t_close = Instant::now();
-            self.close(phase, &stalled, &mut step);
+            self.close(&stalled, &mut step);
             step.route_ns += t_close.elapsed().as_nanos() as u64;
             self.epochs_executed += 1;
         }
@@ -743,7 +730,6 @@ impl<A: RankAlgorithm> Executor<A> {
             }
         }
         self.stats.steps.push(step);
-        self.steps_executed += 1;
         step
     }
 
@@ -752,14 +738,13 @@ impl<A: RankAlgorithm> Executor<A> {
     /// thread or chunked across the worker pool ([`CloseMode`]); both
     /// produce bit-identical results because distinct targets touch
     /// disjoint state and chunk partials combine exactly.
-    fn close(&mut self, phase: usize, stalled: &[bool], step: &mut StepStats) {
+    fn close(&mut self, stalled: &[bool], step: &mut StepStats) {
         let n = self.ranks.len();
         let use_pool = match self.close_mode {
             CloseMode::Serial => false,
-            CloseMode::Parallel => self.pool.is_some() && self.trace.is_none(),
+            CloseMode::Parallel => self.pool.is_some(),
             CloseMode::Auto => {
                 self.pool.as_ref().is_some_and(|p| p.nworkers() >= 2)
-                    && self.trace.is_none()
                     && self
                         .phase_totals
                         .iter()
@@ -800,16 +785,12 @@ impl<A: RankAlgorithm> Executor<A> {
             // `[c*chunk, (c+1)*chunk)`, ranges are disjoint across chunks,
             // and `pool.run` blocks until every chunk is done.
             pool.run(nchunks, 1, &|c| unsafe {
-                close_chunk(&sh, c, None, phase, 0);
+                close_chunk(&sh, c);
             });
         } else {
-            let step_idx = self.steps_executed;
-            let mut trace = self.trace.as_mut();
             for c in 0..nchunks {
                 // SAFETY: serial execution — no aliasing at all.
-                unsafe {
-                    close_chunk(&sh, c, trace.as_deref_mut(), phase, step_idx);
-                }
+                unsafe { close_chunk(&sh, c) };
             }
         }
         // Combine the chunk partials in chunk order. Integer sums and
@@ -911,25 +892,12 @@ impl<A: RankAlgorithm> Executor<A> {
 /// # Safety
 /// The caller must guarantee that no other thread touches any state of
 /// targets/origins in chunk `c`'s range (see [`CloseShared`]).
-unsafe fn close_chunk<M: Clone + Send>(
-    sh: &CloseShared<'_, M>,
-    c: usize,
-    mut trace: Option<&mut crate::trace::Trace>,
-    phase: usize,
-    step_idx: usize,
-) {
+unsafe fn close_chunk<M: Clone + Send>(sh: &CloseShared<'_, M>, c: usize) {
     let lo = c * sh.chunk;
     let hi = ((c + 1) * sh.chunk).min(sh.n);
     let mut part = ClosePartial::default();
     for t in lo..hi {
-        close_one_target(
-            sh,
-            t,
-            trace.as_deref_mut(),
-            &mut part.faults,
-            phase,
-            step_idx,
-        );
+        close_one_target(sh, t, &mut part.faults);
     }
     for i in lo..hi {
         let totals = &sh.totals[i];
@@ -949,14 +917,7 @@ unsafe fn close_chunk<M: Clone + Send>(
 /// # Safety
 /// Exclusive access to target `t`'s inbox, delayed queue, sort flag, and
 /// every bucket in `in_edges[t]`.
-unsafe fn close_one_target<M: Clone>(
-    sh: &CloseShared<'_, M>,
-    t: usize,
-    mut trace: Option<&mut crate::trace::Trace>,
-    faults: &mut FaultStats,
-    phase: usize,
-    step_idx: usize,
-) {
+unsafe fn close_one_target<M: Clone>(sh: &CloseShared<'_, M>, t: usize, faults: &mut FaultStats) {
     let inbox = &mut *sh.inboxes.add(t);
     let is_stalled = sh.stalled[t];
     // Dirty-target fast path: if no put touched any of `t`'s inbound
@@ -989,17 +950,6 @@ unsafe fn close_one_target<M: Clone>(
         appended = true;
         if !message_faults {
             // Fault-free fast path: a straight ordered move.
-            if let Some(tr) = trace.as_deref_mut() {
-                for env in bucket.iter() {
-                    tr.record(crate::trace::TraceEvent {
-                        step: step_idx,
-                        phase,
-                        src: env.src,
-                        dst: t,
-                        class: env.class,
-                    });
-                }
-            }
             inbox.append(bucket);
             continue;
         }
@@ -1013,15 +963,6 @@ unsafe fn close_one_target<M: Clone>(
             }
             if fate.duplicated {
                 faults.duplicated.add(env.class, 1);
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.record(crate::trace::TraceEvent {
-                        step: step_idx,
-                        phase,
-                        src: env.src,
-                        dst: t,
-                        class: env.class,
-                    });
-                }
                 inbox.push(env.clone());
             }
             if fate.delay > 0 {
@@ -1031,15 +972,6 @@ unsafe fn close_one_target<M: Clone>(
                     env,
                 });
             } else {
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.record(crate::trace::TraceEvent {
-                        step: step_idx,
-                        phase,
-                        src: env.src,
-                        dst: t,
-                        class: env.class,
-                    });
-                }
                 inbox.push(env);
             }
         }
@@ -1049,15 +981,6 @@ unsafe fn close_one_target<M: Clone>(
     if !dq.is_empty() {
         let due = sh.epoch;
         for d in dq.extract_if(.., |d| d.due_epoch <= due) {
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.record(crate::trace::TraceEvent {
-                    step: step_idx,
-                    phase,
-                    src: d.env.src,
-                    dst: t,
-                    class: d.env.class,
-                });
-            }
             inbox.push(d.env);
             late = true;
         }
@@ -1379,23 +1302,6 @@ mod tests {
         assert_eq!(log[2], (0, vec![10]));
         assert_eq!(log[3], (1, vec![0]));
         assert_eq!(ex.stats.total_msgs_residual(), 8);
-    }
-
-    #[test]
-    fn trace_records_deliveries() {
-        let mut ex = Executor::new(ring(3), CostModel::default(), ExecMode::Sequential);
-        ex.enable_trace(100);
-        ex.step();
-        ex.step();
-        let trace = ex.trace.as_ref().unwrap();
-        // First step's puts are delivered at its epoch close (3 events),
-        // second step likewise.
-        assert_eq!(trace.len(), 6);
-        let m = trace.traffic_matrix(3);
-        assert_eq!(m[0][1], 2);
-        assert_eq!(m[2][0], 2);
-        assert_eq!(m[0][2], 0);
-        assert!(trace.to_csv().contains("0,0,0,1,Solve"));
     }
 
     #[test]

@@ -137,12 +137,6 @@ impl XorShift {
     pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
-
-    /// Uniform draw from `1..=max`.
-    #[allow(dead_code)]
-    pub(crate) fn next_in_1_to(&mut self, max: usize) -> usize {
-        1 + (self.next_u64() % max as u64) as usize
-    }
 }
 
 /// The splitmix64 finalizer: a full-avalanche bijection on `u64`, used to

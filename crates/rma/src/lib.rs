@@ -41,7 +41,6 @@ pub mod panel;
 pub(crate) mod pool;
 pub mod redundancy;
 pub mod stats;
-pub mod trace;
 
 pub use async_exec::{AsyncExecutor, AsyncOptions, RunStepsResult};
 pub use executor::{
@@ -50,9 +49,8 @@ pub use executor::{
 pub use fault::{ChaosConfig, Fate, FaultInjector};
 pub use panel::{
     FlushFn, FusedPhaseFn, PanelMsg, PanelPart, PanelPhaseCtx, PanelRank, PANEL_HEADER_BYTES,
-    PANEL_PART_TAG_BYTES,
+    PANEL_MAX_COLS, PANEL_PART_TAG_BYTES,
 };
 pub use pool::{PoolStats, SharedPool};
 pub use redundancy::{CodedMsg, RedundantHost};
 pub use stats::{ClassCounts, CommClass, CostModel, FaultStats, MonitorStats, RunStats, StepStats};
-pub use trace::{Trace, TraceEvent};

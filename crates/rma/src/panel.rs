@@ -33,6 +33,10 @@ pub const PANEL_HEADER_BYTES: u64 = 4;
 /// Bytes charged per carried part (column id tag).
 pub const PANEL_PART_TAG_BYTES: u64 = 2;
 
+/// Most columns one panel carries: a shared part addresses its columns
+/// through a `u64` bitmask ([`PanelPart::mask`]).
+pub const PANEL_MAX_COLS: usize = 64;
+
 /// One column's payload inside a packed panel message.
 #[derive(Debug, Clone)]
 pub struct PanelPart<M> {
@@ -132,7 +136,10 @@ impl<M> PanelPhaseCtx<'_, M> {
     pub fn stage_shared(&mut self, target: usize, cols: &[usize], mut part: PanelPart<M>) {
         part.mask = 0;
         for &c in cols {
-            debug_assert!(c < 64, "shared parts address at most 64 columns");
+            debug_assert!(
+                c < PANEL_MAX_COLS,
+                "shared parts address at most {PANEL_MAX_COLS} columns"
+            );
             part.mask |= 1 << c;
             self.col_msgs[c] += 1;
         }
@@ -324,11 +331,6 @@ impl<A: RankAlgorithm> PanelRank<A> {
     pub fn begin_step(&mut self) {
         self.col_msgs.fill(0);
         self.col_relax.fill(0);
-    }
-
-    /// Consumes the panel, yielding the inner column ranks.
-    pub fn into_cols(self) -> Vec<A> {
-        self.cols
     }
 }
 

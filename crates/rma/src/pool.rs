@@ -156,7 +156,7 @@ impl WorkerPool {
 
 /// A worker pool shared by many executors — the serving-layer substrate.
 ///
-/// The original design creates one [`WorkerPool`] per
+/// The original design creates one `WorkerPool` per
 /// [`Executor`](crate::Executor) ([`ExecMode::Threaded`](crate::ExecMode)),
 /// which is right for a single long solve but wrong for a service
 /// multiplexing hundreds of tenants: P tenants would spawn P pools of N
@@ -237,11 +237,6 @@ impl PoolStats {
             .enumerate()
             .map(|(w, &b)| self.pool.busy_ns(w).saturating_sub(b))
             .collect()
-    }
-
-    /// Total busy nanoseconds across workers since the epoch baseline.
-    pub fn total_busy_ns(&self) -> u64 {
-        self.busy_ns().iter().sum()
     }
 
     /// Harvests the epoch: returns per-worker busy-ns since the baseline
@@ -373,7 +368,7 @@ mod tests {
         let first = stats.take_epoch();
         assert!(first.iter().sum::<u64>() > 0, "first epoch measured");
         // A fresh epoch starts at zero even though the pool counters do not.
-        assert_eq!(stats.total_busy_ns(), 0);
+        assert_eq!(stats.busy_ns().iter().sum::<u64>(), 0);
         shared.inner().run(64, 4, &spin);
         let second = stats.take_epoch();
         let lifetime: u64 = (0..shared.nworkers())

@@ -195,30 +195,12 @@ impl<A: RankAlgorithm> RedundantHost<A> {
         }
     }
 
-    /// The physical rank this host runs as.
-    pub fn physical_rank(&self) -> usize {
-        self.rank
-    }
-
-    /// The logical blocks hosted here, ascending.
-    pub fn hosted_blocks(&self) -> Vec<usize> {
-        self.blocks.iter().map(|b| b.block).collect()
-    }
-
     /// The solver instance of hosted block `b`.
     pub fn solver_for(&self, b: usize) -> Option<&A> {
         self.blocks
             .binary_search_by_key(&b, |h| h.block)
             .ok()
             .map(|i| &self.blocks[i].solver)
-    }
-
-    /// Mutable access to the solver instance of hosted block `b`.
-    pub fn solver_for_mut(&mut self, b: usize) -> Option<&mut A> {
-        self.blocks
-            .binary_search_by_key(&b, |h| h.block)
-            .ok()
-            .map(move |i| &mut self.blocks[i].solver)
     }
 
     /// Iterates over `(block, solver)` pairs, ascending block order.

@@ -125,11 +125,6 @@ impl FaultStats {
         self.delayed.accumulate(&other.delayed);
         self.stalled_ranks += other.stalled_ranks;
     }
-
-    /// Total faulted messages (drops + duplicates + delays).
-    pub fn total_msgs_faulted(&self) -> u64 {
-        self.dropped.total() + self.duplicated.total() + self.delayed.total()
-    }
 }
 
 /// α–β–γ communication/computation cost model.
@@ -433,32 +428,6 @@ impl RunStats {
         self.steps.iter().map(|s| s.bytes).sum()
     }
 
-    /// Total solve-class payload bytes.
-    pub fn total_bytes_solve(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes_solve).sum()
-    }
-
-    /// Total residual-class payload bytes.
-    pub fn total_bytes_residual(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes_residual).sum()
-    }
-
-    /// Total recovery-class payload bytes.
-    pub fn total_bytes_recovery(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes_recovery).sum()
-    }
-
-    /// Total redundancy-class payload bytes (the wire overhead of coded
-    /// placements over the uncoded run).
-    pub fn total_bytes_redundancy(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes_redundancy).sum()
-    }
-
-    /// Total transfer-class payload bytes (inter-level grid transfers).
-    pub fn total_bytes_transfer(&self) -> u64 {
-        self.steps.iter().map(|s| s.bytes_transfer).sum()
-    }
-
     /// Total measured epoch-close (routing) nanoseconds over the run.
     pub fn total_route_ns(&self) -> u64 {
         self.steps.iter().map(|s| s.route_ns).sum()
@@ -483,29 +452,9 @@ impl RunStats {
         self.total_msgs() as f64 / self.msgs_per_rank.len() as f64
     }
 
-    /// Solve-class communication cost (Table 3, "Solve comm").
-    pub fn comm_cost_solve(&self) -> f64 {
-        self.total_msgs_solve() as f64 / self.msgs_per_rank.len() as f64
-    }
-
-    /// Residual-class communication cost (Table 3, "Res comm").
-    pub fn comm_cost_residual(&self) -> f64 {
-        self.total_msgs_residual() as f64 / self.msgs_per_rank.len() as f64
-    }
-
     /// Recovery-class communication cost (overhead of self-healing).
     pub fn comm_cost_recovery(&self) -> f64 {
         self.total_msgs_recovery() as f64 / self.msgs_per_rank.len() as f64
-    }
-
-    /// Redundancy-class communication cost (overhead of coded placement).
-    pub fn comm_cost_redundancy(&self) -> f64 {
-        self.total_msgs_redundancy() as f64 / self.msgs_per_rank.len() as f64
-    }
-
-    /// Transfer-class communication cost (inter-level grid transfers).
-    pub fn comm_cost_transfer(&self) -> f64 {
-        self.total_msgs_transfer() as f64 / self.msgs_per_rank.len() as f64
     }
 
     /// Total modelled time.
@@ -633,23 +582,17 @@ mod tests {
         assert_eq!(rs.total_msgs_solve(), 8);
         assert_eq!(rs.total_msgs_residual(), 4);
         assert!((rs.comm_cost() - 3.0).abs() < 1e-15);
-        assert!((rs.comm_cost_solve() - 2.0).abs() < 1e-15);
-        assert!((rs.comm_cost_residual() - 1.0).abs() < 1e-15);
         assert!((rs.total_time() - 0.75).abs() < 1e-15);
         assert_eq!(rs.total_relaxations(), 60);
         assert!((rs.mean_active_fraction() - 0.75).abs() < 1e-15);
         assert_eq!(rs.total_msgs_recovery(), 1);
         assert!((rs.comm_cost_recovery() - 0.25).abs() < 1e-15);
         assert_eq!(rs.total_bytes(), 140);
-        assert_eq!(rs.total_bytes_solve(), 105);
-        assert_eq!(rs.total_bytes_residual(), 30);
-        assert_eq!(rs.total_bytes_recovery(), 5);
         let faults = rs.total_faults();
         assert_eq!(faults.dropped.total(), 3);
         assert_eq!(faults.duplicated.of(CommClass::Solve), 1);
         assert_eq!(faults.delayed.of(CommClass::Recovery), 3);
         assert_eq!(faults.stalled_ranks, 2);
-        assert_eq!(faults.total_msgs_faulted(), 7);
         assert_eq!(rs.total_msgs_dropped(), 3);
     }
 

@@ -29,7 +29,7 @@
 
 use dsw_core::dist::{DistOptions, DistReport, Method, TenantSession};
 use dsw_partition::Partition;
-use dsw_rma::{PoolStats, SharedPool};
+use dsw_rma::{PoolStats, SharedPool, PANEL_MAX_COLS};
 use dsw_sparse::CsrMatrix;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -141,7 +141,8 @@ fn check_rhs(b: &[f64], n: usize) -> Result<(), SubmitError> {
 }
 
 /// An admitted, not-yet-started job: one right-hand side (the scalar
-/// path) or a tenant batch fused into a single multi-RHS panel solve.
+/// path) or up to [`PANEL_MAX_COLS`] of a tenant batch fused into a
+/// single multi-RHS panel solve.
 struct Job {
     bs: Vec<Vec<f64>>,
     submitted_at: Instant,
@@ -339,34 +340,24 @@ impl SolveService {
     ///
     /// [`run_until_idle`]: SolveService::run_until_idle
     pub fn submit(&mut self, tenant: TenantId, b: Vec<f64>) -> Result<(), SubmitError> {
-        let slot = self
-            .tenants
-            .get_mut(tenant.0)
-            .ok_or(SubmitError::UnknownTenant)?;
-        check_rhs(&b, slot.n)?;
-        if self.queued >= self.cfg.queue_capacity {
-            return Err(SubmitError::QueueFull);
-        }
-        slot.pending.push_back(Job {
-            bs: vec![b],
-            submitted_at: Instant::now(),
-        });
-        self.queued += 1;
-        self.max_queue_depth = self.max_queue_depth.max(self.queued);
-        Ok(())
+        self.submit_many(tenant, vec![b])
+            .map(|_| ())
+            .map_err(|(_, e)| e)
     }
 
-    /// Submits a batch of right-hand sides for one tenant: the whole
-    /// batch is admitted as **one fused multi-RHS panel job** — all `k`
-    /// columns relax together under the tenant's fair-share quantum, with
-    /// one packed message per edge per phase (see
-    /// [`dsw_core::dist::PanelRun`]). Each right-hand side still counts
-    /// as one queued job for backpressure and produces its own report.
+    /// Submits a batch of right-hand sides for one tenant: the batch is
+    /// admitted as consecutive **fused multi-RHS panel jobs** of at most
+    /// [`PANEL_MAX_COLS`] columns each — a job's columns relax together
+    /// under the tenant's fair-share quantum, with one packed message per
+    /// edge per phase (see [`dsw_core::dist::PanelRun`]), and a
+    /// one-column job runs as a scalar solve. Each right-hand side still
+    /// counts as one queued job for backpressure and produces its own
+    /// report, in submit order.
     ///
     /// Admission stops at the first rejected right-hand side; the
-    /// admitted prefix still runs (as a smaller fused job). Returns the
-    /// number of right-hand sides admitted *by this call* — both in
-    /// `Ok(admitted)` and in `Err((admitted, cause))`.
+    /// admitted prefix still runs. Returns the number of right-hand sides
+    /// admitted *by this call* — both in `Ok(admitted)` and in
+    /// `Err((admitted, cause))`.
     pub fn submit_many(
         &mut self,
         tenant: TenantId,
@@ -390,14 +381,16 @@ impl SolveService {
             admitted.push(b);
         }
         let nadmitted = admitted.len();
-        if nadmitted > 0 {
+        let submitted_at = Instant::now();
+        while !admitted.is_empty() {
+            let rest = admitted.split_off(admitted.len().min(PANEL_MAX_COLS));
             slot.pending.push_back(Job {
-                bs: admitted,
-                submitted_at: Instant::now(),
+                bs: std::mem::replace(&mut admitted, rest),
+                submitted_at,
             });
-            self.queued += nadmitted;
-            self.max_queue_depth = self.max_queue_depth.max(self.queued);
         }
+        self.queued += nadmitted;
+        self.max_queue_depth = self.max_queue_depth.max(self.queued);
         match rejected {
             None => Ok(nadmitted),
             Some(e) => Err((nadmitted, e)),
@@ -407,11 +400,6 @@ impl SolveService {
     /// Jobs currently admitted and unfinished.
     pub fn queue_len(&self) -> usize {
         self.queued
-    }
-
-    /// Registered tenants.
-    pub fn ntenants(&self) -> usize {
-        self.tenants.len()
     }
 
     /// Workers in the shared pool.
@@ -848,6 +836,62 @@ mod tests {
             warm_steps <= cold_steps,
             "adopted panel state warm-starts ({warm_steps} vs {cold_steps})"
         );
+    }
+
+    /// Regression: a batch wider than a panel's column mask used to be
+    /// admitted as one job, whose panel build then panicked and took the
+    /// shared service down. It now runs as consecutive panels of at most
+    /// `PANEL_MAX_COLS` columns, exactly as if submitted in that split.
+    #[test]
+    fn wide_batch_runs_as_consecutive_panels() {
+        let a = poisson(8);
+        let n = a.nrows();
+        let part = block_partition(n, 4);
+        let bs: Vec<Vec<f64>> = (0..130)
+            .map(|c| {
+                (0..n)
+                    .map(|j| ((c * 7 + j * 3) % 11) as f64 * 0.1 + c as f64 * 1e-3)
+                    .collect()
+            })
+            .collect();
+        let serve = |batches: &[&[Vec<f64>]]| -> Vec<DistReport> {
+            let mut svc = SolveService::new(ServeConfig {
+                workers: 2,
+                queue_capacity: 256,
+                ..ServeConfig::default()
+            });
+            let id = svc.add_tenant(
+                Method::BlockJacobi,
+                a.clone(),
+                &vec![0.5; n],
+                &vec![0.0; n],
+                &part,
+                &opts(),
+            );
+            for batch in batches {
+                assert_eq!(svc.submit_many(id, batch.to_vec()), Ok(batch.len()));
+            }
+            assert_eq!(svc.run_until_idle().solves, 130);
+            assert_eq!(svc.queue_len(), 0);
+            svc.take_reports(id)
+        };
+        let wide = serve(&[&bs]);
+        let split = serve(&[&bs[..64], &bs[64..128], &bs[128..]]);
+        assert_eq!(wide.len(), 130);
+        assert_eq!(split.len(), 130);
+        let bits = |r: &DistReport| -> Vec<u64> {
+            r.records
+                .iter()
+                .map(|rec| rec.residual_norm.to_bits())
+                .chain(r.x.iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        for (c, (w, s)) in wide.iter().zip(&split).enumerate() {
+            assert!(w.converged_at.is_some(), "column {c} converged");
+            assert_eq!(bits(w), bits(s), "column {c}");
+            assert_eq!(w.converged_at, s.converged_at, "column {c}");
+            assert!(w.stats.steps == s.stats.steps, "column {c}");
+        }
     }
 
     #[test]

@@ -122,12 +122,6 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// Mutable values slice (pattern is immutable).
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// The `(col, value)` pairs of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
@@ -220,17 +214,6 @@ impl CsrMatrix {
                 yi,
             );
         }
-    }
-
-    /// Panel residual `R = B - A X` over row-major `k`-column panels;
-    /// each column is bit-identical to [`CsrMatrix::residual`].
-    pub fn residual_panel(&self, b_panel: &[f64], x_panel: &[f64], k: usize) -> Vec<f64> {
-        let mut r = vec![0.0; self.nrows * k];
-        self.spmv_panel(x_panel, k, &mut r);
-        for (ri, bi) in r.iter_mut().zip(b_panel) {
-            *ri = bi - *ri;
-        }
-        r
     }
 
     /// The residual `r = b - A x`.

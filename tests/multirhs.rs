@@ -24,7 +24,7 @@
 //! delivery order and the per-column trajectories cannot drift.
 
 use distributed_southwell::core::dist::{
-    DistOptions, DistReport, ExecBackend, Method, MonitorMode, TenantSession,
+    DistOptions, DistReport, DsConfig, ExecBackend, LocalSolver, Method, MonitorMode, TenantSession,
 };
 use distributed_southwell::partition::Partition;
 use distributed_southwell::rma::{ExecMode, PANEL_HEADER_BYTES, PANEL_PART_TAG_BYTES};
@@ -231,4 +231,58 @@ fn panel_adoption_warm_starts_next_scalar_solve() {
     );
     let err = vecops::norm2(&a.residual(&bs[2], &warm.x));
     assert!(err <= 1e-7, "adopted solution drifted: ‖b − Ax‖ = {err}");
+}
+
+/// The fused Block Jacobi kernels beyond the widths and local solver the
+/// proptests draw: dynamic-width lanes (`k = 12`), the full 64-column
+/// panel, and the column-by-column branch taken by multicolor
+/// Gauss–Seidel and exact local solves. Every column must match its
+/// independent warm-started solve bit for bit. The Gauss–Seidel widths
+/// run under the maintained monitor too, whose boundary norms are the
+/// per-column lane sums the fused kernels fold.
+#[test]
+fn fused_bj_columns_match_independent_solves_at_every_width_and_local_solver() {
+    let (a, b, x0, part) = problem(3);
+    let n = a.nrows();
+    let cases = [
+        (LocalSolver::GaussSeidel, 12, MonitorMode::Exact),
+        (LocalSolver::GaussSeidel, 12, MonitorMode::default()),
+        (LocalSolver::GaussSeidel, 64, MonitorMode::default()),
+        (LocalSolver::MulticolorGaussSeidel, 3, MonitorMode::Exact),
+        (LocalSolver::Exact, 3, MonitorMode::Exact),
+    ];
+    for (local_solver, k, monitor) in cases {
+        let o = DistOptions {
+            ds_config: DsConfig {
+                local_solver,
+                ..DsConfig::default()
+            },
+            monitor,
+            ..opts(ExecMode::Sequential, 400, Some(1e-4))
+        };
+        // `perturbed_rhs` repeats every 17 columns; scale each repeat so
+        // all 64 right-hand sides differ.
+        let bs: Vec<Vec<f64>> = (0..k)
+            .map(|c| {
+                let scale = 1.0 + (c / 17) as f64 * 0.25;
+                perturbed_rhs(n, 3, c).iter().map(|v| v * scale).collect()
+            })
+            .collect();
+        for c in 1..k {
+            assert!(!bs[..c].contains(&bs[c]), "rhs {c} repeats an earlier one");
+        }
+
+        let mut fused = warmed_session(Method::BlockJacobi, &a, &b, &x0, &part, &o);
+        let frs = fused.solve_panel(&bs, None);
+        assert_eq!(frs.len(), k);
+        for (c, fr) in frs.iter().enumerate() {
+            let mut indep = warmed_session(Method::BlockJacobi, &a, &b, &x0, &part, &o);
+            let ir = indep.solve(&bs[c]);
+            let case = format!("{local_solver:?} k = {k} {monitor:?} col {c}");
+            assert!(ir.converged_at.is_some(), "{case}: converged");
+            assert_eq!(norm_bits(&ir), norm_bits(fr), "{case}: boundary norms");
+            assert_eq!(x_bits(&ir.x), x_bits(&fr.x), "{case}: solutions");
+            assert_eq!(ir.converged_at, fr.converged_at, "{case}: converged_at");
+        }
+    }
 }
