@@ -14,7 +14,8 @@ use dsw_sparse::gen;
 /// The sweep's convergence target (the paper's Table 2 rule).
 pub const TARGET: f64 = 0.1;
 
-/// The `(max_lag, straggler_skew)` point the CI bench gate checks.
+/// The `(max_lag, straggler_skew)` point of the gate in
+/// `tests/experiment_gates.rs`.
 pub const DEFAULT_LAG: usize = 4;
 pub const DEFAULT_SKEW: f64 = 0.5;
 
@@ -42,7 +43,9 @@ pub struct AsyncRow {
     pub deadlocked: bool,
 }
 
-fn run_one(method: Method, max_lag: usize, skew: f64, ctx: &ExperimentCtx) -> AsyncRow {
+/// Runs `method` once at `(max_lag, skew)`; at `ctx.scale = 0.5` this is
+/// the gate point of `tests/experiment_gates.rs`.
+pub fn run_one(method: Method, max_lag: usize, skew: f64, ctx: &ExperimentCtx) -> AsyncRow {
     // §4.2 Poisson setup, sized with the context's scale (the smoke scale
     // gives a 12×12 grid over 8 ranks).
     let g = ((48.0 * ctx.scale).round() as usize).max(12);

@@ -27,7 +27,10 @@ pub struct Fig6DistPoint {
 
 const CYCLES: usize = 9;
 
-fn ds_config(sweeps: f64, ranks: usize) -> DistMultigridConfig {
+/// The DS-smoothed hierarchy every row of the experiment runs: `sweeps`
+/// DS sweeps per smoothing pass over `ranks` finest-level parts on the
+/// threaded superstep backend.
+pub fn ds_config(sweeps: f64, ranks: usize) -> DistMultigridConfig {
     DistMultigridConfig {
         smoother: DistSmoother::Ds { sweeps, seed: 99 },
         backend: ExecBackend::Superstep(ExecMode::Threaded(4)),

@@ -19,8 +19,9 @@
 //! Messages are the paper's metric, so the table reconciles them
 //! directly: `seq_msgs_per_rank` sums the `k` scalar solves,
 //! `fused_msgs_per_rank` is the panel's shared count, and the gate
-//! requires the ratio ≥ [`GATE_MSG_REDUCTION`] at `k =` [`GATE_K`]
-//! alongside a solves/sec speedup ≥ [`GATE_SPEEDUP`].
+//! requires the ratio ≥ [`GATE_MSG_REDUCTION`] at `k =` [`GATE_K`]. The
+//! message counts are deterministic; the solves/sec speedup is printed
+//! but not gated.
 //!
 //! [`serve_problem`]: super::serve::serve_problem
 //! [`solve_many`]: dsw_core::dist::SolveSession::solve_many
@@ -37,15 +38,7 @@ pub const KS: [usize; 3] = [4, 8, 16];
 /// The gated panel width.
 pub const GATE_K: usize = 8;
 
-/// Full-run CI gate: fused solves/sec ≥ this multiple of sequential at
-/// `k =` [`GATE_K`].
-pub const GATE_SPEEDUP: f64 = 2.0;
-
-/// Quick-mode (CI) gate on the same ratio — looser because quick mode
-/// runs one window on shared runners.
-pub const GATE_SPEEDUP_QUICK: f64 = 1.5;
-
-/// CI gate: sequential msgs/rank must be at least this multiple of the
+/// The gate: sequential msgs/rank must be at least this multiple of the
 /// fused panel's at `k =` [`GATE_K`].
 pub const GATE_MSG_REDUCTION: f64 = 3.0;
 
@@ -55,7 +48,7 @@ pub const GATE_MSG_REDUCTION: f64 = 3.0;
 /// serving layer cares about.
 pub const WINDOWS: usize = 3;
 
-/// The gate's method, matching the serve bench: Block Jacobi's short
+/// The gate's method, matching the serve study: Block Jacobi's short
 /// convergence tail keeps the measurement on the batching layer instead
 /// of the solver's input-sensitive asymptotics. Distributed Southwell is
 /// recorded alongside, ungated.
@@ -88,6 +81,8 @@ pub struct MultiRhsRow {
     pub fused_steps: u64,
     /// Summed sequential supersteps over the windows.
     pub seq_steps: u64,
+    /// Every timed solve on both sides reached the target.
+    pub converged: bool,
 }
 
 /// The drifted batch for window `w`: `k` right-hand sides that differ
@@ -111,9 +106,9 @@ pub fn run_point(method: Method, k: usize, windows: usize) -> MultiRhsRow {
     let mut fused = TenantSession::build(method, a.clone(), &prime, &x0, &part, &opts, None);
     fused.solve(&prime);
 
-    // One untimed warmup window per side (criterion-style): the first
-    // fused window grows the panel's staging, scratch, and executor
-    // buffers from cold; the steady state is what a serving layer sees.
+    // One untimed warmup window per side: the first fused window grows
+    // the panel's staging, scratch, and executor buffers from cold; the
+    // steady state is what a serving layer sees.
     let warm = window_rhs(n, windows, k);
     let _ = seq.solve_many(&warm);
     let _ = fused.solve_panel(&warm, None);
@@ -126,6 +121,7 @@ pub fn run_point(method: Method, k: usize, windows: usize) -> MultiRhsRow {
     let mut fused_bytes = 0u64;
     let mut seq_steps = 0u64;
     let mut fused_steps = 0u64;
+    let mut converged = true;
     for w in 0..windows {
         let bs = window_rhs(n, w, k);
 
@@ -136,6 +132,7 @@ pub fn run_point(method: Method, k: usize, windows: usize) -> MultiRhsRow {
             seq_msgs += r.stats.total_msgs();
             seq_bytes += r.stats.total_bytes();
             seq_steps += r.stats.nsteps() as u64;
+            converged &= r.converged_at.is_some();
         }
 
         let t0 = Instant::now();
@@ -148,6 +145,7 @@ pub fn run_point(method: Method, k: usize, windows: usize) -> MultiRhsRow {
         fused_msgs += shared.total_msgs();
         fused_bytes += shared.total_bytes();
         fused_steps += shared.nsteps() as u64;
+        converged &= reports.iter().all(|r| r.converged_at.is_some());
     }
 
     let solves = (windows * k) as f64;
@@ -166,6 +164,7 @@ pub fn run_point(method: Method, k: usize, windows: usize) -> MultiRhsRow {
         seq_bytes_per_rank: seq_bytes as f64 / RANKS as f64,
         fused_steps,
         seq_steps,
+        converged,
     }
 }
 
@@ -255,8 +254,8 @@ mod tests {
     #[test]
     fn point_mechanics_are_sane() {
         // One tiny window pins the accounting (counters populated, msgs
-        // strictly reduced, both sides complete), not the throughput gate
-        // — that is CI's bench gate on `BENCH_multirhs.json`.
+        // strictly reduced, both sides complete); the message gate at
+        // `GATE_K` is the root `tests/experiment_gates.rs`.
         let row = run_point(GATE_METHOD, 4, 1);
         assert_eq!(row.k, 4);
         assert!(row.fused_solves_per_sec > 0.0);

@@ -18,15 +18,15 @@ use dsw_sparse::gen;
 /// The sweep's convergence target (the paper's Table 2 rule).
 pub const TARGET: f64 = 0.1;
 
-/// Progress bound of every run (the `async` experiment's CI point).
+/// Progress bound of every run (the `async` experiment's gate point).
 pub const LAG: usize = 4;
 
-/// The straggler regime the CI bench gate checks: at this skew the
-/// slowest rank advances at a small fraction of the nominal probability,
-/// and the uncoded placement is gated on it.
+/// The straggler regime of the gate in `tests/experiment_gates.rs`: at
+/// this skew the slowest rank advances at a small fraction of the nominal
+/// probability, and the uncoded placement is gated on it.
 pub const STALL_SKEW: f64 = 0.9;
 
-/// The replication factor the CI bench gate checks against uncoded.
+/// The replication factor that gate checks against uncoded.
 pub const GATE_R: usize = 2;
 
 /// One row of the redundancy sweep (DS only — the coded placement wraps
@@ -58,7 +58,9 @@ pub struct RedundancyRow {
     pub deadlocked: bool,
 }
 
-fn run_one(r: usize, skew: f64, ctx: &ExperimentCtx) -> RedundancyRow {
+/// Runs DS once with replication factor `r` at straggler `skew`; at
+/// `ctx.scale = 0.5` this is the gate point of `tests/experiment_gates.rs`.
+pub fn run_one(r: usize, skew: f64, ctx: &ExperimentCtx) -> RedundancyRow {
     // §4.2 Poisson setup, sized with the context's scale (the smoke scale
     // gives a 12×12 grid over 8 ranks) — the same construction as the
     // `async` experiment, so r = 1 rows are directly comparable.
@@ -206,8 +208,8 @@ mod tests {
 
     #[test]
     fn coded_placement_rides_through_the_straggler_regime() {
-        // Half scale (24x24 grid over 18 ranks) -- the same point the CI
-        // bench gate pins. The 8-rank smoke scale is too small for a
+        // Half scale (24x24 grid over 18 ranks) -- the same point the
+        // root gate test pins. The 8-rank smoke scale is too small for a
         // meaningful straggler regime: with so few ranks the r = 2
         // placement has even odds of pairing the two slowest ranks into
         // one replica set, which is exactly the coupon-collector effect

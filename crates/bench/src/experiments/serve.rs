@@ -42,17 +42,13 @@ pub const QUANTUM: usize = 4;
 /// Timed solves per tenant (after one untimed priming solve).
 pub const JOBS: usize = 3;
 
-/// The CI gate: multiplexed solves/sec must be at least this multiple of
-/// the serialized baseline at 64+ tenants.
-pub const GATE_SPEEDUP: f64 = 2.0;
-
-/// The method the CI gate runs. Block Jacobi's convergence tail is a
-/// handful of supersteps, so warm re-solves turn over fast and the
+/// The method of the throughput sweep. Block Jacobi's convergence tail is
+/// a handful of supersteps, so warm re-solves turn over fast and the
 /// measurement isolates the serving layer (scheduler + setup
 /// amortization) instead of the solver's tail. Distributed Southwell —
 /// whose near-target tail relaxes only the locally-maximal ranks and
 /// therefore takes an input-sensitive 50–300 supersteps — is recorded
-/// alongside, ungated.
+/// alongside.
 pub const GATE_METHOD: Method = Method::BlockJacobi;
 
 /// The §4.2 serve problem: unit-diagonal Poisson, b = 0 initially, unit
@@ -225,8 +221,8 @@ pub fn run_serve(ctx: &ExperimentCtx) -> Vec<ServeRow> {
         .map(|&c| ((c as f64 * ctx.scale).round() as usize).max(2))
         .collect();
     let mut rows: Vec<ServeRow> = counts.iter().map(|&c| run_point(GATE_METHOD, c)).collect();
-    // One DS point at the gate's tenant count for paper fidelity — its
-    // input-sensitive convergence tail keeps it out of the gate.
+    // One DS point at the middle tenant count for paper fidelity — its
+    // input-sensitive convergence tail keeps it off the main sweep.
     rows.push(run_point(Method::DistributedSouthwell, counts[1]));
 
     println!(
@@ -301,8 +297,8 @@ mod tests {
     #[test]
     fn multiplexed_window_completes_with_isolated_accounting() {
         // Tiny tenant count: this pins the mechanics (every job completes,
-        // stats are sane), not the throughput gate — that is CI's bench
-        // gate on `BENCH_serve.json`, where the tenant count is realistic.
+        // stats are sane), not the throughput ratio, which is a wall-clock
+        // measurement the full-scale experiment prints.
         let stats = run_multiplexed(GATE_METHOD, 3);
         assert_eq!(stats.solves as usize, 3 * JOBS);
         assert!(stats.solves_per_sec > 0.0);

@@ -112,7 +112,7 @@ impl Default for ExperimentCtx {
 }
 
 impl ExperimentCtx {
-    /// A small configuration for smoke tests and Criterion benches.
+    /// A small configuration for smoke tests.
     pub fn smoke() -> Self {
         ExperimentCtx {
             out_dir: std::env::temp_dir().join("dsw-results"),
