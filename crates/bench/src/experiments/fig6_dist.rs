@@ -6,8 +6,7 @@
 //! the paper's legend.
 
 use crate::harness::{write_csv, ExperimentCtx};
-use dsw_core::dist::ExecBackend;
-use dsw_multigrid::{DistMultigrid, DistMultigridConfig, DistSmoother, Multigrid, Smoother};
+use dsw_multigrid::{DistMultigrid, DistMultigridConfig, Multigrid, Smoother};
 use dsw_rma::ExecMode;
 use dsw_sparse::gen;
 
@@ -32,8 +31,9 @@ const CYCLES: usize = 9;
 /// threaded superstep backend.
 pub fn ds_config(sweeps: f64, ranks: usize) -> DistMultigridConfig {
     DistMultigridConfig {
-        smoother: DistSmoother::Ds { sweeps, seed: 99 },
-        backend: ExecBackend::Superstep(ExecMode::Threaded(4)),
+        sweeps,
+        seed: 99,
+        mode: ExecMode::Threaded(4),
         nparts: ranks,
         min_rows_per_part: 32,
         ..DistMultigridConfig::default()

@@ -218,9 +218,9 @@ impl DistOptions {
 
 /// The `O(P)` maintained view of the global residual norm.
 #[derive(Debug, Clone, Copy)]
-pub struct MaintainedNorm {
+pub(crate) struct MaintainedNorm {
     /// `√Σ_p ‖r_p‖²` over the per-rank maintained residuals.
-    pub norm: f64,
+    pub(crate) norm: f64,
     /// `√Σ_p` undelivered-delta² — the root-sum-square of every parked
     /// and in-flight ghost delta. On a reliable link the true norm
     /// differs from `norm` by at most the norm of the summed deltas;
@@ -228,7 +228,7 @@ pub struct MaintainedNorm {
     /// it by at most a small overlap factor otherwise, so the monitor
     /// uses it to *widen* its verify trigger, never as a proof — every
     /// verdict is confirmed by an exact recompute regardless.
-    pub slack: f64,
+    pub(crate) slack: f64,
 }
 
 /// Out-of-band residual measurement with reusable scratch, lifetime-free.
@@ -238,22 +238,21 @@ pub struct MaintainedNorm {
 /// measurement takes `(a, b)` as arguments. This lets a persistent
 /// [`SolveSession`](crate::dist::session::SolveSession) — which owns its
 /// matrix and right-hand side — hold monitor scratch across solves
-/// without a self-referential borrow. [`Monitor`] wraps this with
-/// borrowed `(a, b)` for one-shot use.
-pub struct MonitorCore {
+/// without a self-referential borrow.
+pub(crate) struct MonitorCore {
     /// Gather scratch: every owned row is overwritten on each gather (the
     /// parts partition `0..n`), so no per-use zeroing is needed.
     x: Vec<f64>,
     /// SpMV output scratch.
     ax: Vec<f64>,
     /// Cost and drift observables (copied into `RunStats` by the driver).
-    pub stats: MonitorStats,
+    pub(crate) stats: MonitorStats,
 }
 
 impl MonitorCore {
     /// Allocates the scratch for `‖b − Ax‖` measurements on an
     /// `n`-dimensional system.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         MonitorCore {
             x: vec![0.0; n],
             ax: vec![0.0; n],
@@ -261,31 +260,14 @@ impl MonitorCore {
         }
     }
 
-    /// The `O(P)` maintained global norm: a sum of per-rank scalars, no
+    /// The `O(P)` maintained global norm: a sum of per-block scalars, no
     /// gather, no SpMV, independent of `n` and `nnz`. `None` if the
     /// algorithm does not maintain local norms
-    /// ([`RankAlgorithm::maintained_norm_sq`]). Takes the rank slice, not
-    /// an executor, so the superstep and async backends share it.
-    pub fn maintained<R: RankAlgorithm>(&mut self, ranks: &[R]) -> Option<MaintainedNorm> {
-        let t0 = Instant::now();
-        let mut norm_sq = 0.0;
-        let mut slack_sq = 0.0;
-        for r in ranks {
-            norm_sq += r.maintained_norm_sq()?;
-            slack_sq += r.undelivered_delta_sq();
-        }
-        self.stats.evals += 1;
-        self.stats.eval_ns += t0.elapsed().as_nanos() as u64;
-        Some(MaintainedNorm {
-            norm: norm_sq.sqrt(),
-            slack: slack_sq.sqrt(),
-        })
-    }
-
-    /// View-based [`MonitorCore::maintained`]: the drive loops read global
-    /// state through a [`NormView`], so the uncoded run (one block per
-    /// rank), a redundancy-coded run (one representative per replica set)
-    /// and a panel column share one loop body and one accounting path.
+    /// ([`RankAlgorithm::maintained_norm_sq`]). The drive loops read
+    /// global state through a [`NormView`], so the uncoded run (one block
+    /// per rank), a redundancy-coded run (one representative per replica
+    /// set) and a panel column share one loop body and one accounting
+    /// path.
     pub(crate) fn maintained_view<R: RankAlgorithm>(
         &mut self,
         ranks: &[R],
@@ -397,57 +379,6 @@ pub(crate) enum Reading {
     /// An exact recompute must follow; carries the maintained reading, if
     /// one was taken, for the drift record.
     Exact(Option<MaintainedNorm>),
-}
-
-/// [`MonitorCore`] with the system borrowed in: the one-shot driver entry
-/// points and external callers (benches, property tests) measure a fixed
-/// `(a, b)` for the run, so they carry the pair here instead of threading
-/// it through every call.
-pub struct Monitor<'a> {
-    a: &'a CsrMatrix,
-    b: &'a [f64],
-    core: MonitorCore,
-}
-
-impl<'a> Monitor<'a> {
-    /// Allocates the scratch for one run of `‖b − Ax‖` measurements.
-    pub fn new(a: &'a CsrMatrix, b: &'a [f64]) -> Self {
-        Monitor {
-            a,
-            b,
-            core: MonitorCore::new(a.nrows()),
-        }
-    }
-
-    /// See [`MonitorCore::maintained`].
-    pub fn maintained<R: RankAlgorithm>(&mut self, ranks: &[R]) -> Option<MaintainedNorm> {
-        self.core.maintained(ranks)
-    }
-
-    /// The exact `‖b − Ax‖₂`: gather, one SpMV, one norm —
-    /// `O(n + nnz)`.
-    pub fn exact<R: RankAlgorithm>(
-        &mut self,
-        ranks: &[R],
-        local_of: &impl Fn(&R) -> &LocalSystem,
-    ) -> f64 {
-        self.core
-            .exact_view(self.a, self.b, ranks, &DirectView(local_of))
-    }
-
-    /// Gathers the current global solution.
-    pub fn gather<R: RankAlgorithm>(
-        &mut self,
-        ranks: &[R],
-        local_of: &impl Fn(&R) -> &LocalSystem,
-    ) -> Vec<f64> {
-        self.core.gather_view(ranks, &DirectView(local_of))
-    }
-
-    /// Cost and drift observables accumulated so far.
-    pub fn stats(&self) -> &MonitorStats {
-        &self.core.stats
-    }
 }
 
 /// How a drive loop reads global solver state out of a rank set: each

@@ -34,8 +34,7 @@ mod verdict;
 pub use block_jacobi::{BjMsg, BlockJacobiRank};
 pub use distributed_southwell::{DistributedSouthwellRank, DsConfig};
 pub use driver::{
-    drive, run_method, DistOptions, DistReport, ExecBackend, MaintainedNorm, Method, Monitor,
-    MonitorCore, MonitorMode, StepRecord,
+    drive, run_method, DistOptions, DistReport, ExecBackend, Method, MonitorMode, StepRecord,
 };
 pub use layout::{distribute, gather_r, gather_x, LocalSystem};
 pub use local_solver::{LocalSolver, LocalSolverImpl};

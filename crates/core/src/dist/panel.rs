@@ -11,7 +11,7 @@
 //!
 //! Per-column bookkeeping is the scalar session's own:
 //!
-//! * each column has its own [`MonitorCore`], maintained-norm view
+//! * each column has its own `MonitorCore`, maintained-norm view
 //!   (`PanelColView`), step records, and verdict — the driver's
 //!   `SolveLog` and `Verdict`, so the exact-norm trigger and the
 //!   convergence / deadlock / divergence rule (with the two-strikes freeze

@@ -198,11 +198,6 @@ impl<R: WarmStart> SolveSession<R> {
         }
     }
 
-    /// Number of ranks (blocks) in the session's partition.
-    pub fn nranks(&self) -> usize {
-        self.run.ex.nranks()
-    }
-
     /// Read access to the per-rank state (tests audit warm-start
     /// invariants through this).
     pub fn ranks(&self) -> &[R] {
@@ -214,11 +209,6 @@ impl<R: WarmStart> SolveSession<R> {
     /// cache invalidation hooks).
     pub fn ranks_mut(&mut self) -> &mut [R] {
         self.run.ex.ranks_mut()
-    }
-
-    /// The method this session runs.
-    pub fn method(&self) -> Method {
-        self.run.method
     }
 
     /// Whether the current solve has reached a verdict.
@@ -288,26 +278,6 @@ impl<R: WarmStart> SolveSession<R> {
         self.begin_solve(b);
         while !self.step_batch(self.run.opts.max_steps) {}
         self.finish()
-    }
-
-    /// Runs the session as a *smoother*: exactly `steps` supersteps of
-    /// `A x = b` with no residual target and no divergence cutoff — the
-    /// multigrid contract of §4.1, where the relaxation budget, not a
-    /// tolerance, ends the pass. The session's solve options are restored
-    /// afterwards, so interleaved [`SolveSession::solve`] calls are
-    /// unaffected. Warm-start semantics are those of
-    /// [`SolveSession::begin_solve`]: an unchanged `b` continues the
-    /// previous pass bit-identically, a changed `b` reseeds by `Δb`.
-    pub fn smooth(&mut self, b: &[f64], steps: usize) -> DistReport {
-        let saved = self.run.opts;
-        self.run.opts.target_residual = None;
-        self.run.opts.divergence_cutoff = None;
-        self.run.opts.max_steps = steps;
-        self.begin_solve(b);
-        while !self.step_batch(steps.max(1)) {}
-        let rep = self.finish();
-        self.run.opts = saved;
-        rep
     }
 
     /// Batched right-hand sides, solved sequentially: each solve
@@ -456,11 +426,6 @@ impl TenantSession {
         each!(self, s => s.solve(b))
     }
 
-    /// See [`SolveSession::smooth`].
-    pub fn smooth(&mut self, b: &[f64], steps: usize) -> DistReport {
-        each!(self, s => s.smooth(b, steps))
-    }
-
     /// See [`SolveSession::solve_many`].
     pub fn solve_many(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport> {
         each!(self, s => s.solve_many(bs))
@@ -489,16 +454,6 @@ impl TenantSession {
     /// See [`SolveSession::solve_panel`].
     pub fn solve_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) -> Vec<DistReport> {
         each!(self, s => s.solve_panel(bs, pool))
-    }
-
-    /// See [`SolveSession::nranks`].
-    pub fn nranks(&self) -> usize {
-        each!(self, s => s.nranks())
-    }
-
-    /// See [`SolveSession::method`].
-    pub fn method(&self) -> Method {
-        each!(self, s => s.method())
     }
 }
 

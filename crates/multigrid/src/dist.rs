@@ -8,12 +8,10 @@
 //!   level is strip-partitioned; each coarser one *inherits* via
 //!   [`agglomerate_coarse`], folding onto fewer ranks as the grid shrinks
 //!   (coarse levels on a subset of the machine, transfers neighbor-local).
-//! * **Smoothing** — [`DistSmoother::Ds`] runs the row-granular
+//! * **Smoothing** — every non-coarsest level runs the row-granular
 //!   [`DsLevelSmoother`] protocol with the exact per-level relaxation
 //!   budget of the scalar [`Smoother`], bit-identical to the scalar
-//!   reference; [`DistSmoother::Block`] runs a fixed quantum of parallel
-//!   steps of one of the paper's block methods through a persistent
-//!   [`TenantSession`] (superstep backend) or [`run_method`] (async).
+//!   reference.
 //! * **Transfers** — restriction and prolongation run as one-superstep
 //!   exchanges on a dedicated executor per level pair whose rank set is
 //!   the *union* of the fine and coarse partitions. Every stencil input
@@ -22,15 +20,13 @@
 //!   level exactly like solver traffic.
 //!
 //! Per-cycle accounting rolls up into a [`CycleReport`] with one
-//! [`LevelCycleStats`] per level. Under the superstep backend with
-//! [`DistSmoother::Ds`], a cycle is bit-identical to the scalar
+//! [`LevelCycleStats`] per level. A cycle is bit-identical to the scalar
 //! [`crate::Multigrid`] with [`Smoother::distributed_southwell`] — same
 //! iterates, same residual history — for any partition and any
 //! [`ExecMode`].
 
 use crate::dsmooth::{contiguous_ranges, DsLevelSmoother};
 use crate::{level_dims, CycleType, MultigridError, Smoother};
-use dsw_core::dist::{run_method, DistOptions, DistReport, ExecBackend, Method, TenantSession};
 use dsw_partition::{agglomerate_coarse, partition_strip, Partition};
 use dsw_rma::{CommClass, CostModel, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm};
 use dsw_sparse::dense::Cholesky;
@@ -411,44 +407,21 @@ impl TransferExchange {
     }
 }
 
-/// Which smoother runs on every non-coarsest level of a
-/// [`DistMultigrid`].
-#[derive(Debug, Clone, Copy)]
-pub enum DistSmoother {
-    /// Row-granular Distributed Southwell with an exact relaxation budget
-    /// of `sweeps × n` per application — the distributed twin of
-    /// [`Smoother::DistributedSouthwell`], bit-identical to it under the
-    /// superstep backend. Requires [`ExecBackend::Superstep`]: the exact
-    /// budget is coordinated between supersteps.
-    Ds {
-        /// Relaxation budget in sweeps (1.0 = "1 sweep", 0.5 = "½ sweep").
-        sweeps: f64,
-        /// Seed for the final-step subset choice.
-        seed: u64,
-    },
-    /// A fixed quantum of `steps` parallel steps of one of the paper's
-    /// block methods per application, through a persistent warm
-    /// [`TenantSession`] (superstep backend) or [`run_method`] (async
-    /// backend).
-    Block {
-        /// Which block method smooths.
-        method: Method,
-        /// Parallel steps per smoothing application.
-        steps: usize,
-    },
-}
-
-/// Configuration of a [`DistMultigrid`].
+/// Configuration of a [`DistMultigrid`]. Every non-coarsest level smooths
+/// with row-granular Distributed Southwell under an exact relaxation
+/// budget of `sweeps × n` per application — the distributed twin of
+/// [`Smoother::DistributedSouthwell`], bit-identical to it.
 #[derive(Debug, Clone, Copy)]
 pub struct DistMultigridConfig {
-    /// Level smoother (DS rows by default, 1 sweep, seed 0).
-    pub smoother: DistSmoother,
+    /// DS relaxation budget in sweeps (1.0 = "1 sweep", 0.5 = "½ sweep").
+    pub sweeps: f64,
+    /// Seed for the DS final-step subset choice.
+    pub seed: u64,
     /// Cycle shape (V by default).
     pub cycle_type: CycleType,
-    /// Execution substrate for smoothing. Transfers always run lock-step
-    /// (a grid transfer is a collective): under an async backend they use
-    /// a sequential superstep executor.
-    pub backend: ExecBackend,
+    /// Superstep scheduling of every executor in the hierarchy. DS needs
+    /// lock-step supersteps: the exact budget is coordinated between them.
+    pub mode: ExecMode,
     /// Parts on the finest level (clamped to the row count).
     pub nparts: usize,
     /// Agglomeration floor: coarse partitions fold onto fewer ranks until
@@ -461,48 +434,15 @@ pub struct DistMultigridConfig {
 impl Default for DistMultigridConfig {
     fn default() -> Self {
         DistMultigridConfig {
-            smoother: DistSmoother::Ds {
-                sweeps: 1.0,
-                seed: 0,
-            },
+            sweeps: 1.0,
+            seed: 0,
             cycle_type: CycleType::V,
-            backend: ExecBackend::Superstep(ExecMode::Sequential),
+            mode: ExecMode::Sequential,
             nparts: 4,
             min_rows_per_part: 64,
             cost_model: CostModel::default(),
         }
     }
-}
-
-/// Per-level smoothing state.
-enum LevelSmoother {
-    /// Row-granular DS on the substrate.
-    DsRows {
-        /// Boxed: the smoother's rank state dwarfs the other variants.
-        sm: Box<DsLevelSmoother>,
-        sweeps: f64,
-        seed: u64,
-    },
-    /// Persistent warm session running a block method (superstep).
-    Session {
-        /// Boxed: the session's executor state dwarfs the other variants.
-        sess: Box<TenantSession>,
-        /// The session's own iterate. The level's `sol` and the session's
-        /// x drift apart (coarse `sol` resets to zero every cycle, a warm
-        /// session's x persists), so each application shifts the RHS by
-        /// `A·(x_shadow − sol)` — the session then smooths the level's
-        /// true residual — and applies the session's Δx to `sol`.
-        x_shadow: Vec<f64>,
-        steps: usize,
-    },
-    /// Cold [`run_method`] call per application (async backend; the step
-    /// quantum rides in `opts.max_steps`).
-    AsyncBlock {
-        method: Method,
-        opts: Box<DistOptions>,
-    },
-    /// The coarsest level: solved exactly, never smoothed.
-    None,
 }
 
 /// One level of the distributed hierarchy.
@@ -516,7 +456,9 @@ pub struct DistLevel {
     pub partition: Partition,
     rhs: Vec<f64>,
     sol: Vec<f64>,
-    smoother: LevelSmoother,
+    /// The level's DS smoother (`None` on the coarsest level, which is
+    /// solved exactly).
+    smoother: Option<DsLevelSmoother>,
     /// Transfer exchange to the next coarser level (`None` on the
     /// coarsest).
     transfer: Option<TransferExchange>,
@@ -543,9 +485,6 @@ pub struct LevelCycleStats {
     pub transfer_msgs: u64,
     /// Inter-level transfer payload bytes.
     pub transfer_bytes: u64,
-    /// Full per-application reports of block-session smoothers (empty for
-    /// the DS rows smoother, which reports through the scalar fields).
-    pub reports: Vec<DistReport>,
 }
 
 /// The report of one distributed multigrid cycle.
@@ -588,30 +527,15 @@ pub struct DistMultigrid {
     pub levels: Vec<DistLevel>,
     coarse_solver: Cholesky,
     cycle_type: CycleType,
+    sweeps: f64,
+    seed: u64,
 }
 
 impl DistMultigrid {
     /// Builds a distributed hierarchy for a `dim × dim` interior grid
-    /// under `cfg`. Errs on inadmissible dimensions and on
-    /// smoother/backend combinations the substrate cannot honor
-    /// ([`DistSmoother::Ds`] needs the superstep backend).
+    /// under `cfg`. Errs on inadmissible dimensions.
     pub fn try_new(dim: usize, cfg: DistMultigridConfig) -> Result<Self, MultigridError> {
         let dims = level_dims(dim)?;
-        let exec_mode = match (cfg.backend, cfg.smoother) {
-            (ExecBackend::Superstep(mode), _) => Some(mode),
-            (ExecBackend::Async(_), DistSmoother::Block { .. }) => None,
-            (ExecBackend::Async(_), DistSmoother::Ds { .. }) => {
-                return Err(MultigridError::Setup(
-                    "DistSmoother::Ds requires the superstep backend: the exact \
-                     relaxation budget is coordinated between lock-step supersteps \
-                     (use DistSmoother::Block for async smoothing)"
-                        .to_string(),
-                ));
-            }
-        };
-        // Transfers are collectives: lock-step even under an async
-        // smoothing backend.
-        let transfer_mode = exec_mode.unwrap_or(ExecMode::Sequential);
         let nlev = dims.len();
         let n0 = dim * dim;
         let mut partitions: Vec<Partition> = Vec::with_capacity(nlev);
@@ -631,52 +555,9 @@ impl DistMultigrid {
             let n = d * d;
             let a = Arc::new(grid2d_poisson(d, d));
             let smoother = if l == nlev - 1 {
-                LevelSmoother::None
+                None
             } else {
-                match cfg.smoother {
-                    DistSmoother::Ds { sweeps, seed } => LevelSmoother::DsRows {
-                        sm: Box::new(DsLevelSmoother::new(
-                            &a,
-                            &part,
-                            exec_mode.expect("Ds with async backend rejected above"),
-                            cfg.cost_model,
-                        )?),
-                        sweeps,
-                        seed,
-                    },
-                    DistSmoother::Block { method, steps } => {
-                        let opts = DistOptions {
-                            max_steps: steps.max(1),
-                            target_residual: None,
-                            divergence_cutoff: None,
-                            backend: cfg.backend,
-                            cost_model: cfg.cost_model,
-                            ..DistOptions::default()
-                        };
-                        match cfg.backend {
-                            ExecBackend::Superstep(_) => {
-                                let zeros = vec![0.0; n];
-                                LevelSmoother::Session {
-                                    sess: Box::new(TenantSession::build(
-                                        method,
-                                        (*a).clone(),
-                                        &zeros,
-                                        &zeros,
-                                        &part,
-                                        &opts,
-                                        None,
-                                    )),
-                                    x_shadow: vec![0.0; n],
-                                    steps: steps.max(1),
-                                }
-                            }
-                            ExecBackend::Async(_) => LevelSmoother::AsyncBlock {
-                                method,
-                                opts: Box::new(opts),
-                            },
-                        }
-                    }
-                }
+                Some(DsLevelSmoother::new(&a, &part, cfg.mode, cfg.cost_model)?)
             };
             levels.push(DistLevel {
                 dim: d,
@@ -695,7 +576,7 @@ impl DistMultigrid {
                 dims[l],
                 dims[l + 1],
                 cfg.cost_model,
-                transfer_mode,
+                cfg.mode,
             )?;
             levels[l].transfer = Some(ex);
         }
@@ -706,6 +587,8 @@ impl DistMultigrid {
             levels,
             coarse_solver,
             cycle_type: cfg.cycle_type,
+            sweeps: cfg.sweeps,
+            seed: cfg.seed,
         })
     }
 
@@ -793,60 +676,22 @@ impl DistMultigrid {
             rhs,
             sol,
             smoother,
-            partition,
             ..
         } = &mut self.levels[l];
-        let st = &mut stats[l];
-        match smoother {
-            LevelSmoother::None => {}
-            LevelSmoother::DsRows { sm, sweeps, seed } => {
-                let budget = Smoother::distributed_southwell(*sweeps, *seed).budget(a.nrows());
-                if budget == 0 {
-                    return;
-                }
-                let pass_seed = *seed ^ salt.wrapping_mul(0x9e3779b97f4a7c15);
-                let s = sm.smooth(a, rhs, sol, budget, pass_seed);
-                st.relaxations += s.relaxations;
-                st.smooth_msgs += s.solve_msgs + s.res_msgs;
-                st.smooth_bytes += s.bytes;
-                st.smooth_steps += s.steps;
-            }
-            LevelSmoother::Session {
-                sess,
-                x_shadow,
-                steps,
-            } => {
-                // Shift the RHS so the warm session smooths this level's
-                // residual: with b' = b + A(x_shadow − sol), the session's
-                // internal residual b' − A·x_shadow equals b − A·sol.
-                let diff: Vec<f64> = x_shadow
-                    .iter()
-                    .zip(sol.iter())
-                    .map(|(xs, s)| xs - s)
-                    .collect();
-                let shift = a.mul_vec(&diff);
-                let b_eff: Vec<f64> = rhs.iter().zip(&shift).map(|(b, s)| b + s).collect();
-                let rep = sess.smooth(&b_eff, *steps);
-                for (s, (xn, xo)) in sol.iter_mut().zip(rep.x.iter().zip(x_shadow.iter())) {
-                    *s += xn - xo;
-                }
-                x_shadow.copy_from_slice(&rep.x);
-                st.relaxations += rep.records.last().map_or(0, |r| r.relaxations);
-                st.smooth_msgs += rep.stats.total_msgs();
-                st.smooth_bytes += rep.stats.total_bytes();
-                st.smooth_steps += rep.stats.steps.len() as u64;
-                st.reports.push(rep);
-            }
-            LevelSmoother::AsyncBlock { method, opts } => {
-                let rep = run_method(*method, a, rhs, sol, partition, opts);
-                sol.copy_from_slice(&rep.x);
-                st.relaxations += rep.records.last().map_or(0, |r| r.relaxations);
-                st.smooth_msgs += rep.stats.total_msgs();
-                st.smooth_bytes += rep.stats.total_bytes();
-                st.smooth_steps += rep.stats.steps.len() as u64;
-                st.reports.push(rep);
-            }
+        let Some(sm) = smoother else {
+            return;
+        };
+        let budget = Smoother::distributed_southwell(self.sweeps, self.seed).budget(a.nrows());
+        if budget == 0 {
+            return;
         }
+        let pass_seed = self.seed ^ salt.wrapping_mul(0x9e3779b97f4a7c15);
+        let s = sm.smooth(a, rhs, sol, budget, pass_seed);
+        let st = &mut stats[l];
+        st.relaxations += s.relaxations;
+        st.smooth_msgs += s.solve_msgs + s.res_msgs;
+        st.smooth_bytes += s.bytes;
+        st.smooth_steps += s.steps;
     }
 
     fn run_transfer(
@@ -893,7 +738,6 @@ mod tests {
     use super::*;
     use crate::{transfer, Multigrid};
     use dsw_partition::partition_strip;
-    use dsw_rma::AsyncOptions;
     use dsw_sparse::gen;
 
     #[test]
@@ -942,7 +786,8 @@ mod tests {
                 let mut scalar = Multigrid::new(dim, Smoother::distributed_southwell(sweeps, 9));
                 let (x_ref, hist_ref) = scalar.solve(&b, 4);
                 let cfg = DistMultigridConfig {
-                    smoother: DistSmoother::Ds { sweeps, seed: 9 },
+                    sweeps,
+                    seed: 9,
                     nparts,
                     min_rows_per_part: 16,
                     ..DistMultigridConfig::default()
@@ -969,11 +814,8 @@ mod tests {
         let b = gen::random_rhs(n, 33);
         let run = |mode: ExecMode| {
             let cfg = DistMultigridConfig {
-                smoother: DistSmoother::Ds {
-                    sweeps: 1.0,
-                    seed: 5,
-                },
-                backend: ExecBackend::Superstep(mode),
+                seed: 5,
+                mode,
                 nparts: 4,
                 min_rows_per_part: 16,
                 ..DistMultigridConfig::default()
@@ -997,10 +839,7 @@ mod tests {
             .with_cycle_type(CycleType::W)
             .solve(&b, 3);
         let cfg = DistMultigridConfig {
-            smoother: DistSmoother::Ds {
-                sweeps: 1.0,
-                seed: 3,
-            },
+            seed: 3,
             cycle_type: CycleType::W,
             nparts: 3,
             min_rows_per_part: 16,
@@ -1011,69 +850,6 @@ mod tests {
             .solve(&b, 3);
         assert_eq!(x, x_ref);
         assert_eq!(hist, hist_ref);
-    }
-
-    #[test]
-    fn block_session_smoother_converges_and_stays_warm() {
-        let dim = 31;
-        let n = dim * dim;
-        let b = gen::random_rhs(n, 55);
-        let cfg = DistMultigridConfig {
-            smoother: DistSmoother::Block {
-                method: Method::DistributedSouthwell,
-                steps: 4,
-            },
-            nparts: 4,
-            min_rows_per_part: 32,
-            ..DistMultigridConfig::default()
-        };
-        let mut mg = DistMultigrid::try_new(dim, cfg).expect("valid hierarchy");
-        let (_, hist, reports) = mg.solve(&b, 9);
-        assert!(
-            hist[8] < 1e-5,
-            "block-smoothed V-cycles should converge: {hist:?}"
-        );
-        assert!(hist[8] < hist[0]);
-        // Each cycle carries the block smoothers' full reports.
-        assert!(reports[0].levels[0].reports.len() == 2, "pre + post smooth");
-        assert!(reports[0].levels[0].smooth_msgs > 0);
-    }
-
-    #[test]
-    fn async_block_smoother_converges() {
-        let dim = 15;
-        let n = dim * dim;
-        let b = gen::random_rhs(n, 66);
-        let cfg = DistMultigridConfig {
-            smoother: DistSmoother::Block {
-                method: Method::BlockJacobi,
-                steps: 6,
-            },
-            backend: ExecBackend::Async(AsyncOptions::default()),
-            nparts: 3,
-            min_rows_per_part: 16,
-            ..DistMultigridConfig::default()
-        };
-        let mut mg = DistMultigrid::try_new(dim, cfg).expect("valid hierarchy");
-        let (_, hist, _) = mg.solve(&b, 9);
-        assert!(
-            hist[8] < 1e-3,
-            "async block-smoothed V-cycles should converge: {hist:?}"
-        );
-    }
-
-    #[test]
-    fn ds_on_async_backend_is_a_setup_error() {
-        let cfg = DistMultigridConfig {
-            backend: ExecBackend::Async(AsyncOptions::default()),
-            ..DistMultigridConfig::default()
-        };
-        match DistMultigrid::try_new(15, cfg) {
-            Err(MultigridError::Setup(msg)) => {
-                assert!(msg.contains("superstep"), "{msg}");
-            }
-            other => panic!("expected a setup error, got {:?}", other.map(|_| ())),
-        }
     }
 
     #[test]

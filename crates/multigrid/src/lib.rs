@@ -24,8 +24,7 @@ pub mod smoother;
 pub mod transfer;
 
 pub use dist::{
-    CycleReport, DistMultigrid, DistMultigridConfig, DistSmoother, LevelCycleStats,
-    TransferExchange,
+    CycleReport, DistMultigrid, DistMultigridConfig, LevelCycleStats, TransferExchange,
 };
 pub use smoother::Smoother;
 

@@ -16,7 +16,7 @@
 //! ([`CloseMode`]), folding the per-rank `PhaseTotals` and the
 //! modelled-time reduction in the same pass.
 //!
-//! Serial or pooled, at any worker count or grain, the close produces
+//! Serial or pooled, at any worker count, the close produces
 //! bit-identical results: fault fates are pure functions of
 //! `(epoch, origin, target, index, class)` (see
 //! [`FaultInjector::fate_at`]), per-target work is independent, and the
@@ -340,8 +340,8 @@ pub enum ExecMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CloseMode {
     /// Close on the worker pool when it pays: the executor has a pool with
-    /// ≥ 2 workers and the phase's message volume clears
-    /// [`Executor::set_parallel_close_threshold`]. Serial otherwise.
+    /// ≥ 2 workers and the phase moved at least 256 messages. Serial
+    /// otherwise.
     #[default]
     Auto,
     /// Always close on the calling thread.
@@ -350,6 +350,11 @@ pub enum CloseMode {
     /// volume.
     Parallel,
 }
+
+/// Minimum phase message volume before [`CloseMode::Auto`] closes on the
+/// pool: below it the pool's wake/quiesce latency outweighs the routing
+/// work.
+const PARALLEL_CLOSE_MIN_MSGS: u64 = 256;
 
 /// A put whose delivery was deferred by fault injection, parked in its
 /// target's delayed queue.
@@ -466,17 +471,11 @@ pub struct Executor<A: RankAlgorithm> {
     /// Persistent worker pool ([`ExecMode::Threaded`], owned exclusively)
     /// or a service-shared pool ([`Executor::with_shared_pool`]).
     pool: Option<Arc<WorkerPool>>,
-    /// Work-stealing batch size override (`None` = auto; see
-    /// [`Executor::set_grain`]).
-    grain: Option<usize>,
     /// Last observed cumulative per-worker busy ns (for per-step deltas).
     worker_busy_seen: Vec<u64>,
     model: CostModel,
     mode: ExecMode,
     close_mode: CloseMode,
-    /// Minimum phase message volume before [`CloseMode::Auto`] dispatches
-    /// the close to the pool.
-    parallel_close_min_msgs: u64,
     /// Fault decisions (drops / duplicates / delays / stalls).
     injector: FaultInjector,
     /// Global epoch (phase) counter, for delay due-dates and fate keys.
@@ -558,12 +557,10 @@ impl<A: RankAlgorithm> Executor<A> {
             partials: Vec::new(),
             step_rank_ns: vec![0; n],
             pool,
-            grain: None,
             worker_busy_seen: vec![0; nworkers],
             model,
             mode,
             close_mode: CloseMode::Auto,
-            parallel_close_min_msgs: 256,
             epochs_executed: 0,
             stats,
         }
@@ -599,32 +596,10 @@ impl<A: RankAlgorithm> Executor<A> {
         ex
     }
 
-    /// Overrides the work-stealing batch size (ranks claimed per cursor
-    /// fetch) for [`ExecMode::Threaded`]. The default grain targets ~8
-    /// batches per worker so tiny subdomains amortize cursor traffic while
-    /// hot ranks still spread; set `1` for maximal stealing granularity.
-    /// Scheduling-only: results are bit-identical for every grain.
-    pub fn set_grain(&mut self, grain: usize) {
-        assert!(grain >= 1, "grain must be at least 1");
-        self.grain = Some(grain);
-    }
-
     /// Chooses where epoch closes run (see [`CloseMode`]). Results are
     /// bit-identical in every mode.
     pub fn set_close_mode(&mut self, mode: CloseMode) {
         self.close_mode = mode;
-    }
-
-    /// The close strategy in force.
-    pub fn close_mode(&self) -> CloseMode {
-        self.close_mode
-    }
-
-    /// Minimum per-phase message volume before [`CloseMode::Auto`]
-    /// dispatches the close to the pool (default 256 — below that the
-    /// pool's wake/quiesce latency outweighs the routing work).
-    pub fn set_parallel_close_threshold(&mut self, msgs: u64) {
-        self.parallel_close_min_msgs = msgs;
     }
 
     /// The number of compute workers (1 for [`ExecMode::Sequential`]).
@@ -750,7 +725,7 @@ impl<A: RankAlgorithm> Executor<A> {
                         .iter()
                         .map(|t| t.msgs.total())
                         .sum::<u64>()
-                        >= self.parallel_close_min_msgs
+                        >= PARALLEL_CLOSE_MIN_MSGS
             }
         };
         let nchunks = if use_pool {
@@ -848,12 +823,10 @@ impl<A: RankAlgorithm> Executor<A> {
             }
             ExecMode::Threaded(_) => {
                 let pool = self.pool.as_ref().expect("pool exists in Threaded mode");
-                // Default grain: ~8 batches per worker balances steal
+                // Grain: ~8 batches per worker balances steal
                 // granularity (hot ranks spread) against cursor traffic
                 // (tiny subdomains amortize).
-                let grain = self
-                    .grain
-                    .unwrap_or_else(|| (n / (8 * pool.nworkers())).max(1));
+                let grain = (n / (8 * pool.nworkers())).max(1);
                 let ranks = SyncPtr(self.ranks.as_mut_ptr());
                 let slots = SyncPtr(self.phase_totals.as_mut_ptr());
                 let touched = &self.touched;
@@ -1073,31 +1046,28 @@ mod tests {
     }
 
     #[test]
-    fn all_modes_and_grains_agree() {
+    fn all_modes_agree() {
         let mut reference = Executor::new(ring(13), CostModel::default(), ExecMode::Sequential);
         for _ in 0..6 {
             reference.step();
         }
         let vref: Vec<u64> = reference.ranks().iter().map(|r| r.value).collect();
-        for (mode, grain) in [
-            (ExecMode::Sequential, None),
-            (ExecMode::Threaded(2), None),
-            (ExecMode::Threaded(4), Some(1)),
-            (ExecMode::Threaded(7), Some(3)),
-            (ExecMode::Threaded(32), Some(1000)),
+        for mode in [
+            ExecMode::Sequential,
+            ExecMode::Threaded(2),
+            ExecMode::Threaded(4),
+            ExecMode::Threaded(7),
+            ExecMode::Threaded(32),
         ] {
             let mut ex = Executor::new(ring(13), CostModel::default(), mode);
-            if let Some(g) = grain {
-                ex.set_grain(g);
-            }
             for _ in 0..6 {
                 ex.step();
             }
             let v: Vec<u64> = ex.ranks().iter().map(|r| r.value).collect();
-            assert_eq!(v, vref, "{mode:?} grain {grain:?}");
+            assert_eq!(v, vref, "{mode:?}");
             assert_eq!(ex.stats.msgs_per_rank, reference.stats.msgs_per_rank);
             for (sa, sb) in reference.stats.steps.iter().zip(&ex.stats.steps) {
-                assert_eq!(sa, sb, "{mode:?} grain {grain:?}");
+                assert_eq!(sa, sb, "{mode:?}");
             }
         }
     }
@@ -1105,17 +1075,18 @@ mod tests {
     #[test]
     fn close_modes_agree_bit_for_bit() {
         // The close strategy is a pure scheduling knob: Serial, Parallel,
-        // and Auto (with a zero threshold, forcing the pool at this tiny
-        // size) must all match the sequential reference.
-        let mut reference = Executor::new(ring(13), CostModel::default(), ExecMode::Sequential);
+        // and Auto must all match the sequential reference. A 256-rank
+        // ring puts 256 messages per phase, exactly
+        // `PARALLEL_CLOSE_MIN_MSGS`, so Auto closes on the pool here.
+        let n = PARALLEL_CLOSE_MIN_MSGS as usize;
+        let mut reference = Executor::new(ring(n), CostModel::default(), ExecMode::Sequential);
         for _ in 0..6 {
             reference.step();
         }
         let vref: Vec<u64> = reference.ranks().iter().map(|r| r.value).collect();
         for close in [CloseMode::Serial, CloseMode::Parallel, CloseMode::Auto] {
-            let mut ex = Executor::new(ring(13), CostModel::default(), ExecMode::Threaded(3));
+            let mut ex = Executor::new(ring(n), CostModel::default(), ExecMode::Threaded(2));
             ex.set_close_mode(close);
-            ex.set_parallel_close_threshold(0);
             for _ in 0..6 {
                 ex.step();
             }

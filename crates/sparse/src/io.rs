@@ -5,6 +5,7 @@
 //! every SuiteSparse SPD matrix the paper uses, so a user with access to the
 //! original collection can run the harness on the real inputs.
 
+use crate::io_bin::HEADER_LIMIT;
 use crate::{CooBuilder, CsrMatrix, Result, SparseError};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -77,16 +78,14 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CsrMatrix> {
         return Err(SparseError::Parse(format!("bad size line: {size_line}")));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    if dims.iter().any(|&d| d as u64 >= HEADER_LIMIT) {
+        return Err(SparseError::Parse(format!(
+            "size line implausibly large: {size_line}"
+        )));
+    }
 
-    let mut builder = CooBuilder::with_capacity(
-        nrows,
-        ncols,
-        if symmetry == Symmetry::Symmetric {
-            2 * nnz
-        } else {
-            nnz
-        },
-    );
+    // Grow with the entries actually read: `nnz` is only a claim.
+    let mut builder = CooBuilder::new(nrows, ncols);
     let mut seen = 0usize;
     for line in lines {
         let line = line.map_err(SparseError::from)?;
@@ -220,6 +219,19 @@ mod tests {
         assert!(read_matrix_market(oob.as_bytes()).is_err());
         let zero = "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n";
         assert!(read_matrix_market(zero.as_bytes()).is_err());
+        // Lying headers over a one-entry body: a huge `nnz` claim, and a
+        // huge row count. Both are rejected before any allocation.
+        for size in ["3 3 9223372036854775807", "9223372036854775807 3 1"] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate real symmetric\n{size}\n1 1 1.0\n");
+            assert!(
+                matches!(
+                    read_matrix_market(text.as_bytes()),
+                    Err(SparseError::Parse(_))
+                ),
+                "{size}"
+            );
+        }
     }
 
     #[test]

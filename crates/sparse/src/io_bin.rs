@@ -115,6 +115,10 @@ pub fn write_bin<W: Write>(a: &CsrMatrix, writer: W) -> Result<()> {
     Ok(())
 }
 
+/// Exclusive upper bound on the `nrows`, `ncols` and `nnz` a matrix file's
+/// header may declare, checked by both readers before any allocation.
+pub(crate) const HEADER_LIMIT: u64 = 1 << 33;
+
 /// Reads a matrix in the binary format, validating the header and the CSR
 /// invariants.
 ///
@@ -142,8 +146,7 @@ pub fn read_bin<R: Read>(reader: R) -> Result<CsrMatrix> {
     let ncols64 = read_u64(&mut r)?;
     let nnz64 = read_u64(&mut r)?;
     // Guard against absurd headers before casting or allocating.
-    const LIMIT: u64 = 1 << 33;
-    if nrows64 >= LIMIT || ncols64 >= LIMIT || nnz64 >= LIMIT {
+    if nrows64 >= HEADER_LIMIT || ncols64 >= HEADER_LIMIT || nnz64 >= HEADER_LIMIT {
         return Err(SparseError::Parse(format!(
             "header dimensions implausibly large \
              (nrows = {nrows64}, ncols = {ncols64}, nnz = {nnz64})"

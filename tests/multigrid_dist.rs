@@ -14,17 +14,17 @@
 //!   half a sweep.
 
 use distributed_southwell::multigrid::{
-    CycleType, DistMultigrid, DistMultigridConfig, DistSmoother, Multigrid, Smoother,
+    CycleType, DistMultigrid, DistMultigridConfig, Multigrid, Smoother,
 };
 use distributed_southwell::rma::ExecMode;
 use distributed_southwell::sparse::gen;
-use distributed_southwell::{core::dist::ExecBackend, multigrid::MultigridError};
 use proptest::prelude::*;
 
 fn dist_config(sweeps: f64, seed: u64, nparts: usize, mode: ExecMode) -> DistMultigridConfig {
     DistMultigridConfig {
-        smoother: DistSmoother::Ds { sweeps, seed },
-        backend: ExecBackend::Superstep(mode),
+        sweeps,
+        seed,
+        mode,
         nparts,
         min_rows_per_part: 16,
         ..DistMultigridConfig::default()
@@ -95,8 +95,9 @@ fn fig6_grid_independence_on_the_threaded_backend() {
         for &dim in &[15usize, 31, 63] {
             let b = gen::random_rhs(dim * dim, 40 + dim as u64);
             let cfg = DistMultigridConfig {
-                smoother: DistSmoother::Ds { sweeps, seed: 7 },
-                backend: ExecBackend::Superstep(ExecMode::Threaded(4)),
+                sweeps,
+                seed: 7,
+                mode: ExecMode::Threaded(4),
                 nparts: 8,
                 min_rows_per_part: 32,
                 ..DistMultigridConfig::default()
@@ -130,10 +131,7 @@ fn w_cycles_and_agglomeration_floors_stay_bit_identical() {
         .solve(&b, 3);
     for min_rows in [1usize, 16, 256] {
         let cfg = DistMultigridConfig {
-            smoother: DistSmoother::Ds {
-                sweeps: 1.0,
-                seed: 4,
-            },
+            seed: 4,
             cycle_type: CycleType::W,
             nparts: 6,
             min_rows_per_part: min_rows,
@@ -169,16 +167,4 @@ fn per_level_accounting_is_populated() {
     assert_eq!(coarsest.transfer_msgs, 0);
     assert!(rep.total_msgs() > 0);
     assert!(rep.rel_residual < 1.0);
-}
-
-#[test]
-fn ds_smoothing_rejects_the_async_backend() {
-    let cfg = DistMultigridConfig {
-        backend: ExecBackend::Async(Default::default()),
-        ..DistMultigridConfig::default()
-    };
-    assert!(matches!(
-        DistMultigrid::try_new(15, cfg),
-        Err(MultigridError::Setup(_))
-    ));
 }

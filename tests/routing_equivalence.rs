@@ -3,9 +3,9 @@
 //! **byte-identical** between an independent sequential model of the
 //! epoch rule ([`reference`]) and every routing/scheduling combination of
 //! the executor: serial or chunked across the worker pool, under any pool
-//! size and grain, with drops, duplicates, delays, and stalls injected.
-//! The test program exercises multiple puts per edge, multiple message
-//! classes, and both phases of a two-phase step on a 64-rank grid.
+//! size, with drops, duplicates, delays, and stalls injected. The test
+//! program exercises multiple puts per edge, multiple message classes,
+//! and both phases of a two-phase step on a 64-rank and a 256-rank grid.
 
 use distributed_southwell::rma::{
     ChaosConfig, CloseMode, CommClass, CostModel, Envelope, ExecMode, Executor, FaultInjector,
@@ -224,9 +224,9 @@ fn observe(logs: Vec<Vec<InboxLog>>, stats: &RunStats) -> Observed {
     }
 }
 
-/// The 8 × 8 gossip grid.
-fn gossip() -> Vec<Gossip> {
-    let (w, h) = (8, 8);
+/// The `side × side` gossip grid.
+fn gossip(side: usize) -> Vec<Gossip> {
+    let (w, h) = (side, side);
     (0..w * h)
         .map(|id| Gossip {
             id,
@@ -242,19 +242,15 @@ fn logs(ranks: &[Gossip]) -> Vec<Vec<InboxLog>> {
     ranks.iter().map(|r| r.log.clone()).collect()
 }
 
-/// The reference model's observables on the plain grid.
-fn run_reference(chaos: ChaosConfig) -> Observed {
-    let (ranks, stats) = reference(gossip(), chaos, &[], 8);
+/// The reference model's observables on the plain `side × side` grid.
+fn run_reference(side: usize, chaos: ChaosConfig) -> Observed {
+    let (ranks, stats) = reference(gossip(side), chaos, &[], 8);
     observe(logs(&ranks), &stats)
 }
 
-fn run(mode: ExecMode, close: CloseMode, grain: Option<usize>, chaos: ChaosConfig) -> Observed {
-    let mut ex = Executor::with_chaos(gossip(), CostModel::default(), mode, chaos);
+fn run(side: usize, mode: ExecMode, close: CloseMode, chaos: ChaosConfig) -> Observed {
+    let mut ex = Executor::with_chaos(gossip(side), CostModel::default(), mode, chaos);
     ex.set_close_mode(close);
-    ex.set_parallel_close_threshold(0);
-    if let Some(g) = grain {
-        ex.set_grain(g);
-    }
     for _ in 0..8 {
         ex.step();
     }
@@ -262,7 +258,8 @@ fn run(mode: ExecMode, close: CloseMode, grain: Option<usize>, chaos: ChaosConfi
 }
 
 proptest! {
-    // Each case runs six full 64-rank executors; keep the count modest.
+    // Each case runs five 64-rank and two 256-rank executors, counting the
+    // reference model; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
@@ -284,24 +281,33 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        let reference = run_reference(chaos);
-        for (mode, close, grain) in [
-            (ExecMode::Sequential, CloseMode::Serial, None),
-            // The pool-parallel close, across pool sizes and grains.
-            (ExecMode::Threaded(3), CloseMode::Parallel, None),
-            (ExecMode::Threaded(5), CloseMode::Parallel, Some(1)),
-            (ExecMode::Threaded(2), CloseMode::Auto, Some(7)),
+        let reference = run_reference(8, chaos);
+        for (mode, close) in [
+            (ExecMode::Sequential, CloseMode::Serial),
+            // The pool-parallel close, across pool sizes.
+            (ExecMode::Threaded(3), CloseMode::Parallel),
+            (ExecMode::Threaded(5), CloseMode::Parallel),
+            (ExecMode::Threaded(2), CloseMode::Auto),
         ] {
-            let other = run(mode, close, grain, chaos);
+            let other = run(8, mode, close, chaos);
             prop_assert_eq!(
                 &reference,
                 &other,
-                "{:?} × {:?} (grain {:?}) diverged from the reference model",
+                "{:?} × {:?} diverged from the reference model",
                 mode,
-                close,
-                grain
+                close
             );
         }
+        // Auto's own volume rule, on both branches: on the 16 × 16 grid,
+        // phase 0 puts 960 solve messages (one per directed grid edge)
+        // plus the residual extras, at least 256, so Auto closes on the
+        // pool; phase 1 puts at most 128 recovery messages, so Auto
+        // closes serially.
+        prop_assert_eq!(
+            &run_reference(16, chaos),
+            &run(16, ExecMode::Threaded(2), CloseMode::Auto, chaos),
+            "16 × 16 grid: Threaded(2) × Auto diverged from the reference model"
+        );
     }
 }
 
@@ -354,19 +360,9 @@ fn run_coded_reference(chaos: ChaosConfig, r: usize) -> Observed {
 }
 
 /// Runs the coded fleet and snapshots every observable.
-fn run_coded(
-    mode: ExecMode,
-    close: CloseMode,
-    grain: Option<usize>,
-    chaos: ChaosConfig,
-    r: usize,
-) -> Observed {
+fn run_coded(mode: ExecMode, close: CloseMode, chaos: ChaosConfig, r: usize) -> Observed {
     let mut ex = Executor::with_chaos(coded_ranks(r), CostModel::default(), mode, chaos);
     ex.set_close_mode(close);
-    ex.set_parallel_close_threshold(0);
-    if let Some(g) = grain {
-        ex.set_grain(g);
-    }
     for _ in 0..8 {
         ex.step();
     }
@@ -400,9 +396,9 @@ proptest! {
             seed,
             ..ChaosConfig::none()
         };
-        let reference = run_reference(chaos);
-        let plain = run(ExecMode::Sequential, CloseMode::Serial, None, chaos);
-        let coded = run_coded(ExecMode::Sequential, CloseMode::Serial, None, chaos, 1);
+        let reference = run_reference(8, chaos);
+        let plain = run(8, ExecMode::Sequential, CloseMode::Serial, chaos);
+        let coded = run_coded(ExecMode::Sequential, CloseMode::Serial, chaos, 1);
         prop_assert_eq!(&reference, &plain, "plain run diverged (seed {})", seed);
         prop_assert_eq!(&reference, &coded, "r = 1 wrapper not transparent (seed {})", seed);
     }
@@ -430,19 +426,18 @@ proptest! {
             ..ChaosConfig::none()
         };
         let reference = run_coded_reference(chaos, 2);
-        for (mode, close, grain) in [
-            (ExecMode::Sequential, CloseMode::Serial, None),
-            (ExecMode::Threaded(3), CloseMode::Parallel, None),
-            (ExecMode::Threaded(2), CloseMode::Auto, Some(7)),
+        for (mode, close) in [
+            (ExecMode::Sequential, CloseMode::Serial),
+            (ExecMode::Threaded(3), CloseMode::Parallel),
+            (ExecMode::Threaded(2), CloseMode::Auto),
         ] {
-            let other = run_coded(mode, close, grain, chaos, 2);
+            let other = run_coded(mode, close, chaos, 2);
             prop_assert_eq!(
                 &reference,
                 &other,
-                "coded r = 2: {:?} × {:?} (grain {:?}) diverged",
+                "coded r = 2: {:?} × {:?} diverged",
                 mode,
-                close,
-                grain
+                close
             );
         }
     }
@@ -456,9 +451,8 @@ proptest! {
 fn targeted_stall_accumulation_identical_across_paths() {
     let stalls = [(27, 3), (0, 2)];
     let mk = |mode, close| {
-        let mut ex = Executor::new(gossip(), CostModel::default(), mode);
+        let mut ex = Executor::new(gossip(8), CostModel::default(), mode);
         ex.set_close_mode(close);
-        ex.set_parallel_close_threshold(0);
         for (rank, k) in stalls {
             ex.injector_mut().inject_stall(rank, k);
         }
@@ -467,7 +461,7 @@ fn targeted_stall_accumulation_identical_across_paths() {
         }
         (logs(ex.ranks()), ex.stats.steps.clone())
     };
-    let (ranks, stats) = reference(gossip(), ChaosConfig::none(), &stalls, 6);
+    let (ranks, stats) = reference(gossip(8), ChaosConfig::none(), &stalls, 6);
     let reference = (logs(&ranks), stats.steps);
     for (mode, close) in [
         (ExecMode::Sequential, CloseMode::Serial),
