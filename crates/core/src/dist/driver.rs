@@ -718,7 +718,7 @@ pub fn run_method(
         })
         .filter(|map| map.r() > 1);
     let locals = || distribute(a, b, x0, partition).expect("valid distribution");
-    with_ranks!(method, opts.ds_config, (a, b, x0), |build, _| match coded {
+    with_ranks!(method, opts.ds_config, a.nrows(), |build, _| match coded {
         None => drive(method, build(locals()), WarmStart::local, a, b, opts),
         // Every replica of a block must start from identical state, so
         // `r` full solver sets are built from `r` identical distributions.
@@ -740,12 +740,13 @@ pub fn run_method(
 /// bound to the rank constructor of `$method`'s rank type `R` (a
 /// `Fn(Vec<LocalSystem>) -> Vec<R>`) and `$wrap` to the matching
 /// [`TenantSession`](crate::dist::TenantSession) variant; the body is
-/// expanded once per rank type, so it is generic in `R`.
+/// expanded once per rank type, so it is generic in `R`. `$n` is the
+/// global row count.
 macro_rules! with_ranks {
-    ($method:expr, $cfg:expr, ($a:expr, $b:expr, $x0:expr), |$build:ident, $wrap:pat_param| $body:expr) => {{
+    ($method:expr, $cfg:expr, $n:expr, |$build:ident, $wrap:pat_param| $body:expr) => {{
         use $crate::dist::{
-            BlockJacobiRank, DistributedSouthwellRank, LocalSystem, Method, ParallelSouthwellRank,
-            TenantSession,
+            gather_r, BlockJacobiRank, DistributedSouthwellRank, LocalSystem, Method,
+            ParallelSouthwellRank, TenantSession,
         };
         let (method, cfg): (Method, $crate::dist::DsConfig) = ($method, $cfg);
         let norms = |locals: &[LocalSystem]| -> Vec<f64> {
@@ -767,10 +768,13 @@ macro_rules! with_ranks {
                 $body
             }
             Method::DistributedSouthwell => {
-                let r0 = $a.residual($b, $x0);
+                let n: usize = $n;
                 let $wrap = TenantSession::Ds;
                 let $build = |locals: Vec<LocalSystem>| {
                     let norms = norms(&locals);
+                    // `distribute` already computed `b − A·x0`: gather its
+                    // bits instead of a second global SpMV.
+                    let r0 = gather_r(&locals, n);
                     DistributedSouthwellRank::build_with(locals, &norms, &r0, cfg)
                 };
                 $body

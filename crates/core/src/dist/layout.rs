@@ -18,10 +18,15 @@
 //! slots of rank `q` owned by rank `p` (in global order) are exactly the
 //! boundary rows of `p` adjacent to `q` (in global order), so both sides
 //! address a plain `Vec<f64>` the same way.
+//!
+//! [`distribute`] builds every part in one pass over its rows' CSR entries,
+//! with dense index arrays (allocated once per call) in place of maps and
+//! no sort of matrix entries; per-neighbor lists are counting-sorted
+//! straight into [`SlotArena`]s. `tests/layout_oracle.rs` checks the result
+//! against definitions computed from the global matrix.
 
 use dsw_partition::Partition;
 use dsw_sparse::{CsrMatrix, SparseError};
-use std::collections::HashMap;
 
 /// A struct-of-arrays arena of per-neighbor index lists.
 ///
@@ -38,16 +43,31 @@ pub struct SlotArena {
 }
 
 impl SlotArena {
-    /// Flattens per-slot lists into the arena form.
-    pub fn from_lists(lists: &[Vec<u32>]) -> Self {
-        let total: usize = lists.iter().map(Vec::len).sum();
+    /// Builds the arena from `(slot, item)` pairs by a stable counting
+    /// sort: slot `s` lists the items of the pairs naming `s`, in the
+    /// order the pairs come.
+    ///
+    /// # Panics
+    /// If a slot is `>= nslots`, or the pairs overflow the `u32` offsets.
+    pub fn from_pairs<I>(nslots: usize, pairs: I) -> Self
+    where
+        I: ExactSizeIterator<Item = (u32, u32)> + Clone,
+    {
+        let total = pairs.len();
         assert!(total <= u32::MAX as usize, "slot arena exceeds u32 offsets");
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
-        let mut data = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for l in lists {
-            data.extend_from_slice(l);
-            data_offsets_push(&mut offsets, data.len());
+        let mut offsets = vec![0u32; nslots + 1];
+        for (s, _) in pairs.clone() {
+            offsets[s as usize + 1] += 1;
+        }
+        for s in 0..nslots {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut next = offsets[..nslots].to_vec();
+        let mut data = vec![0u32; total];
+        for (s, item) in pairs {
+            let at = &mut next[s as usize];
+            data[*at as usize] = item;
+            *at += 1;
         }
         SlotArena { offsets, data }
     }
@@ -77,11 +97,6 @@ impl SlotArena {
             .windows(2)
             .map(|w| &self.data[w[0] as usize..w[1] as usize])
     }
-}
-
-#[inline]
-fn data_offsets_push(offsets: &mut Vec<u32>, len: usize) {
-    offsets.push(len as u32);
 }
 
 impl std::ops::Index<usize> for SlotArena {
@@ -222,12 +237,20 @@ impl LocalSystem {
     }
 }
 
+/// Stamp value of an index not (yet) assigned a slot.
+const NONE: u32 = u32::MAX;
+
 /// Splits `(A, b, x0)` over the parts of `partition`.
 ///
 /// The matrix must be square and structurally symmetric (the solvers rely
 /// on `a_{ji} = a_{ij}`). The initial residual `r = b − A x0` is computed
 /// globally and scattered — the setup phase of the paper's artifact, not
 /// counted as solver communication.
+///
+/// Each part is built in one pass over its rows' CSR entries. Dense index
+/// arrays, allocated once per call, stand in for maps: the local index of
+/// every row, and ghost-slot and neighbor-slot stamps indexed by global
+/// column and by part, which each part resets where it set them.
 pub fn distribute(
     a: &CsrMatrix,
     b: &[f64],
@@ -255,105 +278,135 @@ pub fn distribute(
     let owner = partition.assignment();
     let part_rows = partition.part_rows();
 
+    // Local index of each global row inside its own part.
+    let mut local_of = vec![0usize; n];
+    for rows in &part_rows {
+        for (l, &g) in rows.iter().enumerate() {
+            local_of[g] = l;
+        }
+    }
+    let mut ghost_slot = vec![NONE; n];
+    let mut neighbor_slot = vec![NONE; nparts];
+    // The last global row seen adjacent to each part. Every global row is
+    // visited once, so this stamp never needs a reset.
+    let mut last_row = vec![usize::MAX; nparts];
+    // Per-part scratch, reused across parts; the interior block is copied
+    // out at its exact size, since it lives as long as the rank.
+    let mut int_cols: Vec<usize> = Vec::new();
+    let mut int_vals: Vec<f64> = Vec::new();
+    let mut ext_global: Vec<usize> = Vec::new();
+    // (neighbor part, local row) once per adjacent pair, rows ascending.
+    let mut boundary: Vec<(usize, u32)> = Vec::new();
+
     let mut out = Vec::with_capacity(nparts);
-    for (p, rows) in part_rows.iter().enumerate() {
+    for (p, rows) in part_rows.into_iter().enumerate() {
         if rows.is_empty() {
             return Err(SparseError::Shape(format!(
                 "distribute: part {p} owns no rows"
             )));
         }
-        // Local index of each owned global row.
-        let local_of: HashMap<usize, usize> =
-            rows.iter().enumerate().map(|(l, &g)| (g, l)).collect();
-
-        // Ghost columns: off-process columns of owned rows, sorted global.
+        let m = rows.len();
+        int_cols.clear();
+        int_vals.clear();
+        ext_global.clear();
+        boundary.clear();
+        let mut row_ptr = Vec::with_capacity(m + 1);
+        let mut a_ext_ptr = Vec::with_capacity(m + 1);
+        let mut inv_diag = Vec::with_capacity(m);
+        let mut a_ext_val = Vec::new();
         let mut ext_cols: Vec<usize> = Vec::new();
-        for &g in rows {
-            for (c, _) in a.row(g) {
-                if owner[c] != p {
+        let mut neighbors: Vec<usize> = Vec::new();
+        row_ptr.push(0);
+        a_ext_ptr.push(0);
+        for (li, &g) in rows.iter().enumerate() {
+            let mut aii = 0.0;
+            for (c, v) in a.row(g) {
+                let q = owner[c];
+                if q == p {
+                    // `rows` is sorted, so local order == global order and
+                    // the CSR columns stay sorted.
+                    if c == g {
+                        aii = v;
+                    }
+                    int_cols.push(local_of[c]);
+                    int_vals.push(v);
+                    continue;
+                }
+                // Until the slots are numbered, any value but `NONE` marks
+                // a column (or part) already seen by this part.
+                if ghost_slot[c] == NONE {
+                    ghost_slot[c] = 0;
                     ext_cols.push(c);
                 }
-            }
-        }
-        ext_cols.sort_unstable();
-        ext_cols.dedup();
-        let ghost_of_global: HashMap<usize, u32> = ext_cols
-            .iter()
-            .enumerate()
-            .map(|(s, &g)| (g, s as u32))
-            .collect();
-
-        // Neighbors and per-neighbor ghost slots.
-        let mut neighbors: Vec<usize> = ext_cols.iter().map(|&c| owner[c]).collect();
-        neighbors.sort_unstable();
-        neighbors.dedup();
-        let neighbor_slot: HashMap<usize, usize> =
-            neighbors.iter().enumerate().map(|(s, &q)| (q, s)).collect();
-        let mut ghosts_of = vec![Vec::new(); neighbors.len()];
-        for (slot, &c) in ext_cols.iter().enumerate() {
-            ghosts_of[neighbor_slot[&owner[c]]].push(slot as u32);
-        }
-
-        // Local interior block and external entries.
-        let mut bld = dsw_sparse::CooBuilder::new(rows.len(), rows.len());
-        let mut a_ext_ptr = Vec::with_capacity(rows.len() + 1);
-        let mut a_ext_idx: Vec<u32> = Vec::new();
-        let mut a_ext_val: Vec<f64> = Vec::new();
-        a_ext_ptr.push(0);
-        // Boundary rows per neighbor: local rows with any entry owned by q.
-        let mut boundary_sets: Vec<Vec<u32>> = vec![Vec::new(); neighbors.len()];
-        for (li, &g) in rows.iter().enumerate() {
-            let mut touched: Vec<usize> = Vec::new();
-            for (c, v) in a.row(g) {
-                match local_of.get(&c) {
-                    Some(&lc) => bld.push(li, lc, v),
-                    None => {
-                        a_ext_idx.push(ghost_of_global[&c]);
-                        a_ext_val.push(v);
-                        let q = neighbor_slot[&owner[c]];
-                        if !touched.contains(&q) {
-                            touched.push(q);
-                        }
+                ext_global.push(c);
+                a_ext_val.push(v);
+                if last_row[q] != g {
+                    last_row[q] = g;
+                    boundary.push((q, li as u32));
+                    if neighbor_slot[q] == NONE {
+                        neighbor_slot[q] = 0;
+                        neighbors.push(q);
                     }
                 }
             }
-            a_ext_ptr.push(a_ext_idx.len());
-            for q in touched {
-                boundary_sets[q].push(li as u32);
-            }
-        }
-        // `rows` is sorted, so local order == global order: the boundary
-        // lists are already in the agreed (global) ordering.
-        let a_int = bld.build()?;
-
-        // Cache the reciprocal diagonal for the sweeps; a zero or missing
-        // diagonal must fail here, at setup, not divide by zero mid-sweep.
-        let mut inv_diag = Vec::with_capacity(rows.len());
-        for (li, &g) in rows.iter().enumerate() {
-            let aii = a_int.get(li, li);
+            // Cache the reciprocal diagonal for the sweeps; a zero or
+            // missing diagonal must fail here, at setup, not divide by
+            // zero mid-sweep.
             if aii == 0.0 || !aii.is_finite() {
                 return Err(SparseError::Numeric(format!(
                     "distribute: row {g} has a zero or non-finite diagonal ({aii})"
                 )));
             }
             inv_diag.push(1.0 / aii);
+            row_ptr.push(int_cols.len());
+            a_ext_ptr.push(ext_global.len());
+        }
+
+        // Ghost slots and neighbor slots in increasing global order.
+        ext_cols.sort_unstable();
+        for (s, &c) in ext_cols.iter().enumerate() {
+            ghost_slot[c] = s as u32;
+        }
+        neighbors.sort_unstable();
+        for (s, &q) in neighbors.iter().enumerate() {
+            neighbor_slot[q] = s as u32;
+        }
+        let a_ext_idx = ext_global.iter().map(|&c| ghost_slot[c]).collect();
+        let ghosts_of = SlotArena::from_pairs(
+            neighbors.len(),
+            ext_cols
+                .iter()
+                .enumerate()
+                .map(|(k, &c)| (neighbor_slot[owner[c]], k as u32)),
+        );
+        // Local rows ascend within each neighbor: the boundary lists are
+        // already in the agreed (global) ordering.
+        let boundary_rows_to = SlotArena::from_pairs(
+            neighbors.len(),
+            boundary.iter().map(|&(q, li)| (neighbor_slot[q], li)),
+        );
+        for &c in &ext_cols {
+            ghost_slot[c] = NONE;
+        }
+        for &q in &neighbors {
+            neighbor_slot[q] = NONE;
         }
 
         out.push(LocalSystem {
             rank: p,
-            rows: rows.clone(),
-            a_int,
+            a_int: CsrMatrix::from_parts(m, m, row_ptr, int_cols.to_vec(), int_vals.to_vec())?,
             a_ext_ptr,
             a_ext_idx,
             a_ext_val,
             ext_cols,
             neighbors,
-            ghosts_of: SlotArena::from_lists(&ghosts_of),
-            boundary_rows_to: SlotArena::from_lists(&boundary_sets),
+            ghosts_of,
+            boundary_rows_to,
             inv_diag,
             b: rows.iter().map(|&g| b[g]).collect(),
             x: rows.iter().map(|&g| x0[g]).collect(),
             r: rows.iter().map(|&g| r_global[g]).collect(),
+            rows,
         });
     }
     Ok(out)
@@ -538,6 +591,26 @@ mod tests {
             distribute(&a, &[0.0; 2], &[0.0; 2], &part),
             Err(SparseError::Numeric(_))
         ));
+    }
+
+    #[test]
+    fn slot_arena_keeps_item_order_within_each_slot() {
+        let pairs = [(2u32, 7u32), (0, 3), (2, 1), (0, 9), (2, 4)];
+        let arena = SlotArena::from_pairs(4, pairs.iter().copied());
+        assert_eq!(arena.len(), 4);
+        let lists: Vec<&[u32]> = arena.iter().collect();
+        assert_eq!(lists, [&[3, 9][..], &[], &[7, 1, 4], &[]]);
+        assert_eq!(&arena[2], &[7, 1, 4]);
+    }
+
+    #[test]
+    fn slot_arena_holds_empty_slots_and_zero_lists() {
+        let empty = SlotArena::from_pairs(3, std::iter::empty());
+        assert_eq!(empty.len(), 3);
+        assert!(empty.iter().all(<[u32]>::is_empty));
+        let none = SlotArena::from_pairs(0, std::iter::empty());
+        assert!(none.is_empty());
+        assert_eq!(none.iter().count(), 0);
     }
 
     #[test]

@@ -395,7 +395,7 @@ impl TenantSession {
     ) -> TenantSession {
         let mode = opts.warm_start_mode("TenantSession");
         let locals = distribute(&a, b, x0, partition).expect("valid distribution");
-        with_ranks!(method, opts.ds_config, (a, b, x0), |build, wrap| {
+        with_ranks!(method, opts.ds_config, a.nrows(), |build, wrap| {
             let ex = superstep_executor(build(locals), opts, mode, pool);
             wrap(SolveSession::new(method, a, b.to_vec(), ex, *opts))
         })

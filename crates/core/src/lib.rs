@@ -19,6 +19,9 @@
 // `unwrap()` is banned in non-test code (clippy `disallowed-methods`, see
 // clippy.toml): use `expect` naming the invariant, or propagate the error.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+// `HashMap` is banned too (clippy `disallowed-types`): index by dense ids
+// with arrays and stamps, as `dist::distribute` does.
+#![cfg_attr(not(test), deny(clippy::disallowed_types))]
 
 pub mod dist;
 pub mod history;
