@@ -101,9 +101,9 @@ pub fn run_point(method: Method, k: usize, windows: usize) -> MultiRhsRow {
     let opts = serve_opts();
     let prime = tenant_rhs(n, 0, 0);
 
-    let mut seq = TenantSession::build(method, a.clone(), &prime, &x0, &part, &opts, None);
+    let mut seq = TenantSession::build(method, a.clone(), &prime, &x0, &part, &opts);
     seq.solve(&prime);
-    let mut fused = TenantSession::build(method, a.clone(), &prime, &x0, &part, &opts, None);
+    let mut fused = TenantSession::build(method, a.clone(), &prime, &x0, &part, &opts);
     fused.solve(&prime);
 
     // One untimed warmup window per side: the first fused window grows
@@ -111,7 +111,7 @@ pub fn run_point(method: Method, k: usize, windows: usize) -> MultiRhsRow {
     // steady state is what a serving layer sees.
     let warm = window_rhs(n, windows, k);
     let _ = seq.solve_many(&warm);
-    let _ = fused.solve_panel(&warm, None);
+    let _ = fused.solve_panel(&warm);
 
     let mut seq_secs = 0.0;
     let mut fused_secs = 0.0;
@@ -136,7 +136,7 @@ pub fn run_point(method: Method, k: usize, windows: usize) -> MultiRhsRow {
         }
 
         let t0 = Instant::now();
-        let reports = fused.solve_panel(&bs, None);
+        let reports = fused.solve_panel(&bs);
         fused_secs += t0.elapsed().as_secs_f64();
         // Panel communication stats are shared across the batch — every
         // column's report carries the same run-level counters, so charge

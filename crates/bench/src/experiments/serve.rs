@@ -186,6 +186,12 @@ pub struct ServeRow {
     pub p50_ms: f64,
     /// 99th-percentile solve latency, ms.
     pub p99_ms: f64,
+    /// Median queue wait (admission to activation), ms.
+    pub queue_wait_p50_ms: f64,
+    /// 99th-percentile queue wait, ms.
+    pub queue_wait_p99_ms: f64,
+    /// Scheduler rounds of the timed window.
+    pub rounds: u64,
     /// Shared-pool busy fraction over the window.
     pub pool_utilization: f64,
     /// Peak admitted-job count.
@@ -209,6 +215,9 @@ pub fn run_point(method: Method, tenants: usize) -> ServeRow {
         },
         p50_ms: stats.p50_ms,
         p99_ms: stats.p99_ms,
+        queue_wait_p50_ms: stats.queue_wait_p50_ms,
+        queue_wait_p99_ms: stats.queue_wait_p99_ms,
+        rounds: stats.rounds,
         pool_utilization: stats.pool_utilization,
         max_queue_depth: stats.max_queue_depth,
     }
@@ -230,7 +239,7 @@ pub fn run_serve(ctx: &ExperimentCtx) -> Vec<ServeRow> {
          ({RANKS} ranks, {GRID}×{GRID} Poisson, {JOBS} warm solves/tenant) ==="
     );
     println!(
-        "{:>6} {:>7} {:>7} {:>12} {:>12} {:>8} {:>9} {:>9} {:>6} {:>7}",
+        "{:>6} {:>7} {:>7} {:>12} {:>12} {:>8} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6} {:>7}",
         "method",
         "tenants",
         "solves",
@@ -239,13 +248,16 @@ pub fn run_serve(ctx: &ExperimentCtx) -> Vec<ServeRow> {
         "speedup",
         "p50 ms",
         "p99 ms",
+        "wait p50",
+        "wait p99",
+        "rounds",
         "util",
         "depth"
     );
     let mut csv = Vec::new();
     for row in &rows {
         println!(
-            "{:>6} {:>7} {:>7} {:>12.1} {:>12.1} {:>7.2}x {:>9.3} {:>9.3} {:>6.2} {:>7}",
+            "{:>6} {:>7} {:>7} {:>12.1} {:>12.1} {:>7.2}x {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>6.2} {:>7}",
             row.method.label(),
             row.tenants,
             row.solves,
@@ -254,6 +266,9 @@ pub fn run_serve(ctx: &ExperimentCtx) -> Vec<ServeRow> {
             row.speedup,
             row.p50_ms,
             row.p99_ms,
+            row.queue_wait_p50_ms,
+            row.queue_wait_p99_ms,
+            row.rounds,
             row.pool_utilization,
             row.max_queue_depth
         );
@@ -266,6 +281,9 @@ pub fn run_serve(ctx: &ExperimentCtx) -> Vec<ServeRow> {
             format!("{:.3}", row.speedup),
             format!("{:.4}", row.p50_ms),
             format!("{:.4}", row.p99_ms),
+            format!("{:.4}", row.queue_wait_p50_ms),
+            format!("{:.4}", row.queue_wait_p99_ms),
+            row.rounds.to_string(),
             format!("{:.4}", row.pool_utilization),
             row.max_queue_depth.to_string(),
         ]);
@@ -282,6 +300,9 @@ pub fn run_serve(ctx: &ExperimentCtx) -> Vec<ServeRow> {
             "speedup",
             "p50_ms",
             "p99_ms",
+            "queue_wait_p50_ms",
+            "queue_wait_p99_ms",
+            "rounds",
             "pool_utilization",
             "max_queue_depth",
         ],
@@ -304,6 +325,7 @@ mod tests {
         assert!(stats.solves_per_sec > 0.0);
         assert!(stats.pool_utilization >= 0.0 && stats.pool_utilization <= 1.0);
         assert!(stats.p50_ms <= stats.p99_ms);
+        assert!(stats.queue_wait_p50_ms <= stats.queue_wait_p99_ms);
         assert_eq!(stats.max_queue_depth, 3 * JOBS);
     }
 }

@@ -11,7 +11,7 @@ use crate::history::interpolate_crossing;
 use dsw_partition::{Partition, Redundancy, ReplicaMap};
 use dsw_rma::{
     AsyncExecutor, AsyncOptions, ChaosConfig, CloseMode, CostModel, ExecMode, Executor,
-    MonitorStats, RankAlgorithm, RedundantHost, RunStats, SharedPool, StepStats,
+    MonitorStats, RankAlgorithm, RedundantHost, RunStats, StepStats,
 };
 use dsw_sparse::CsrMatrix;
 use std::time::Instant;
@@ -823,7 +823,7 @@ where
 {
     match opts.backend {
         ExecBackend::Superstep(mode) => {
-            let ex = superstep_executor(ranks, opts, mode, None);
+            let ex = superstep_executor(ranks, opts, mode);
             let mut run = SuperstepRun::new(method, ex, view, a, b, *opts);
             run.step_batch(a, b, opts.max_steps);
             run.finish()
@@ -832,18 +832,13 @@ where
     }
 }
 
-/// The superstep executor for `opts`: on the shared `pool` when one is
-/// given, else private in `mode`.
+/// The superstep executor for `opts` in `mode`.
 pub(crate) fn superstep_executor<R: RankAlgorithm>(
     ranks: Vec<R>,
     opts: &DistOptions,
     mode: ExecMode,
-    pool: Option<&SharedPool>,
 ) -> Executor<R> {
-    let mut ex = match pool {
-        Some(pool) => Executor::with_shared_pool(ranks, opts.cost_model, opts.chaos, pool),
-        None => Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos),
-    };
+    let mut ex = Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos);
     ex.set_close_mode(opts.close_mode);
     ex
 }

@@ -44,7 +44,7 @@ use super::driver::{
 use super::layout::LocalSystem;
 use super::session::{reseed_warm, SolveSession, WarmStart};
 use super::verdict::{nudge_all, Boundary, Transition};
-use dsw_rma::{Executor, PanelRank, SharedPool, PANEL_MAX_COLS};
+use dsw_rma::{Executor, PanelRank, PANEL_MAX_COLS};
 use dsw_sparse::vecops::norm2_sq_cols;
 use dsw_sparse::CsrMatrix;
 use std::time::Instant;
@@ -99,10 +99,6 @@ pub struct PanelRun<R: WarmStart> {
     x_panel: Vec<f64>,
     ax_panel: Vec<f64>,
     sq_scratch: Vec<f64>,
-    /// Identity of the shared pool the executor was built on (`None` =
-    /// private executor), so a cached run is only reused against the
-    /// same pool.
-    pool_id: Option<usize>,
 }
 
 impl<R: WarmStart> PanelRun<R> {
@@ -124,7 +120,6 @@ impl<R: WarmStart> PanelRun<R> {
         base_ranks: &[R],
         bs: &[Vec<f64>],
         opts: DistOptions,
-        pool: Option<&SharedPool>,
     ) -> Self
     where
         R: Clone,
@@ -150,7 +145,7 @@ impl<R: WarmStart> PanelRun<R> {
                 panel
             })
             .collect();
-        let ex = superstep_executor(ranks, &opts, mode, pool);
+        let ex = superstep_executor(ranks, &opts, mode);
         let mut run = PanelRun {
             ex,
             cols: Vec::with_capacity(k),
@@ -167,7 +162,6 @@ impl<R: WarmStart> PanelRun<R> {
             x_panel: Vec::new(),
             ax_panel: Vec::new(),
             sq_scratch: Vec::new(),
-            pool_id: pool.map(SharedPool::id),
         };
         run.reseed(a, session_b, base_ranks, bs);
         run
@@ -269,12 +263,6 @@ impl<R: WarmStart> PanelRun<R> {
     /// Number of columns in the panel.
     pub fn k(&self) -> usize {
         self.ex.ranks()[0].k()
-    }
-
-    /// Identity of the shared pool the panel executor runs on (`None`
-    /// for a private executor) — the cache-reuse compatibility key.
-    pub(crate) fn pool_id(&self) -> Option<usize> {
-        self.pool_id
     }
 
     /// Whether every column has reached a verdict.

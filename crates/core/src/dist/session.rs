@@ -38,8 +38,9 @@
 //!
 //! [`SolveSession::step_batch`] advances a bounded number of supersteps
 //! and returns whether the solve reached a verdict, so a serving layer
-//! can interleave many sessions on one shared [`SharedPool`] with
-//! per-tenant quanta (see the `dsw-serve` crate). A session holds the
+//! can interleave many sessions with per-tenant quanta (see the
+//! `dsw-serve` crate, which hands each worker of its pool whole sessions
+//! to step, never single ranks). A session holds the
 //! driver's own superstep run and steps it — the loop
 //! [`run_method`](super::run_method) runs, with the same measurement
 //! cadence and verdict rule — so a cold session solve and a `run_method`
@@ -56,7 +57,7 @@ use super::panel::PanelRun;
 use super::parallel_southwell::ParallelSouthwellRank;
 use super::recovery::Recoverable;
 use dsw_partition::Partition;
-use dsw_rma::{Executor, RankAlgorithm, SharedPool};
+use dsw_rma::{Executor, RankAlgorithm};
 use dsw_sparse::CsrMatrix;
 
 /// A rank algorithm whose state can be warm-started in place when the
@@ -289,21 +290,20 @@ impl<R: WarmStart> SolveSession<R> {
 
     /// Begins a fused panel solve of `A x_c = bs[c]` for every column at
     /// once, each warm-started from the session's current solution (see
-    /// [`PanelRun`]). With `pool`, the panel executor runs on the shared
-    /// worker pool. The session's scalar state is untouched until
+    /// [`PanelRun`]). The session's scalar state is untouched until
     /// [`finish_panel`](SolveSession::finish_panel) adopts the last
     /// column.
-    pub fn begin_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>)
+    pub fn begin_panel(&mut self, bs: &[Vec<f64>])
     where
         R: Clone,
     {
         assert!(self.panel.is_none(), "a panel solve is already active");
         if let Some(mut run) = self.panel_cache.take() {
             // A cached run owns warm column clones, a built routing
-            // index, and grown buffers; when the batch shape and pool
-            // match, re-adopting the session state and reseeding is
+            // index, and grown buffers; when the batch shape matches,
+            // re-adopting the session state and reseeding is
             // bit-identical to a fresh build at a fraction of the cost.
-            if run.k() == bs.len() && run.pool_id() == pool.map(SharedPool::id) {
+            if run.k() == bs.len() {
                 run.reseed(&self.a, &self.b, self.run.ex.ranks(), bs);
                 self.panel = Some(run);
                 return;
@@ -316,7 +316,6 @@ impl<R: WarmStart> SolveSession<R> {
             self.run.ex.ranks(),
             bs,
             self.run.opts,
-            pool,
         ));
     }
 
@@ -343,11 +342,11 @@ impl<R: WarmStart> SolveSession<R> {
     }
 
     /// One full fused panel solve: begin, run to verdicts, report.
-    pub fn solve_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) -> Vec<DistReport>
+    pub fn solve_panel(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport>
     where
         R: Clone,
     {
-        self.begin_panel(bs, pool);
+        self.begin_panel(bs);
         while !self.step_panel(self.run.opts.max_steps) {}
         self.finish_panel()
     }
@@ -378,8 +377,7 @@ pub enum TenantSession {
 impl TenantSession {
     /// Distributes the system, builds the per-rank state for `method`,
     /// and wraps it in a session — the cold-start path, paid once per
-    /// tenant. With `pool`, the executor runs its phases on the shared
-    /// worker pool instead of spawning its own.
+    /// tenant.
     ///
     /// Panics unless the options satisfy the warm-start preconditions:
     /// superstep backend, no chaos, no redundancy, no message coalescing
@@ -391,12 +389,11 @@ impl TenantSession {
         x0: &[f64],
         partition: &Partition,
         opts: &DistOptions,
-        pool: Option<&SharedPool>,
     ) -> TenantSession {
         let mode = opts.warm_start_mode("TenantSession");
         let locals = distribute(&a, b, x0, partition).expect("valid distribution");
         with_ranks!(method, opts.ds_config, a.nrows(), |build, wrap| {
-            let ex = superstep_executor(build(locals), opts, mode, pool);
+            let ex = superstep_executor(build(locals), opts, mode);
             wrap(SolveSession::new(method, a, b.to_vec(), ex, *opts))
         })
     }
@@ -432,8 +429,8 @@ impl TenantSession {
     }
 
     /// See [`SolveSession::begin_panel`].
-    pub fn begin_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) {
-        each!(self, s => s.begin_panel(bs, pool))
+    pub fn begin_panel(&mut self, bs: &[Vec<f64>]) {
+        each!(self, s => s.begin_panel(bs))
     }
 
     /// See [`SolveSession::panel_active`].
@@ -452,10 +449,16 @@ impl TenantSession {
     }
 
     /// See [`SolveSession::solve_panel`].
-    pub fn solve_panel(&mut self, bs: &[Vec<f64>], pool: Option<&SharedPool>) -> Vec<DistReport> {
-        each!(self, s => s.solve_panel(bs, pool))
+    pub fn solve_panel(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport> {
+        each!(self, s => s.solve_panel(bs))
     }
 }
+
+// The serving layer steps sessions on its pool's worker threads.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<TenantSession>();
+};
 
 #[cfg(test)]
 mod tests {
@@ -480,8 +483,7 @@ mod tests {
             ..DistOptions::default()
         };
         for method in [Method::BlockJacobi, Method::DistributedSouthwell] {
-            let mut s =
-                TenantSession::build(method, a.clone(), &b, &vec![0.0; n], &part, &opts, None);
+            let mut s = TenantSession::build(method, a.clone(), &b, &vec![0.0; n], &part, &opts);
             let first = s.solve(&b);
             assert!(first.converged_at.is_some());
             let again = s.finish();
@@ -493,7 +495,7 @@ mod tests {
             assert!(s.is_done() && again.stats.steps.is_empty());
 
             let bs = vec![vec![0.25; n], vec![0.75; n]];
-            let cols = s.solve_panel(&bs, None);
+            let cols = s.solve_panel(&bs);
             let adopted = s.finish();
             assert_eq!(adopted.records.len(), 1, "{method:?}");
             assert_eq!(adopted.final_residual(), cols[1].final_residual());

@@ -23,10 +23,9 @@
 //! chunk partials combine with exact integer arithmetic.
 
 use crate::fault::{ChaosConfig, FaultInjector};
-use crate::pool::{SharedPool, WorkerPool};
+use crate::pool::{SyncPtr, WorkerPool};
 use crate::stats::{ClassCounts, CommClass, CostModel, FaultStats, RunStats, StepStats};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A message as it sits in a target rank's memory window.
@@ -468,9 +467,8 @@ pub struct Executor<A: RankAlgorithm> {
     partials: Vec<ClosePartial>,
     /// Per-rank compute-ns scratch for the current step (reset each step).
     step_rank_ns: Vec<u64>,
-    /// Persistent worker pool ([`ExecMode::Threaded`], owned exclusively)
-    /// or a service-shared pool ([`Executor::with_shared_pool`]).
-    pool: Option<Arc<WorkerPool>>,
+    /// Persistent worker pool ([`ExecMode::Threaded`], owned exclusively).
+    pool: Option<WorkerPool>,
     /// Last observed cumulative per-worker busy ns (for per-step deltas).
     worker_busy_seen: Vec<u64>,
     model: CostModel,
@@ -483,13 +481,6 @@ pub struct Executor<A: RankAlgorithm> {
     /// Statistics accumulated over all executed steps.
     pub stats: RunStats,
 }
-
-/// A raw pointer the pool closure may share across workers. Sound because
-/// each worker dereferences only the indices it claimed from the atomic
-/// cursor, and those claims are disjoint.
-struct SyncPtr<T>(*mut T);
-unsafe impl<T> Send for SyncPtr<T> {}
-unsafe impl<T> Sync for SyncPtr<T> {}
 
 /// Everything the close touches, shared across close workers. Raw
 /// pointers cover the per-target state (inboxes, delayed queues, sort
@@ -538,7 +529,7 @@ impl<A: RankAlgorithm> Executor<A> {
             ExecMode::Sequential => (None, 1),
             ExecMode::Threaded(t) => {
                 assert!(t > 0, "threaded mode needs at least one thread");
-                (Some(Arc::new(WorkerPool::new(t.min(n)))), t.min(n))
+                (Some(WorkerPool::new(t.min(n))), t.min(n))
             }
         };
         let mut stats = RunStats::new(n);
@@ -564,36 +555,6 @@ impl<A: RankAlgorithm> Executor<A> {
             epochs_executed: 0,
             stats,
         }
-    }
-
-    /// As [`with_chaos`](Self::with_chaos), but dispatching phases onto a
-    /// [`SharedPool`] instead of spawning a private one — the serving
-    /// layer's constructor, letting many executors (one per tenant)
-    /// multiplex over one set of worker threads.
-    ///
-    /// Results are bit-identical to every other mode (ranks interact only
-    /// at epoch boundaries). Dispatches from different executors must not
-    /// overlap in time — the pool runs one dispatch at a time, and a
-    /// service scheduler interleaves whole supersteps — but interleaving
-    /// *steps* of different executors on one pool is fully supported:
-    /// per-step worker-busy accounting brackets each step with its own
-    /// baseline, so no tenant's busy time bleeds into another's stats.
-    pub fn with_shared_pool(
-        ranks: Vec<A>,
-        model: CostModel,
-        chaos: ChaosConfig,
-        pool: &SharedPool,
-    ) -> Self {
-        let nworkers = pool.nworkers();
-        let mut ex = Self::with_chaos(ranks, model, ExecMode::Sequential, chaos);
-        ex.mode = ExecMode::Threaded(nworkers);
-        ex.pool = Some(Arc::clone(pool.inner()));
-        ex.stats.worker_busy_ns = vec![0; nworkers];
-        // Baseline at the pool's *current* cumulative counters: a shared
-        // pool has usually been busy before this executor existed, and
-        // that history must not be charged to this executor's first step.
-        ex.worker_busy_seen = (0..nworkers).map(|w| pool.inner().busy_ns(w)).collect();
-        ex
     }
 
     /// Chooses where epoch closes run (see [`CloseMode`]). Results are
@@ -668,15 +629,6 @@ impl<A: RankAlgorithm> Executor<A> {
             "all ranks must agree on the phase count"
         );
         let mut step = StepStats::default();
-        // Re-baseline the per-worker busy counters at the step *start*: on
-        // a shared pool other executors may have dispatched since this
-        // executor's previous step, and their busy time must not be
-        // attributed to this step's delta below.
-        if let Some(pool) = &self.pool {
-            for (w, seen) in self.worker_busy_seen.iter_mut().enumerate() {
-                *seen = pool.busy_ns(w);
-            }
-        }
         // Stall decisions hold for every phase of this step.
         let stalled = self.injector.step_stalls();
         step.faults.stalled_ranks += stalled.iter().filter(|&&s| s).count() as u64;
@@ -1120,64 +1072,6 @@ mod tests {
             );
             assert!(ex.stats.worker_utilization() > 0.0, "{mode:?}");
         }
-    }
-
-    /// Regression for pool-lifetime smear: two executors sharing one
-    /// `SharedPool` back-to-back must each see only their own busy time.
-    /// Before per-solve baselining, the second run's `worker_busy_ns`
-    /// (and hence `worker_utilization`) absorbed the first run's work.
-    #[test]
-    fn shared_pool_busy_time_is_per_run() {
-        use crate::pool::SharedPool;
-        let pool = SharedPool::new(2);
-
-        let mut first = Executor::with_shared_pool(
-            ring(64),
-            CostModel::default(),
-            ChaosConfig::default(),
-            &pool,
-        );
-        for _ in 0..20 {
-            first.step();
-        }
-        let first_busy: u64 = first.stats.worker_busy_ns.iter().sum();
-        assert!(first_busy > 0, "first run accumulated busy time");
-
-        let mut second = Executor::with_shared_pool(
-            ring(64),
-            CostModel::default(),
-            ChaosConfig::default(),
-            &pool,
-        );
-        let second_initial: u64 = second.stats.worker_busy_ns.iter().sum();
-        assert_eq!(second_initial, 0, "fresh executor starts at zero busy");
-        second.step();
-        let second_busy: u64 = second.stats.worker_busy_ns.iter().sum();
-        assert!(second_busy > 0);
-        // One step on the same workload cannot plausibly cost as much as
-        // the first executor's 20 steps — unless lifetime busy smeared in.
-        assert!(
-            second_busy < first_busy,
-            "second run's busy ({second_busy}ns) must exclude the first \
-             run's 20 steps ({first_busy}ns)"
-        );
-        assert!(second.stats.worker_utilization() <= 1.0);
-
-        // Interleaved epochs: re-baselining at step start keeps each
-        // executor's accounting isolated even when their steps alternate
-        // on the shared pool. After a second.step() ran in between,
-        // first.step() must still charge first only for its own work —
-        // i.e. a single step's worth, not first's step plus second's.
-        let before: u64 = first.stats.worker_busy_ns.iter().sum();
-        second.step();
-        first.step();
-        let grew = first.stats.worker_busy_ns.iter().sum::<u64>() - before;
-        assert!(grew > 0, "first's own interleaved step is charged");
-        assert!(
-            grew < first_busy,
-            "one interleaved step ({grew}ns) charges less than 20 steps \
-             ({first_busy}ns): second's work did not smear into first"
-        );
     }
 
     /// `RunStats::take_epoch` drains per-solve accumulators and resets

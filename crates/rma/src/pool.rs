@@ -23,10 +23,29 @@
 //! preallocated result slot, and the dispatch does not return until every
 //! worker has quiesced — scheduling order can change *when* a rank runs,
 //! never *what* it computes or where the result lands.
+//!
+//! A task that panics does not take its worker down: the worker catches
+//! the panic, finishes the dispatch, and the dispatcher re-raises the
+//! first payload once every worker has quiesced — the same panic the
+//! caller would see had the task run on its own thread.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
+
+/// A raw pointer a pool task may share across workers. Sound only where
+/// each worker dereferences the indices it claimed from the atomic
+/// cursor, and those claims are disjoint.
+pub(crate) struct SyncPtr<T>(pub(crate) *mut T);
+// SAFETY: the one field is a pointer to `T`s that workers mutate through
+// disjoint indices (see above); `T: Send` lets a `T` move its mutation to
+// another thread.
+unsafe impl<T: Send> Send for SyncPtr<T> {}
+// SAFETY: sharing the pointer shares no `T`: each `T` is reached by one
+// worker only, so `T: Send` suffices here as well.
+unsafe impl<T: Send> Sync for SyncPtr<T> {}
 
 /// Type-erased pointer to the dispatch closure. The pointee is guaranteed
 /// by [`WorkerPool::run`] to outlive the dispatch (the call blocks until
@@ -47,6 +66,8 @@ struct Dispatch {
     grain: usize,
     /// Workers that have finished the current dispatch.
     done: usize,
+    /// The first panic a task raised in the current dispatch.
+    panic: Option<Box<dyn Any + Send>>,
     /// Pool is shutting down (drop).
     shutdown: bool,
 }
@@ -81,6 +102,7 @@ impl WorkerPool {
                 ntasks: 0,
                 grain: 1,
                 done: 0,
+                panic: None,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -110,9 +132,19 @@ impl WorkerPool {
         self.shared.busy_ns[w].load(Ordering::Relaxed)
     }
 
+    /// Dispatches made since the pool was created.
+    pub(crate) fn dispatches(&self) -> u64 {
+        self.shared
+            .state
+            .lock()
+            .expect("a pool worker panicked while holding the state lock")
+            .generation
+    }
+
     /// Runs `task(i)` for every `i in 0..ntasks` across the pool, claiming
     /// batches of `grain` indices at a time. Blocks until all indices have
-    /// been executed and every worker has quiesced.
+    /// been executed and every worker has quiesced, then re-raises the
+    /// first panic a task raised, if any.
     pub(crate) fn run(&self, ntasks: usize, grain: usize, task: &(dyn Fn(usize) + Sync)) {
         if ntasks == 0 {
             return;
@@ -151,22 +183,25 @@ impl WorkerPool {
                 .expect("a pool worker panicked while holding the state lock");
         }
         st.task = None;
+        if let Some(payload) = st.panic.take() {
+            drop(st);
+            resume_unwind(payload);
+        }
     }
 }
 
-/// A worker pool shared by many executors — the serving-layer substrate.
+/// A worker pool for callers outside this crate — the serving-layer
+/// substrate.
 ///
-/// The original design creates one `WorkerPool` per
-/// [`Executor`](crate::Executor) ([`ExecMode::Threaded`](crate::ExecMode)),
-/// which is right for a single long solve but wrong for a service
-/// multiplexing hundreds of tenants: P tenants would spawn P pools of N
-/// threads each, oversubscribing the host N-fold. A `SharedPool` is one
-/// pool handed to every executor via
-/// [`Executor::with_shared_pool`](crate::Executor::with_shared_pool); the
-/// executors take turns dispatching onto it (one dispatch at a time — the
-/// service scheduler interleaves whole supersteps, never phases), and the
-/// pool's workers stay parked between dispatches exactly as in the
-/// single-executor case.
+/// An [`Executor`](crate::Executor) in
+/// [`ExecMode::Threaded`](crate::ExecMode) owns a private `WorkerPool`,
+/// which is right for one long solve. A service multiplexing hundreds of
+/// tenants instead owns one `SharedPool` and hands it whole items of
+/// work: [`SharedPool::for_each_mut`] runs a closure on every element of
+/// a slice, each element on exactly one worker. The service's items are
+/// tenants, each advancing its own sequential executor by a quantum of
+/// supersteps, so one dispatch carries a whole scheduler round instead of
+/// one phase of one tenant. The workers stay parked between dispatches.
 ///
 /// Cloning is shallow (an [`Arc`] bump): clones dispatch onto the same
 /// workers. The threads join when the last clone drops.
@@ -183,21 +218,22 @@ impl SharedPool {
         }
     }
 
-    /// Number of workers.
-    pub fn nworkers(&self) -> usize {
-        self.pool.nworkers()
-    }
-
-    /// The underlying pool handle (crate-internal: executors store it).
-    pub(crate) fn inner(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
-    /// A stable identity for this pool's worker set, shared by clones of
-    /// the handle. Callers that cache executors built against a pool use
-    /// it to check "same pool as last time" without holding a reference.
-    pub fn id(&self) -> usize {
-        Arc::as_ptr(&self.pool) as usize
+    /// Runs `f` on every element of `items` across the pool and returns
+    /// once all have run. Each element is claimed by exactly one worker,
+    /// so `f` holds the only reference to it; elements share nothing
+    /// through this call, and the result is independent of the worker
+    /// count. A panic in `f` is re-raised here after every worker has
+    /// quiesced.
+    pub fn for_each_mut<T: Send>(&self, items: &mut [T], f: impl Fn(&mut T) + Sync) {
+        let base = SyncPtr(items.as_mut_ptr());
+        self.pool.run(items.len(), 1, &|i| {
+            let base = &base;
+            // SAFETY: `run` hands each index in `0..items.len()` to exactly
+            // one worker (disjoint claims from the cursor) and returns only
+            // after every worker has quiesced, so this is the sole
+            // reference to `items[i]` and it ends within `items`' borrow.
+            f(unsafe { &mut *base.0.add(i) })
+        });
     }
 
     /// Opens a per-epoch accounting view positioned at *now*: the returned
@@ -208,6 +244,7 @@ impl SharedPool {
             .map(|w| self.pool.busy_ns(w))
             .collect();
         PoolStats {
+            base_dispatches: self.pool.dispatches(),
             pool: Arc::clone(&self.pool),
             base,
         }
@@ -217,31 +254,31 @@ impl SharedPool {
 /// Per-epoch busy accounting of a [`SharedPool`].
 ///
 /// The pool's raw `busy_ns` counters are cumulative over its lifetime;
-/// utilization quoted from them after the pool served several runs would
-/// blend every tenant's work (and can exceed 1.0 for the last run). A
-/// `PoolStats` carries an epoch baseline: [`PoolStats::busy_ns`] reports
-/// only the busy time since the baseline, and [`PoolStats::take_epoch`]
-/// harvests it and resets the baseline to *now* — one call per solve gives
-/// exact per-solve attribution on a pool of any age.
+/// utilization quoted from them after the pool served several windows
+/// would blend every window's work. A `PoolStats` carries an epoch
+/// baseline: [`PoolStats::take_epoch`] returns the busy time since the
+/// baseline and resets the baseline to *now* — one call per window gives
+/// exact per-window attribution on a pool of any age. The pool's dispatch
+/// count is baselined the same way ([`PoolStats::dispatches`]).
 pub struct PoolStats {
     pool: Arc<WorkerPool>,
     /// Cumulative busy-ns snapshot at the epoch start, per worker.
     base: Vec<u64>,
+    /// Cumulative dispatch count at the epoch start.
+    base_dispatches: u64,
 }
 
 impl PoolStats {
-    /// Busy nanoseconds per worker since the epoch baseline.
-    pub fn busy_ns(&self) -> Vec<u64> {
-        self.base
-            .iter()
-            .enumerate()
-            .map(|(w, &b)| self.pool.busy_ns(w).saturating_sub(b))
-            .collect()
+    /// Pool dispatches since the epoch baseline.
+    pub fn dispatches(&self) -> u64 {
+        self.pool.dispatches() - self.base_dispatches
     }
 
     /// Harvests the epoch: returns per-worker busy-ns since the baseline
-    /// and resets the baseline to *now*, so the next epoch starts at zero.
+    /// and resets the baseline (busy time and dispatch count) to *now*, so
+    /// the next epoch starts at zero.
     pub fn take_epoch(&mut self) -> Vec<u64> {
+        self.base_dispatches = self.pool.dispatches();
         let snapshot: Vec<u64> = (0..self.base.len()).map(|w| self.pool.busy_ns(w)).collect();
         let epoch = snapshot
             .iter()
@@ -296,7 +333,7 @@ fn worker_loop(shared: &Shared, w: usize) {
         let t0 = Instant::now();
         // SAFETY: `run` keeps the closure alive until we report done below.
         let task = unsafe { &*task };
-        loop {
+        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
             let start = shared.cursor.fetch_add(grain, Ordering::Relaxed);
             if start >= ntasks {
                 break;
@@ -304,12 +341,15 @@ fn worker_loop(shared: &Shared, w: usize) {
             for i in start..(start + grain).min(ntasks) {
                 task(i);
             }
-        }
+        }));
         shared.busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let mut st = shared
             .state
             .lock()
             .expect("a pool worker panicked while holding the state lock");
+        if let Err(payload) = outcome {
+            st.panic.get_or_insert(payload);
+        }
         st.done += 1;
         if st.done == shared.busy_ns.len() {
             shared.done_cv.notify_one();
@@ -358,21 +398,26 @@ mod tests {
     #[test]
     fn pool_stats_take_epoch_resets_the_baseline() {
         // Two back-to-back "runs" on one pool: each epoch must see only
-        // its own busy time, not the pool-lifetime accumulation.
+        // its own busy time and dispatches, not the pool-lifetime
+        // accumulation.
         let shared = SharedPool::new(2);
         let mut stats = shared.stats();
-        let spin = |_: usize| {
-            std::hint::black_box((0..20_000).sum::<u64>());
+        let mut items = vec![0u64; 64];
+        let spin = |v: &mut u64| {
+            *v += std::hint::black_box((0..20_000).sum::<u64>());
         };
-        shared.inner().run(64, 4, &spin);
+        shared.for_each_mut(&mut items, spin);
+        assert_eq!(stats.dispatches(), 1);
         let first = stats.take_epoch();
         assert!(first.iter().sum::<u64>() > 0, "first epoch measured");
         // A fresh epoch starts at zero even though the pool counters do not.
-        assert_eq!(stats.busy_ns().iter().sum::<u64>(), 0);
-        shared.inner().run(64, 4, &spin);
+        assert_eq!(stats.dispatches(), 0);
+        shared.for_each_mut(&mut items, spin);
+        shared.for_each_mut(&mut items, spin);
+        assert_eq!(stats.dispatches(), 2);
         let second = stats.take_epoch();
-        let lifetime: u64 = (0..shared.nworkers())
-            .map(|w| shared.inner().busy_ns(w))
+        let lifetime: u64 = (0..shared.pool.nworkers())
+            .map(|w| shared.pool.busy_ns(w))
             .sum();
         assert!(second.iter().sum::<u64>() > 0, "second epoch measured");
         assert_eq!(
@@ -380,6 +425,36 @@ mod tests {
             lifetime,
             "epochs partition the pool-lifetime busy time"
         );
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once() {
+        let shared = SharedPool::new(3);
+        let mut items: Vec<(usize, u32)> = (0..100).map(|i| (i, 0)).collect();
+        shared.for_each_mut(&mut items, |(i, hits)| *hits += 1 + *i as u32);
+        assert!(items.iter().all(|&(i, hits)| hits == 1 + i as u32));
+        // An empty slice makes no dispatch.
+        let stats = shared.stats();
+        shared.for_each_mut(&mut Vec::<u8>::new(), |_| unreachable!());
+        assert_eq!(stats.dispatches(), 0);
+    }
+
+    #[test]
+    fn a_task_panic_reaches_the_dispatcher_and_the_pool_survives() {
+        let shared = SharedPool::new(2);
+        let mut items = vec![0u32; 16];
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            shared.for_each_mut(&mut items, |v| {
+                *v += 1;
+                std::panic::panic_any(*v);
+            })
+        }));
+        let payload = caught.expect_err("the task panic is re-raised");
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&1));
+        // Every worker is still alive and serves the next dispatch.
+        let mut items = vec![0u32; 16];
+        shared.for_each_mut(&mut items, |v| *v = 7);
+        assert!(items.iter().all(|&v| v == 7));
     }
 
     #[test]

@@ -7,29 +7,38 @@
 //! the lower crates:
 //!
 //! * a [`dsw_rma::SharedPool`], so `T` tenants cost one set of worker
-//!   threads instead of `T` sets (and per-solve utilization stays honest
-//!   via epoch-based busy accounting);
+//!   threads instead of `T` sets;
 //! * a [`dsw_core::dist::TenantSession`] per tenant — partition, routed
 //!   topology, per-rank solver state, and monitor scratch all survive
 //!   across solves, so an evolving right-hand side warm-starts from the
 //!   previous solution and only re-seeds residuals;
-//! * a fair-share scheduler that interleaves superstep batches from
-//!   runnable tenants with per-tenant quanta, deterministic given
-//!   `(seed, arrival order)`, with backpressure through a bounded
-//!   admission queue.
+//! * a fair-share scheduler that runs rounds of per-tenant quanta,
+//!   deterministic given `(seed, arrival order)`, with backpressure
+//!   through a bounded admission queue.
+//!
+//! The unit of parallel work is a tenant, not a rank. A Distributed
+//! Southwell step does little work — only the locally-maximal ranks
+//! relax — so splitting one tenant's step across the pool made every
+//! dispatch and barrier cost as much as the step it carried. Instead each
+//! scheduler round makes one pool dispatch whose items are the round's
+//! active tenants: a worker advances a whole tenant's quantum on that
+//! tenant's own sequential executor. Activation and finishing stay on
+//! the calling thread, in the seeded visit order. This assumes many
+//! small tenants: a round with fewer active tenants than workers leaves
+//! a worker idle, since one tenant's step never spans the pool.
 //!
 //! Per-tenant [`DistReport`]s are fully isolated: each tenant owns its
-//! executor and stats epoch, and the pool's busy time is re-baselined at
-//! every superstep, so interleaving never bleeds one tenant's work into
-//! another's report. `tests/serve_determinism.rs` pins both properties.
+//! executor and stats epoch, and tenants share no state, so neither the
+//! interleaving nor the worker count reaches another tenant's report.
+//! `tests/serve_determinism.rs` pins both properties.
 
 // `unwrap()` is banned in non-test code (clippy `disallowed-methods`, see
 // clippy.toml): use `expect` naming the invariant, or propagate the error.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-use dsw_core::dist::{DistOptions, DistReport, Method, TenantSession};
+use dsw_core::dist::{DistOptions, DistReport, ExecBackend, Method, TenantSession};
 use dsw_partition::Partition;
-use dsw_rma::{PoolStats, SharedPool, PANEL_MAX_COLS};
+use dsw_rma::{ExecMode, PoolStats, SharedPool, PANEL_MAX_COLS};
 use dsw_sparse::CsrMatrix;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -67,9 +76,10 @@ pub struct ServeConfig {
     /// evicts the least-recently-used **idle** session; the evicted
     /// tenant keeps its registration and its last solution, and
     /// re-admission rebuilds the session warm-started from it. Active
-    /// sessions are never evicted (the count may transiently exceed the
-    /// cap when every resident is mid-solve). `usize::MAX` (the default)
-    /// never evicts.
+    /// sessions are never evicted: when every resident is mid-solve, an
+    /// evicted tenant's job waits in its queue for a later round, so the
+    /// count never exceeds the cap. `usize::MAX` (the default) never
+    /// evicts.
     pub max_resident: usize,
 }
 
@@ -200,11 +210,29 @@ pub struct ServiceStats {
     pub p50_ms: f64,
     /// 99th-percentile solve latency, milliseconds.
     pub p99_ms: f64,
+    /// Median queue wait (admission to activation), milliseconds: the
+    /// part of a solve's latency spent behind other tenants' work before
+    /// its own first superstep.
+    pub queue_wait_p50_ms: f64,
+    /// 99th-percentile queue wait, milliseconds.
+    pub queue_wait_p99_ms: f64,
+    /// Scheduler rounds the window ran; each makes one shared-pool
+    /// dispatch.
+    pub rounds: u64,
     /// Peak queued-job count observed since the previous window.
     pub max_queue_depth: usize,
     /// Shared-pool busy fraction over the window:
-    /// `Σ worker busy / (wall × workers)`.
+    /// `Σ worker busy / (wall × workers)`. Every worker's busy time falls
+    /// inside the window, so it never exceeds 1.
     pub pool_utilization: f64,
+}
+
+/// The `p`-quantile of ascending `sorted` (nearest rank), 0 when empty.
+fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
 }
 
 /// Multiplexes many tenants' solves over one shared worker pool.
@@ -248,9 +276,15 @@ impl SolveService {
     }
 
     /// Registers a tenant: distributes its system, builds the per-rank
-    /// solver state on the shared pool, and returns the handle. This is
-    /// the cold-start cost — paid once, amortized over every subsequent
-    /// solve.
+    /// solver state, and returns the handle. This is the cold-start cost —
+    /// paid once, amortized over every subsequent solve.
+    ///
+    /// The tenant's executor always runs [`ExecMode::Sequential`],
+    /// whatever `opts.backend` names: the service parallelizes across
+    /// tenants, one tenant's quantum per pool worker, so a per-tenant
+    /// thread pool would only oversubscribe the host. Every mode produces
+    /// bit-identical reports, so this changes where the work runs, never
+    /// what it computes. The backend must still be a superstep one.
     pub fn add_tenant(
         &mut self,
         method: Method,
@@ -261,16 +295,22 @@ impl SolveService {
         opts: &DistOptions,
     ) -> TenantId {
         let n = a.nrows();
-        self.make_room();
-        let session =
-            TenantSession::build(method, a.clone(), b, x0, partition, opts, Some(&self.pool));
+        let mut opts = *opts;
+        if let ExecBackend::Superstep(mode) = &mut opts.backend {
+            *mode = ExecMode::Sequential;
+        }
+        // No session is active between windows, so there is always an
+        // idle one to evict.
+        let fits = self.make_room();
+        debug_assert!(fits, "registration runs between windows");
+        let session = TenantSession::build(method, a.clone(), b, x0, partition, &opts);
         self.clock += 1;
         self.tenants.push(TenantSlot {
             session: Some(session),
             method,
             a,
             partition: partition.clone(),
-            opts: *opts,
+            opts,
             last_b: b.to_vec(),
             last_x: x0.to_vec(),
             last_used: self.clock,
@@ -284,15 +324,15 @@ impl SolveService {
     }
 
     /// Evicts least-recently-used idle sessions until a new resident fits
-    /// under [`ServeConfig::max_resident`]. Active sessions are never
-    /// evicted; if every resident is active the cap transiently
-    /// overshoots.
-    fn make_room(&mut self) {
+    /// under [`ServeConfig::max_resident`]; returns whether it fits.
+    /// Active sessions are never evicted, so it does not fit when every
+    /// resident is active.
+    fn make_room(&mut self) -> bool {
         let cap = self.cfg.max_resident.max(1);
         loop {
             let resident = self.tenants.iter().filter(|s| s.session.is_some()).count();
             if resident < cap {
-                return;
+                return true;
             }
             let victim = self
                 .tenants
@@ -302,23 +342,19 @@ impl SolveService {
                 .min_by_key(|(_, s)| s.last_used)
                 .map(|(i, _)| i);
             let Some(v) = victim else {
-                return;
+                return false;
             };
             self.tenants[v].session = None;
             self.evictions += 1;
         }
     }
 
-    /// Rebuilds an evicted tenant's session warm: the partition, routed
+    /// Rebuilds evicted tenant `t`'s session warm: the partition, routed
     /// topology, and rank state are reconstructed from the registration
     /// data with the tenant's last solution as the starting iterate, so a
     /// re-admitted tenant resumes exactly where its evicted session
     /// stopped.
-    fn ensure_resident(&mut self, t: usize) {
-        if self.tenants[t].session.is_some() {
-            return;
-        }
-        self.make_room();
+    fn rebuild(&mut self, t: usize) {
         let slot = &mut self.tenants[t];
         slot.session = Some(TenantSession::build(
             slot.method,
@@ -327,7 +363,6 @@ impl SolveService {
             &slot.last_x,
             &slot.partition,
             &slot.opts,
-            Some(&self.pool),
         ));
         self.rebuilds += 1;
     }
@@ -419,6 +454,14 @@ impl SolveService {
             .is_some_and(|s| s.session.is_some())
     }
 
+    /// Opens an accounting view of the service's shared pool positioned
+    /// at *now*. Hidden from the docs: it exists so tests can check that
+    /// a window makes exactly one pool dispatch per round.
+    #[doc(hidden)]
+    pub fn pool_stats(&self) -> PoolStats {
+        self.pool.stats()
+    }
+
     /// Sessions evicted under the residency cap since construction.
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -433,17 +476,29 @@ impl SolveService {
     /// completed, then returns the window's service stats.
     ///
     /// Each round visits every runnable tenant once, in registration
-    /// order rotated by a seeded offset; a visited tenant starts its next
-    /// pending job if idle and then advances up to `quantum` supersteps.
+    /// order rotated by a seeded offset, in three steps:
+    ///
+    /// 1. on this thread, in visit order, an idle tenant starts its next
+    ///    pending job (which may rebuild an evicted session, or wait for a
+    ///    later round while the residency cap has no idle session to
+    ///    evict);
+    /// 2. one pool dispatch advances every active tenant by up to
+    ///    `quantum` supersteps, each tenant's quantum on one worker;
+    /// 3. on this thread, in visit order, every tenant whose job reached
+    ///    a verdict files its reports.
+    ///
     /// Tenants never share solver state, so the per-tenant reports are
-    /// independent of the interleaving — the schedule only shapes
-    /// latency.
+    /// independent of the interleaving and of the worker count — the
+    /// schedule only shapes latency.
     pub fn run_until_idle(&mut self) -> ServiceStats {
         let t0 = Instant::now();
         let mut latencies_ms: Vec<f64> = Vec::new();
+        let mut waits_ms: Vec<f64> = Vec::new();
         let mut solves = 0u64;
-        // Harvest pool busy time accumulated outside this window (tenant
-        // cold builds, previous windows), so utilization is per-window.
+        let mut rounds = 0u64;
+        let quantum = self.cfg.quantum;
+        // Harvest pool busy time accumulated outside this window (previous
+        // windows), so utilization is per-window.
         let _ = self.pool_stats.take_epoch();
 
         loop {
@@ -461,68 +516,49 @@ impl SolveService {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let rot = (self.rng >> 33) as usize % runnable.len();
+            let mut visit = Vec::with_capacity(runnable.len());
             for i in 0..runnable.len() {
                 let t = runnable[(i + rot) % runnable.len()];
                 self.clock += 1;
                 self.tenants[t].last_used = self.clock;
-                if self.tenants[t].active_since.is_none() {
-                    let Some(job) = self.tenants[t].pending.pop_front() else {
-                        continue; // became idle this round (was runnable at selection)
-                    };
-                    // Activation is the (re-)admission point: an evicted
-                    // tenant gets its session rebuilt warm here, possibly
-                    // evicting the LRU idle resident to make room.
-                    self.ensure_resident(t);
-                    let slot = &mut self.tenants[t];
-                    slot.active_k = job.bs.len();
-                    slot.last_b = job
-                        .bs
-                        .last()
-                        .expect("an admitted job has at least one rhs")
-                        .clone();
-                    let session = slot.session.as_mut().expect("residency ensured above");
-                    if job.bs.len() == 1 {
-                        session.begin_solve(&job.bs[0]);
-                    } else {
-                        // A tenant batch runs as one fused panel solve on
-                        // the shared pool, under the same quantum.
-                        session.begin_panel(&job.bs, Some(&self.pool));
-                    }
-                    slot.active_since = Some(job.submitted_at);
+                if self.tenants[t].active_since.is_some() || self.activate(t, &mut waits_ms) {
+                    visit.push(t);
                 }
-                let slot = &mut self.tenants[t];
-                let session = slot
-                    .session
-                    .as_mut()
-                    .expect("an active tenant's session is never evicted");
-                let finished = if session.panel_active() {
-                    session.step_panel(self.cfg.quantum)
-                } else {
-                    session.step_batch(self.cfg.quantum)
-                };
-                if finished {
-                    if session.panel_active() {
-                        let reports = session.finish_panel();
-                        if let Some(last) = reports.last() {
-                            slot.last_x = last.x.clone();
-                        }
-                        slot.reports.extend(reports);
-                    } else {
-                        let report = session.finish();
-                        slot.last_x = report.x.clone();
-                        slot.reports.push(report);
-                    }
-                    let since = slot
-                        .active_since
+            }
+
+            // A round always makes progress: with no tenant active, every
+            // resident is idle, so the first visited tenant finds room.
+            assert!(!visit.is_empty(), "a runnable round activates a tenant");
+            // Every tenant of the round is resident and active (activation
+            // never evicts an active session), so each contributes exactly
+            // one session to the dispatch.
+            let mut sessions: Vec<Option<&mut TenantSession>> = self
+                .tenants
+                .iter_mut()
+                .map(|s| s.session.as_mut())
+                .collect();
+            let mut turns: Vec<(&mut TenantSession, bool)> = visit
+                .iter()
+                .map(|&t| {
+                    let session = sessions[t]
                         .take()
-                        .expect("active solve has an admission time");
-                    let latency = since.elapsed().as_secs_f64() * 1e3;
-                    for _ in 0..slot.active_k {
-                        latencies_ms.push(latency);
-                    }
-                    self.queued -= slot.active_k;
-                    solves += slot.active_k as u64;
-                    slot.active_k = 0;
+                        .expect("an active tenant's session is never evicted");
+                    (session, false)
+                })
+                .collect();
+            self.pool.for_each_mut(&mut turns, |(session, finished)| {
+                *finished = if session.panel_active() {
+                    session.step_panel(quantum)
+                } else {
+                    session.step_batch(quantum)
+                };
+            });
+            rounds += 1;
+            let finished: Vec<bool> = turns.into_iter().map(|(_, f)| f).collect();
+
+            for (&t, done) in visit.iter().zip(finished) {
+                if done {
+                    solves += self.finish_job(t, &mut latencies_ms);
                 }
             }
         }
@@ -532,14 +568,9 @@ impl SolveService {
         let denom = wall_s * 1e9 * self.cfg.workers as f64;
         let max_queue_depth = self.max_queue_depth;
         self.max_queue_depth = self.queued;
-        latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let pct = |p: f64| -> f64 {
-            if latencies_ms.is_empty() {
-                return 0.0;
-            }
-            let idx = ((latencies_ms.len() - 1) as f64 * p).round() as usize;
-            latencies_ms[idx]
-        };
+        for v in [&mut latencies_ms, &mut waits_ms] {
+            v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        }
         ServiceStats {
             solves,
             wall_s,
@@ -548,15 +579,88 @@ impl SolveService {
             } else {
                 0.0
             },
-            p50_ms: pct(0.50),
-            p99_ms: pct(0.99),
+            p50_ms: percentile(&latencies_ms, 0.50),
+            p99_ms: percentile(&latencies_ms, 0.99),
+            queue_wait_p50_ms: percentile(&waits_ms, 0.50),
+            queue_wait_p99_ms: percentile(&waits_ms, 0.99),
+            rounds,
             max_queue_depth,
             pool_utilization: if denom > 0.0 {
-                (busy as f64 / denom).min(1.0)
+                busy as f64 / denom
             } else {
                 0.0
             },
         }
+    }
+
+    /// Starts idle tenant `t`'s next pending job, recording each of its
+    /// right-hand sides' queue wait in `waits_ms`; returns `false` if it
+    /// has none or must wait for room. Activation is the (re-)admission
+    /// point: an evicted tenant gets its session rebuilt warm here,
+    /// evicting the LRU idle resident to make room. When every resident
+    /// is active the job stays queued for a later round rather than
+    /// overshoot the residency cap.
+    fn activate(&mut self, t: usize, waits_ms: &mut Vec<f64>) -> bool {
+        if self.tenants[t].pending.is_empty() {
+            return false;
+        }
+        if self.tenants[t].session.is_none() {
+            if !self.make_room() {
+                return false;
+            }
+            self.rebuild(t);
+        }
+        let slot = &mut self.tenants[t];
+        let job = slot.pending.pop_front().expect("checked non-empty above");
+        let wait = job.submitted_at.elapsed().as_secs_f64() * 1e3;
+        waits_ms.extend(std::iter::repeat_n(wait, job.bs.len()));
+        slot.active_k = job.bs.len();
+        slot.last_b = job
+            .bs
+            .last()
+            .expect("an admitted job has at least one rhs")
+            .clone();
+        let session = slot.session.as_mut().expect("residency ensured above");
+        if job.bs.len() == 1 {
+            session.begin_solve(&job.bs[0]);
+        } else {
+            // A tenant batch runs as one fused panel solve under the same
+            // quantum.
+            session.begin_panel(&job.bs);
+        }
+        slot.active_since = Some(job.submitted_at);
+        true
+    }
+
+    /// Files tenant `t`'s finished job: its reports, its last solution
+    /// (the warm start of a rebuild), each right-hand side's latency in
+    /// `latencies_ms`, and the queue accounting. Returns the solves it
+    /// completed.
+    fn finish_job(&mut self, t: usize, latencies_ms: &mut Vec<f64>) -> u64 {
+        let slot = &mut self.tenants[t];
+        let session = slot
+            .session
+            .as_mut()
+            .expect("an active tenant's session is never evicted");
+        if session.panel_active() {
+            let reports = session.finish_panel();
+            if let Some(last) = reports.last() {
+                slot.last_x = last.x.clone();
+            }
+            slot.reports.extend(reports);
+        } else {
+            let report = session.finish();
+            slot.last_x = report.x.clone();
+            slot.reports.push(report);
+        }
+        let since = slot
+            .active_since
+            .take()
+            .expect("active solve has an admission time");
+        let latency = since.elapsed().as_secs_f64() * 1e3;
+        latencies_ms.extend(std::iter::repeat_n(latency, slot.active_k));
+        self.queued -= slot.active_k;
+        std::mem::take(&mut slot.active_k) as u64
     }
 
     /// Drains the finished reports for one tenant (completion order).
@@ -634,6 +738,7 @@ mod tests {
         assert_eq!(svc.queue_len(), 0);
         assert!(stats.solves_per_sec > 0.0);
         assert!(stats.pool_utilization <= 1.0);
+        assert!(stats.queue_wait_p50_ms <= stats.p50_ms);
         for &id in &ids {
             let reports = svc.take_reports(id);
             assert_eq!(reports.len(), 1);
@@ -959,6 +1064,55 @@ mod tests {
     }
 
     #[test]
+    fn residency_cap_holds_when_jobs_finish_within_one_quantum() {
+        // After a cold first window, every job re-solves its tenant's
+        // unchanged right-hand side warm and reaches its verdict inside
+        // one quantum, so it finishes in the round it started. The cap
+        // must hold all the same: an evicted tenant waits for an idle
+        // resident instead of activating over the cap.
+        const CAP: usize = 2;
+        const QUANTUM: usize = 4;
+        let a = poisson(12);
+        let n = a.nrows();
+        let part = block_partition(n, 4);
+        let mut svc = SolveService::new(ServeConfig {
+            workers: 2,
+            quantum: QUANTUM,
+            queue_capacity: 64,
+            seed: 5,
+            max_resident: CAP,
+        });
+        let b: Vec<f64> = (0..n).map(|j| (j % 5) as f64 * 0.2).collect();
+        let ids: Vec<TenantId> = (0..8)
+            .map(|_| {
+                svc.add_tenant(
+                    Method::BlockJacobi,
+                    a.clone(),
+                    &b,
+                    &vec![0.0; n],
+                    &part,
+                    &opts(),
+                )
+            })
+            .collect();
+        assert!(svc.resident_tenants() <= CAP);
+        for window in 0..4 {
+            for &id in &ids {
+                svc.submit(id, b.clone()).expect("queue has room");
+            }
+            let stats = svc.run_until_idle();
+            assert_eq!(stats.solves, 8);
+            assert!(svc.resident_tenants() <= CAP, "window {window}");
+            for &id in &ids {
+                let report = svc.take_reports(id).remove(0);
+                let steps = report.converged_at.expect("solve converged");
+                assert!(window == 0 || steps <= QUANTUM, "warm job fits a quantum");
+            }
+        }
+        assert!(svc.rebuilds() > 0, "tenants rotated through the cap");
+    }
+
+    #[test]
     fn repeated_solves_warm_start() {
         let (mut svc, ids) = service_with_tenants(1, 1);
         let id = ids[0];
@@ -980,5 +1134,53 @@ mod tests {
             warm_steps < cold_steps,
             "warm start ({warm_steps} steps) beats cold ({cold_steps} steps)"
         );
+    }
+
+    #[test]
+    fn tenant_exec_mode_is_ignored() {
+        let a = poisson(12);
+        let n = a.nrows();
+        let part = block_partition(n, 4);
+        let mut svc = SolveService::new(ServeConfig::default());
+        let b0 = vec![0.3; n];
+        let ids: Vec<TenantId> = [ExecMode::Sequential, ExecMode::Threaded(2)]
+            .into_iter()
+            .map(|mode| {
+                let opts = DistOptions {
+                    backend: ExecBackend::Superstep(mode),
+                    ..opts()
+                };
+                svc.add_tenant(
+                    Method::DistributedSouthwell,
+                    a.clone(),
+                    &b0,
+                    &b0,
+                    &part,
+                    &opts,
+                )
+            })
+            .collect();
+        for &id in &ids {
+            for job in 0..2 {
+                let b: Vec<f64> = (0..n).map(|j| ((j + job) % 5) as f64 * 0.2).collect();
+                svc.submit(id, b).expect("room");
+            }
+        }
+        svc.run_until_idle();
+        let [seq, threaded] = [ids[0], ids[1]].map(|id| svc.take_reports(id));
+        assert_eq!(seq.len(), 2);
+        for (s, t) in seq.iter().zip(&threaded) {
+            // One worker per step: the tenant ran on its own sequential
+            // executor and spawned no private pool.
+            assert!(t.stats.steps.iter().all(|st| st.workers == 1));
+            assert_eq!(t.stats.worker_busy_ns.len(), 1);
+            assert_eq!(t.converged_at, s.converged_at);
+            assert_eq!(t.stats.msgs_per_rank, s.stats.msgs_per_rank);
+            let bits = |r: &DistReport| -> Vec<u64> {
+                let norms = r.records.iter().map(|rec| rec.residual_norm.to_bits());
+                norms.chain(r.x.iter().map(|v| v.to_bits())).collect()
+            };
+            assert_eq!(bits(t), bits(s));
+        }
     }
 }

@@ -113,7 +113,7 @@ fn both_agree(
     opts: &DistOptions,
 ) -> DistReport {
     let cold = run_method(method, a, b, x0, part, opts);
-    let mut session = TenantSession::build(method, a.clone(), b, x0, part, opts, None);
+    let mut session = TenantSession::build(method, a.clone(), b, x0, part, opts);
     let warm = session.solve(b);
     assert_eq!(
         fingerprint(&warm),

@@ -74,7 +74,7 @@ fn warmed_session(
     part: &Partition,
     o: &DistOptions,
 ) -> TenantSession {
-    let mut s = TenantSession::build(method, a.clone(), b, x0, part, o, None);
+    let mut s = TenantSession::build(method, a.clone(), b, x0, part, o);
     s.solve(b);
     s
 }
@@ -122,7 +122,7 @@ proptest! {
 
         let b2 = perturbed_rhs(a.nrows(), seed, 0);
         let sr = scalar.solve(&b2);
-        let frs = fused.solve_panel(&[b2], None);
+        let frs = fused.solve_panel(&[b2]);
         prop_assert_eq!(frs.len(), 1);
         let fr = &frs[0];
 
@@ -179,7 +179,7 @@ proptest! {
         let bs: Vec<Vec<f64>> = (0..k).map(|c| perturbed_rhs(n, seed, c)).collect();
 
         let mut fused = warmed_session(method, &a, &b, &x0, &part, &o);
-        let frs = fused.solve_panel(&bs, None);
+        let frs = fused.solve_panel(&bs);
         prop_assert_eq!(frs.len(), k);
 
         for (c, fr) in frs.iter().enumerate() {
@@ -220,7 +220,7 @@ fn panel_adoption_warm_starts_next_scalar_solve() {
     let mut session = warmed_session(Method::DistributedSouthwell, &a, &b, &x0, &part, &o);
 
     let bs: Vec<Vec<f64>> = (0..3).map(|c| perturbed_rhs(n, 7, c)).collect();
-    let frs = session.solve_panel(&bs, None);
+    let frs = session.solve_panel(&bs);
     let fused_steps = frs[2].converged_at.expect("fused column converges");
 
     let warm = session.solve(&bs[2]);
@@ -273,7 +273,7 @@ fn fused_bj_columns_match_independent_solves_at_every_width_and_local_solver() {
         }
 
         let mut fused = warmed_session(Method::BlockJacobi, &a, &b, &x0, &part, &o);
-        let frs = fused.solve_panel(&bs, None);
+        let frs = fused.solve_panel(&bs);
         assert_eq!(frs.len(), k);
         for (c, fr) in frs.iter().enumerate() {
             let mut indep = warmed_session(Method::BlockJacobi, &a, &b, &x0, &part, &o);

@@ -160,7 +160,6 @@ fn run_solo(jobs: usize) -> Vec<Vec<ReportPrint>> {
                 &vec![0.0; n],
                 &part,
                 &opts(),
-                None,
             );
             (0..jobs)
                 .map(|job| print(&session.solve(&rhs(n, phase, job))))
@@ -269,4 +268,179 @@ fn multiplexed_reports_match_solo_sessions() {
             TENANTS[t].0
         );
     }
+}
+
+/// Mixed window: (method, ranks, fused panel jobs) per tenant. Panel
+/// tenants submit each job as one `submit_many` batch of
+/// [`PANEL_WIDTH`] right-hand sides; the others submit one at a time.
+const MIXED: [(Method, usize, bool); 5] = [
+    (Method::DistributedSouthwell, 4, false),
+    (Method::BlockJacobi, 9, true),
+    (Method::DistributedSouthwell, 9, true),
+    (Method::ParallelSouthwell, 4, true),
+    (Method::BlockJacobi, 9, false),
+];
+
+/// Right-hand sides per panel job.
+const PANEL_WIDTH: usize = 3;
+
+/// Job `job` of mixed tenant `t`: its right-hand sides (one for a scalar
+/// tenant, [`PANEL_WIDTH`] for a panel tenant).
+fn mixed_job(n: usize, t: usize, job: usize) -> Vec<Vec<f64>> {
+    let width = if MIXED[t].2 { PANEL_WIDTH } else { 1 };
+    (0..width)
+        .map(|c| rhs(n, t, 1 + job * PANEL_WIDTH + c))
+        .collect()
+}
+
+/// Runs the mixed window on a `workers`-worker service.
+fn run_mixed_service(workers: usize, jobs: usize) -> Vec<Vec<ReportPrint>> {
+    let a = poisson(12);
+    let n = a.nrows();
+    let mut svc = SolveService::new(ServeConfig {
+        workers,
+        quantum: 3,
+        queue_capacity: 64,
+        seed: 5,
+        ..ServeConfig::default()
+    });
+    let ids: Vec<TenantId> = MIXED
+        .iter()
+        .enumerate()
+        .map(|(t, &(method, ranks, _))| {
+            svc.add_tenant(
+                method,
+                a.clone(),
+                &rhs(n, t, 0),
+                &vec![0.0; n],
+                &block_partition(n, ranks),
+                &opts(),
+            )
+        })
+        .collect();
+    for job in 0..jobs {
+        for (t, &id) in ids.iter().enumerate() {
+            let bs = mixed_job(n, t, job);
+            let k = bs.len();
+            if MIXED[t].2 {
+                assert_eq!(svc.submit_many(id, bs), Ok(k));
+            } else {
+                svc.submit(id, bs.into_iter().next().expect("one rhs"))
+                    .expect("queue has room");
+            }
+        }
+    }
+    svc.run_until_idle();
+    ids.iter()
+        .map(|&id| svc.take_reports(id).iter().map(print).collect())
+        .collect()
+}
+
+/// The mixed window's job sequences on dedicated solo sessions.
+fn run_mixed_solo(jobs: usize) -> Vec<Vec<ReportPrint>> {
+    let a = poisson(12);
+    let n = a.nrows();
+    MIXED
+        .iter()
+        .enumerate()
+        .map(|(t, &(method, ranks, panel))| {
+            let mut session = TenantSession::build(
+                method,
+                a.clone(),
+                &rhs(n, t, 0),
+                &vec![0.0; n],
+                &block_partition(n, ranks),
+                &opts(),
+            );
+            (0..jobs)
+                .flat_map(|job| {
+                    let bs = mixed_job(n, t, job);
+                    if panel {
+                        session.solve_panel(&bs)
+                    } else {
+                        vec![session.solve(&bs[0])]
+                    }
+                })
+                .map(|r| print(&r))
+                .collect()
+        })
+        .collect()
+}
+
+/// Scalar and fused-panel tenants of different rank counts share one
+/// window; at every worker count each tenant's reports equal its solo
+/// session's, column for column.
+#[test]
+fn mixed_scalar_and_panel_tenants_match_solo_at_every_pool_size() {
+    let solo = run_mixed_solo(2);
+    for workers in [1usize, 2, 3] {
+        let served = run_mixed_service(workers, 2);
+        for (t, (m, s)) in served.iter().zip(&solo).enumerate() {
+            assert_eq!(
+                m, s,
+                "{workers} workers: tenant {t} {:?} diverged from its solo session",
+                MIXED[t]
+            );
+        }
+    }
+}
+
+/// The scheduler round is the unit of parallel work: `tenants` identical
+/// tenants with one job each take `⌈steps / quantum⌉` rounds, whatever
+/// their number, and the window makes exactly one pool dispatch per
+/// round.
+fn assert_one_dispatch_per_round(tenants: usize) {
+    const QUANTUM: usize = 3;
+    let a = poisson(12);
+    let n = a.nrows();
+    let part = block_partition(n, 4);
+    let (b0, b1) = (rhs(n, 0, 0), rhs(n, 0, 1));
+    let mut solo = TenantSession::build(
+        Method::DistributedSouthwell,
+        a.clone(),
+        &b0,
+        &vec![0.0; n],
+        &part,
+        &opts(),
+    );
+    let steps = solo.solve(&b1).records.len() - 1;
+    assert!(steps > QUANTUM, "the solve spans several rounds");
+
+    let mut svc = SolveService::new(ServeConfig {
+        workers: 2,
+        quantum: QUANTUM,
+        queue_capacity: 64,
+        seed: 3,
+        ..ServeConfig::default()
+    });
+    for _ in 0..tenants {
+        let id = svc.add_tenant(
+            Method::DistributedSouthwell,
+            a.clone(),
+            &b0,
+            &vec![0.0; n],
+            &part,
+            &opts(),
+        );
+        svc.submit(id, b1.clone()).expect("queue has room");
+    }
+    let pool = svc.pool_stats();
+    let stats = svc.run_until_idle();
+    assert_eq!(stats.solves as usize, tenants);
+    assert_eq!(
+        stats.rounds as usize,
+        steps.div_ceil(QUANTUM),
+        "{tenants} tenants"
+    );
+    assert_eq!(pool.dispatches(), stats.rounds, "{tenants} tenants");
+}
+
+#[test]
+fn one_pool_dispatch_per_round_for_one_tenant() {
+    assert_one_dispatch_per_round(1);
+}
+
+#[test]
+fn one_pool_dispatch_per_round_for_sixteen_tenants() {
+    assert_one_dispatch_per_round(16);
 }

@@ -96,7 +96,7 @@ proptest! {
 
         // Subject: solve k steps, then re-solve (same b) for k more.
         let mut subject = TenantSession::build(
-            method, a.clone(), &b, &x0, &part, &opts(mode, k), None,
+            method, a.clone(), &b, &x0, &part, &opts(mode, k),
         );
         subject.begin_solve(&b);
         while !subject.step_batch(2) {}
@@ -107,7 +107,7 @@ proptest! {
 
         // Reference: one uninterrupted 2k-step run.
         let mut reference = TenantSession::build(
-            method, a.clone(), &b, &x0, &part, &opts(mode, 2 * k), None,
+            method, a.clone(), &b, &x0, &part, &opts(mode, 2 * k),
         );
         let continued = reference.solve(&b);
 
@@ -153,7 +153,7 @@ proptest! {
         let n = a.nrows();
 
         let mut session = TenantSession::build(
-            method, a.clone(), &b, &x0, &part, &opts(mode, k), None,
+            method, a.clone(), &b, &x0, &part, &opts(mode, k),
         );
         session.begin_solve(&b);
         while !session.step_batch(2) {}
@@ -296,7 +296,6 @@ fn norm_cache_requires_invalidation_after_out_of_band_mutation() {
         &x0,
         &part,
         &opts(ExecMode::Sequential, 4),
-        None,
     );
     let TenantSession::Ds(mut s) = session else {
         panic!("DS build returns a DS session");
@@ -342,15 +341,8 @@ fn warm_start_reconverges_faster() {
         max_steps: 2000,
         ..DistOptions::default()
     };
-    let mut session = TenantSession::build(
-        Method::DistributedSouthwell,
-        a,
-        &b1,
-        &x0,
-        &part,
-        &run_opts,
-        None,
-    );
+    let mut session =
+        TenantSession::build(Method::DistributedSouthwell, a, &b1, &x0, &part, &run_opts);
     let cold = session.solve(&b1);
     let cold_steps = cold.converged_at.expect("cold solve converges");
 
