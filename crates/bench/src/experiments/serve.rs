@@ -186,7 +186,7 @@ pub struct ServeRow {
     pub p50_ms: f64,
     /// 99th-percentile solve latency, ms.
     pub p99_ms: f64,
-    /// Median queue wait (admission to activation), ms.
+    /// Median queue wait (admission to the job's begin), ms.
     pub queue_wait_p50_ms: f64,
     /// 99th-percentile queue wait, ms.
     pub queue_wait_p99_ms: f64,

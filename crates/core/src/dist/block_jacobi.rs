@@ -141,21 +141,11 @@ fn apply_packed(
         let s = cols[0].ls.neighbor_slot(env.src);
         for part in &env.payload.parts {
             let dr = &part.msg.dr;
-            if part.mask == 0 {
-                // Plain single-column part (the fallback wire format).
-                let c = part.col as usize;
-                if !active[c] {
-                    continue;
-                }
-                let ls = &mut cols[c].ls;
-                for (&li, &d) in ls.boundary_rows_to[s].iter().zip(dr) {
-                    ls.r[li as usize] += d;
-                }
-                continue;
-            }
-            // One shared part per neighbor, self-describing: `mask` names
-            // the columns whose deltas it carries, interleaved slot-major
-            // (`dr[i·nc + j]` = boundary row `i`, `j`-th mask column).
+            // One shared part per neighbor (every rank of a panel runs this
+            // fused phase, so no fallback part arrives), self-describing:
+            // `mask` names the columns whose deltas it carries, interleaved
+            // slot-major (`dr[i·nc + j]` = boundary row `i`, `j`-th mask
+            // column).
             // A column that dropped out after the put simply skips its
             // lane — the addressing never leans on the receiver's
             // (possibly newer) active set.

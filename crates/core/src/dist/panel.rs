@@ -76,11 +76,11 @@ struct ColState {
 
 /// An in-progress fused panel solve over `k` right-hand sides.
 ///
-/// Owned by a [`SolveSession`] between
-/// [`begin_panel`](SolveSession::begin_panel) and
-/// [`finish_panel`](SolveSession::finish_panel); stepped in quanta via
-/// [`step_panel`](SolveSession::step_panel) so a serving layer can
-/// schedule a whole tenant batch as one fair-share job.
+/// Owned by a [`SolveSession`] between [`begin`](SolveSession::begin)
+/// and [`finish`](SolveSession::finish) of a job with two or more
+/// right-hand sides; stepped in quanta via [`step`](SolveSession::step)
+/// so a serving layer can schedule a whole tenant batch as one
+/// fair-share job.
 pub struct PanelRun<R: WarmStart> {
     pub(crate) ex: Executor<PanelRank<R>>,
     cols: Vec<ColState>,
@@ -95,7 +95,11 @@ pub struct PanelRun<R: WarmStart> {
     need_exact: Vec<usize>,
     maintained: Vec<Option<MaintainedNorm>>,
     col_norms: Vec<f64>,
-    // Blocked-verification scratch (n·|need_exact|, grown on demand).
+    // Reseed scratch: Δb (n) and exact per-rank norms (nranks).
+    delta: Vec<f64>,
+    norms: Vec<f64>,
+    // Blocked-verification scratch (n·|need_exact|, grown on demand),
+    // also the reseed's initial gather and SpMV (n).
     x_panel: Vec<f64>,
     ax_panel: Vec<f64>,
     sq_scratch: Vec<f64>,
@@ -108,9 +112,8 @@ impl<R: WarmStart> PanelRun<R> {
     ///
     /// Panics unless the options satisfy the warm-start preconditions
     /// (superstep backend, no chaos, no redundancy, unbuffered solve
-    /// messages, recovery off) — the check [`TenantSession`] runs,
-    /// repeated here because direct [`SolveSession`] construction
-    /// bypasses it.
+    /// messages, recovery off) — the check [`TenantSession`] runs, which
+    /// also names the executor mode.
     ///
     /// [`TenantSession`]: super::session::TenantSession
     pub(crate) fn new(
@@ -146,19 +149,28 @@ impl<R: WarmStart> PanelRun<R> {
             })
             .collect();
         let ex = superstep_executor(ranks, &opts, mode);
+        let n = a.nrows();
+        let cols = (0..k)
+            .map(|_| ColState {
+                log: SolveLog::new(MonitorCore::new(n), &opts, 0.0, [0, 0]),
+                x: None,
+            })
+            .collect();
         let mut run = PanelRun {
             ex,
-            cols: Vec::with_capacity(k),
+            cols,
             bs: Vec::new(),
             step: 0,
             method,
             opts,
-            n: a.nrows(),
+            n,
             relax_sum: vec![0; k],
             msgs_sum: vec![0; k],
             need_exact: Vec::with_capacity(k),
             maintained: vec![None; k],
             col_norms: vec![0.0; k],
+            delta: vec![0.0; n],
+            norms: vec![0.0; nranks],
             x_panel: Vec::new(),
             ax_panel: Vec::new(),
             sq_scratch: Vec::new(),
@@ -186,7 +198,6 @@ impl<R: WarmStart> PanelRun<R> {
     {
         let n = self.n;
         let k = self.k();
-        let nranks = base_ranks.len();
         assert_eq!(bs.len(), k, "panel width mismatch");
         for b in bs {
             assert_eq!(b.len(), n, "rhs dimension mismatch");
@@ -211,17 +222,15 @@ impl<R: WarmStart> PanelRun<R> {
         // Warm-start every column exactly like a changed-b scalar solve:
         // Δb reseed (Δ may be zero) for the exact local norms, then the
         // out-of-band estimate exchange.
-        let mut delta = vec![0.0; n];
-        let mut norms = vec![0.0; nranks];
         for (c, b_new) in bs.iter().enumerate() {
-            for ((d, &new), &old) in delta.iter_mut().zip(b_new).zip(session_b) {
+            for ((d, &new), &old) in self.delta.iter_mut().zip(b_new).zip(session_b) {
                 *d = new - old;
             }
             reseed_warm(
                 self.ex.ranks_mut(),
                 |panel| panel.col_mut(c),
-                &delta,
-                &mut norms,
+                &self.delta,
+                &mut self.norms,
             );
         }
 
@@ -229,32 +238,30 @@ impl<R: WarmStart> PanelRun<R> {
         // gather + SpMV prices all k initial exact norms; the per-column
         // sum keeps the scalar monitor's row-order fold bit for bit.
         let t0 = Instant::now();
-        let mut x0 = vec![0.0; n];
-        PanelColView(0).scatter_into(self.ex.ranks(), &mut x0);
-        let mut ax0 = vec![0.0; n];
-        a.spmv(&x0, &mut ax0);
+        self.x_panel.resize(n, 0.0);
+        self.ax_panel.resize(n, 0.0);
+        let (x0, ax0) = (&mut self.x_panel[..n], &mut self.ax_panel[..n]);
+        PanelColView(0).scatter_into(self.ex.ranks(), x0);
+        a.spmv(x0, ax0);
         let init_ns_share = (t0.elapsed().as_nanos() as u64) / k as u64;
 
-        self.cols.clear();
-        for (c, b) in bs.iter().enumerate() {
+        // Each column's log restarts in place; its monitor counters were
+        // reported (and zeroed) when the previous batch finished.
+        for (c, (col, b)) in self.cols.iter_mut().zip(bs).enumerate() {
             let t0 = Instant::now();
             let norm_sq: f64 = b
                 .iter()
-                .zip(&ax0)
+                .zip(&*ax0)
                 .map(|(&b, &ax)| {
                     let d = b - ax;
                     d * d
                 })
                 .sum();
-            let initial = norm_sq.sqrt();
-            let mut monitor = MonitorCore::new(n);
+            let base = recovery_counts(self.ex.ranks().iter().map(|r| r.col(c)));
+            col.log.restart(&self.opts, norm_sq.sqrt(), base);
+            let monitor = &mut col.log.monitor;
             monitor.stats.verifications += 1;
             monitor.stats.verify_ns += init_ns_share + t0.elapsed().as_nanos() as u64;
-            let base = recovery_counts(self.ex.ranks().iter().map(|r| r.col(c)));
-            self.cols.push(ColState {
-                log: SolveLog::new(monitor, &self.opts, initial, base),
-                x: None,
-            });
         }
         // Clean stats epoch: build and reseed work is not a step.
         let _ = self.ex.stats.take_epoch();

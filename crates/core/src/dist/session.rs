@@ -36,12 +36,15 @@
 //!
 //! # Quantum stepping
 //!
-//! [`SolveSession::step_batch`] advances a bounded number of supersteps
-//! and returns whether the solve reached a verdict, so a serving layer
-//! can interleave many sessions with per-tenant quanta (see the
-//! `dsw-serve` crate, which hands each worker of its pool whole sessions
-//! to step, never single ranks). A session holds the
-//! driver's own superstep run and steps it — the loop
+//! A job has one lifecycle whatever its width:
+//! [`begin`](SolveSession::begin) takes the job's right-hand sides,
+//! [`step`](SolveSession::step) advances a bounded number of supersteps
+//! and returns whether every right-hand side reached a verdict, and
+//! [`finish`](SolveSession::finish) returns one report per right-hand
+//! side. A serving layer interleaves many sessions this way with
+//! per-tenant quanta (see the `dsw-serve` crate, which hands each worker
+//! of its pool whole tenants to step, never single ranks). A one-rhs job
+//! steps the driver's own superstep run — the loop
 //! [`run_method`](super::run_method) runs, with the same measurement
 //! cadence and verdict rule — so a cold session solve and a `run_method`
 //! solve of the same problem produce identical reports
@@ -151,9 +154,8 @@ type LocalView<R> = DirectView<fn(&R) -> &LocalSystem>;
 /// A persistent solver instance: distributed state that survives across
 /// solves with evolving right-hand sides.
 ///
-/// Constructed through [`TenantSession::build`] (which picks the rank
-/// type for the method and enforces the warm-start preconditions), or
-/// directly from pre-built ranks for tests.
+/// Constructed through [`TenantSession::build`], which picks the rank
+/// type for the method and enforces the warm-start preconditions.
 pub struct SolveSession<R: WarmStart> {
     a: CsrMatrix,
     pub(crate) b: Vec<f64>,
@@ -163,24 +165,17 @@ pub struct SolveSession<R: WarmStart> {
     pub(crate) delta_b: Vec<f64>,
     /// Exact per-rank `‖r_p‖²` scratch, reused across reseeds.
     pub(crate) norms_sq: Vec<f64>,
-    /// The in-progress fused multi-RHS solve, if one is active
-    /// ([`SolveSession::begin_panel`]).
+    /// The in-progress fused multi-RHS job, if one is active.
     panel: Option<PanelRun<R>>,
     /// The most recently finished panel run, kept warm so the next
-    /// same-shape [`begin_panel`](SolveSession::begin_panel) reseeds it
-    /// instead of re-cloning every rank and rebuilding the executor.
+    /// same-width panel job reseeds it instead of re-cloning every rank
+    /// and rebuilding the executor.
     panel_cache: Option<PanelRun<R>>,
 }
 
-impl<R: WarmStart> SolveSession<R> {
+impl<R: WarmStart + Clone> SolveSession<R> {
     /// Wraps a built executor into a session ready to solve `b`.
-    pub fn new(
-        method: Method,
-        a: CsrMatrix,
-        b: Vec<f64>,
-        ex: Executor<R>,
-        opts: DistOptions,
-    ) -> Self {
+    fn new(method: Method, a: CsrMatrix, b: Vec<f64>, ex: Executor<R>, opts: DistOptions) -> Self {
         let n = a.nrows();
         let nranks = ex.nranks();
         let view = DirectView(R::local as fn(&R) -> &LocalSystem);
@@ -212,13 +207,70 @@ impl<R: WarmStart> SolveSession<R> {
         self.run.ex.ranks_mut()
     }
 
-    /// Whether the current solve has reached a verdict.
-    pub fn is_done(&self) -> bool {
-        self.run.is_done()
+    /// Begins a job solving `A x = b` for every `b` in `bs`, each
+    /// warm-started from the session's current `x`. The batch width alone
+    /// picks the driver: one right-hand side runs the session's own
+    /// superstep run, two or more one fused [`PanelRun`].
+    pub fn begin(&mut self, bs: &[Vec<f64>]) {
+        match bs {
+            [b] => self.begin_solve(b),
+            _ => self.begin_panel(bs),
+        }
     }
 
-    /// Begins a solve of `A x = b_new`, warm-starting from the current
-    /// `x`.
+    /// Advances up to `quantum` supersteps of the current job; returns
+    /// `true` once every right-hand side has reached a verdict
+    /// (converged, deadlocked, diverged, or out of steps).
+    pub fn step(&mut self, quantum: usize) -> bool {
+        match &mut self.panel {
+            Some(run) => run.step_batch(&self.a, quantum),
+            None => self.run.step_batch(&self.a, &self.b, quantum),
+        }
+    }
+
+    /// Closes the current job: one report per right-hand side, in `bs`
+    /// order. Stats cover this job only: the executor's accumulators are
+    /// harvested as an epoch ([`dsw_rma::RunStats::take_epoch`]), so
+    /// back-to-back jobs on one session never bleed into each other. A
+    /// panel adopts its last column's state as the session's, so the
+    /// next job warm-starts from it.
+    ///
+    /// The session is left finished at its final state: finishing again
+    /// reports an empty solve — the step-0 record at the current norm, no
+    /// steps, no verdict — instead of a report without records.
+    pub fn finish(&mut self) -> Vec<DistReport> {
+        let Some(mut run) = self.panel.take() else {
+            return vec![self.run.finish()];
+        };
+        let reports = run.finish_into(self);
+        self.panel_cache = Some(run);
+        reports
+    }
+
+    /// One full solve: begin, run to a verdict, report.
+    pub fn solve(&mut self, b: &[f64]) -> DistReport {
+        self.begin_solve(b);
+        while !self.step(self.run.opts.max_steps) {}
+        self.run.finish()
+    }
+
+    /// Batched right-hand sides, solved sequentially: each solve
+    /// warm-starts from its predecessor's solution. The fused alternative
+    /// is [`SolveSession::solve_panel`].
+    pub fn solve_many(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport> {
+        bs.iter().map(|b| self.solve(b)).collect()
+    }
+
+    /// One full fused panel solve: begin, run to verdicts, report. Fuses
+    /// even a single column, which then matches [`SolveSession::solve`]
+    /// bit for bit.
+    pub fn solve_panel(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport> {
+        self.begin_panel(bs);
+        while !self.step(self.run.opts.max_steps) {}
+        self.finish()
+    }
+
+    /// Begins a scalar solve of `A x = b_new`.
     ///
     /// If `b_new` is bitwise identical to the session's current `b`, the
     /// rank states are left completely untouched — the solve is a pure
@@ -226,10 +278,10 @@ impl<R: WarmStart> SolveSession<R> {
     /// re-seeded by the `Δb` shift, the cross-rank estimates by an exact
     /// out-of-band norm exchange, and stale in-flight norm messages are
     /// discarded.
-    pub fn begin_solve(&mut self, b_new: &[f64]) {
+    fn begin_solve(&mut self, b_new: &[f64]) {
         assert!(
             self.panel.is_none(),
-            "finish the active panel solve before beginning a scalar solve"
+            "finish the active panel solve before beginning another job"
         );
         assert_eq!(b_new.len(), self.a.nrows(), "rhs dimension mismatch");
         let changed = self.b != b_new;
@@ -254,49 +306,11 @@ impl<R: WarmStart> SolveSession<R> {
         self.run.begin(&self.a, &self.b);
     }
 
-    /// Advances up to `quantum` supersteps of the current solve; returns
-    /// `true` once the solve has reached a verdict (converged, deadlocked,
-    /// diverged, or out of steps).
-    pub fn step_batch(&mut self, quantum: usize) -> bool {
-        self.run.step_batch(&self.a, &self.b, quantum)
-    }
-
-    /// Closes the current solve and returns its report. Stats cover this
-    /// solve only: the executor's accumulators are harvested as an epoch
-    /// ([`dsw_rma::RunStats::take_epoch`]), so back-to-back solves on one
-    /// session never bleed into each other.
-    ///
-    /// The session is left finished at its final state: a second
-    /// `finish` (or one after [`finish_panel`](SolveSession::finish_panel))
-    /// reports an empty solve — the step-0 record at the current norm, no
-    /// steps, no verdict — instead of a report without records.
-    pub fn finish(&mut self) -> DistReport {
-        self.run.finish()
-    }
-
-    /// One full solve: begin, run to a verdict, report.
-    pub fn solve(&mut self, b: &[f64]) -> DistReport {
-        self.begin_solve(b);
-        while !self.step_batch(self.run.opts.max_steps) {}
-        self.finish()
-    }
-
-    /// Batched right-hand sides, solved sequentially: each solve
-    /// warm-starts from its predecessor's solution. The fused alternative
-    /// is [`SolveSession::solve_panel`].
-    pub fn solve_many(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport> {
-        bs.iter().map(|b| self.solve(b)).collect()
-    }
-
     /// Begins a fused panel solve of `A x_c = bs[c]` for every column at
     /// once, each warm-started from the session's current solution (see
     /// [`PanelRun`]). The session's scalar state is untouched until
-    /// [`finish_panel`](SolveSession::finish_panel) adopts the last
-    /// column.
-    pub fn begin_panel(&mut self, bs: &[Vec<f64>])
-    where
-        R: Clone,
-    {
+    /// [`finish`](SolveSession::finish) adopts the last column.
+    fn begin_panel(&mut self, bs: &[Vec<f64>]) {
         assert!(self.panel.is_none(), "a panel solve is already active");
         if let Some(mut run) = self.panel_cache.take() {
             // A cached run owns warm column clones, a built routing
@@ -317,38 +331,6 @@ impl<R: WarmStart> SolveSession<R> {
             bs,
             self.run.opts,
         ));
-    }
-
-    /// Whether a panel solve is currently active.
-    pub fn panel_active(&self) -> bool {
-        self.panel.is_some()
-    }
-
-    /// Advances up to `quantum` fused supersteps of the active panel;
-    /// returns `true` once every column has reached a verdict.
-    pub fn step_panel(&mut self, quantum: usize) -> bool {
-        let run = self.panel.as_mut().expect("no active panel solve");
-        run.step_batch(&self.a, quantum)
-    }
-
-    /// Closes the active panel solve: one report per column, in `bs`
-    /// order, and the last column's state adopted as the session's —
-    /// subsequent scalar solves warm-start from it.
-    pub fn finish_panel(&mut self) -> Vec<DistReport> {
-        let mut run = self.panel.take().expect("no active panel solve");
-        let reports = run.finish_into(self);
-        self.panel_cache = Some(run);
-        reports
-    }
-
-    /// One full fused panel solve: begin, run to verdicts, report.
-    pub fn solve_panel(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport>
-    where
-        R: Clone,
-    {
-        self.begin_panel(bs);
-        while !self.step_panel(self.run.opts.max_steps) {}
-        self.finish_panel()
     }
 }
 
@@ -398,23 +380,18 @@ impl TenantSession {
         })
     }
 
-    /// See [`SolveSession::begin_solve`].
-    pub fn begin_solve(&mut self, b: &[f64]) {
-        each!(self, s => s.begin_solve(b))
+    /// See [`SolveSession::begin`].
+    pub fn begin(&mut self, bs: &[Vec<f64>]) {
+        each!(self, s => s.begin(bs))
     }
 
-    /// See [`SolveSession::step_batch`].
-    pub fn step_batch(&mut self, quantum: usize) -> bool {
-        each!(self, s => s.step_batch(quantum))
-    }
-
-    /// See [`SolveSession::is_done`].
-    pub fn is_done(&self) -> bool {
-        each!(self, s => s.is_done())
+    /// See [`SolveSession::step`].
+    pub fn step(&mut self, quantum: usize) -> bool {
+        each!(self, s => s.step(quantum))
     }
 
     /// See [`SolveSession::finish`].
-    pub fn finish(&mut self) -> DistReport {
+    pub fn finish(&mut self) -> Vec<DistReport> {
         each!(self, s => s.finish())
     }
 
@@ -426,26 +403,6 @@ impl TenantSession {
     /// See [`SolveSession::solve_many`].
     pub fn solve_many(&mut self, bs: &[Vec<f64>]) -> Vec<DistReport> {
         each!(self, s => s.solve_many(bs))
-    }
-
-    /// See [`SolveSession::begin_panel`].
-    pub fn begin_panel(&mut self, bs: &[Vec<f64>]) {
-        each!(self, s => s.begin_panel(bs))
-    }
-
-    /// See [`SolveSession::panel_active`].
-    pub fn panel_active(&self) -> bool {
-        each!(self, s => s.panel_active())
-    }
-
-    /// See [`SolveSession::step_panel`].
-    pub fn step_panel(&mut self, quantum: usize) -> bool {
-        each!(self, s => s.step_panel(quantum))
-    }
-
-    /// See [`SolveSession::finish_panel`].
-    pub fn finish_panel(&mut self) -> Vec<DistReport> {
-        each!(self, s => s.finish_panel())
     }
 
     /// See [`SolveSession::solve_panel`].
@@ -466,7 +423,7 @@ mod tests {
     use dsw_sparse::gen;
 
     /// Regression: `finish` used to move the records out, so a second
-    /// `finish`, or one after `finish_panel`, returned a report without
+    /// `finish`, or one after a panel job's, returned a report without
     /// records and `final_residual` / `comm_cost` panicked. The session is
     /// now left settled at its final state: finishing again reports an
     /// empty solve that still holds its step-0 record.
@@ -486,17 +443,18 @@ mod tests {
             let mut s = TenantSession::build(method, a.clone(), &b, &vec![0.0; n], &part, &opts);
             let first = s.solve(&b);
             assert!(first.converged_at.is_some());
-            let again = s.finish();
+            let again = s.finish().remove(0);
             assert_eq!(again.records.len(), 1, "{method:?}");
             assert_eq!(again.final_residual(), first.final_residual());
             assert_eq!(again.comm_cost(), 0.0);
             assert_eq!(again.x, first.x);
             assert!(again.converged_at.is_none() && !again.deadlocked && !again.diverged);
-            assert!(s.is_done() && again.stats.steps.is_empty());
+            // Nothing is left to step.
+            assert!(s.step(1) && again.stats.steps.is_empty());
 
             let bs = vec![vec![0.25; n], vec![0.75; n]];
             let cols = s.solve_panel(&bs);
-            let adopted = s.finish();
+            let adopted = s.finish().remove(0);
             assert_eq!(adopted.records.len(), 1, "{method:?}");
             assert_eq!(adopted.final_residual(), cols[1].final_residual());
             assert_eq!(adopted.x, cols[1].x);

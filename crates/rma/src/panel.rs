@@ -42,9 +42,10 @@ pub const PANEL_MAX_COLS: usize = 64;
 pub struct PanelPart<M> {
     /// Panel column this part belongs to.
     pub col: u16,
-    /// For a shared part ([`PanelPhaseCtx::stage_shared`]): the bitmask of
-    /// panel columns whose payloads it carries (bit `c` = column `c`),
-    /// set by the stager from the column list. `0` means a plain
+    /// For a shared part ([`PanelPhaseCtx::stage_shared`], the only way a
+    /// fused phase stages): the bitmask of panel columns whose payloads
+    /// it carries (bit `c` = column `c`), set by the stager from the
+    /// column list. `0` marks the per-column fallback's wire format, a
     /// single-column part addressed by `col`. Self-describing addressing
     /// lets a receiver unpack a shared part even when a column dropped
     /// out while the message was in flight, instead of inferring the
@@ -109,22 +110,6 @@ impl<M> PanelPhaseCtx<'_, M> {
     /// The executing rank id.
     pub fn rank(&self) -> usize {
         self.ctx.rank()
-    }
-
-    /// Stages one column's payload for `target`, counting it as one
-    /// logical per-column message (what a scalar put would have been).
-    pub fn stage(&mut self, target: usize, part: PanelPart<M>) {
-        self.col_msgs[part.col as usize] += 1;
-        let staged = &mut self.staging[target];
-        if staged.is_empty() {
-            self.touched.push(target);
-            // The staged vector was moved into the previous phase's packed
-            // message, so it starts at zero capacity: one up-front reserve
-            // (≤ one part per column per class is the common case) beats a
-            // doubling chain of reallocations per phase.
-            staged.reserve(self.col_msgs.len());
-        }
-        staged.push(part);
     }
 
     /// Stages one part that carries *every* listed column's payload for

@@ -21,11 +21,13 @@
 //! relax — so splitting one tenant's step across the pool made every
 //! dispatch and barrier cost as much as the step it carried. Instead each
 //! scheduler round makes one pool dispatch whose items are the round's
-//! active tenants: a worker advances a whole tenant's quantum on that
-//! tenant's own sequential executor. Activation and finishing stay on
-//! the calling thread, in the seeded visit order. This assumes many
-//! small tenants: a round with fewer active tenants than workers leaves
-//! a worker idle, since one tenant's step never spans the pool.
+//! active tenants: a worker runs a whole tenant's turn — up to a quantum
+//! of supersteps of its job queue, filing each finished job and beginning
+//! the next — on that tenant's own sequential executor. The calling
+//! thread keeps the seeded visit order, residency, and the round's first
+//! activation of each idle tenant. This assumes many small tenants: a
+//! round with fewer active tenants than workers leaves a worker idle,
+//! since one tenant's step never spans the pool.
 //!
 //! Per-tenant [`DistReport`]s are fully isolated: each tenant owns its
 //! executor and stats epoch, and tenants share no state, so neither the
@@ -59,8 +61,11 @@ impl TenantId {
 pub struct ServeConfig {
     /// Worker threads in the shared pool (all tenants share them).
     pub workers: usize,
-    /// Supersteps a runnable tenant advances per scheduler visit. Larger
-    /// quanta amortize visit overhead; smaller quanta tighten fairness.
+    /// Supersteps of its job queue a runnable tenant advances per
+    /// scheduler round: a job that reaches its verdict mid-quantum is
+    /// filed and the tenant's next queued job takes the remaining
+    /// supersteps. Larger quanta amortize round overhead; smaller quanta
+    /// tighten fairness.
     pub quantum: usize,
     /// Bound on the total number of queued (admitted but unfinished)
     /// jobs across all tenants; [`SolveService::submit`] returns
@@ -158,6 +163,11 @@ struct Job {
     submitted_at: Instant,
 }
 
+/// Milliseconds elapsed since `t`.
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
 /// One tenant: the (possibly evicted) session, everything needed to
 /// rebuild it warm, plus its job queue and finished reports.
 struct TenantSlot {
@@ -169,8 +179,8 @@ struct TenantSlot {
     a: CsrMatrix,
     partition: Partition,
     opts: DistOptions,
-    /// Right-hand side of the tenant's most recent job (re-admission
-    /// seeds the rebuilt session with it so the next `begin_solve`
+    /// Last right-hand side of the tenant's most recent job
+    /// (re-admission seeds the rebuilt session with it so the next job
     /// re-seeds from a Δb against the true previous state).
     last_b: Vec<f64>,
     /// The tenant's last solution — the warm-start iterate a rebuilt
@@ -181,18 +191,67 @@ struct TenantSlot {
     n: usize,
     /// Admitted jobs waiting to start (FIFO).
     pending: VecDeque<Job>,
-    /// The in-progress job's admission time, if a solve is active.
-    active_since: Option<Instant>,
-    /// Right-hand sides in the in-progress job (1 for scalar solves,
-    /// `k` for a fused panel batch); 0 when idle.
-    active_k: usize,
+    /// The in-progress job's admission time and right-hand-side count
+    /// (1 for a scalar solve, `k` for a fused panel batch); `None` while
+    /// idle.
+    active: Option<(Instant, usize)>,
     /// Finished per-tenant reports, in completion order.
     reports: Vec<DistReport>,
+    /// Queue waits (admission to begin) and latencies (admission to
+    /// finish) of this round's jobs, one entry per right-hand side,
+    /// drained by the scheduler after each round.
+    waits_ms: Vec<f64>,
+    latencies_ms: Vec<f64>,
 }
 
 impl TenantSlot {
     fn runnable(&self) -> bool {
-        self.active_since.is_some() || !self.pending.is_empty()
+        self.active.is_some() || !self.pending.is_empty()
+    }
+
+    fn session(&mut self) -> &mut TenantSession {
+        self.session
+            .as_mut()
+            .expect("an active tenant's session is never evicted")
+    }
+
+    /// Begins the next pending job on the resident session; `false` if
+    /// none is queued.
+    fn begin_next(&mut self) -> bool {
+        let Some(job) = self.pending.pop_front() else {
+            return false;
+        };
+        let mut bs = job.bs;
+        let k = bs.len();
+        self.waits_ms
+            .extend(std::iter::repeat_n(ms_since(job.submitted_at), k));
+        self.session().begin(&bs);
+        self.last_b = bs.pop().expect("an admitted job has at least one rhs");
+        self.active = Some((job.submitted_at, k));
+        true
+    }
+
+    /// The tenant's turn, run on a pool worker: up to `quantum`
+    /// supersteps of its queue. A job that reaches a verdict is filed
+    /// (reports, last solution, latencies), and the next queued job
+    /// begins while supersteps remain, so a short job does not idle the
+    /// rest of the quantum away.
+    fn turn(&mut self, quantum: usize) {
+        for left in (0..quantum).rev() {
+            if !self.session().step(1) {
+                continue;
+            }
+            let reports = self.session().finish();
+            let (since, k) = self.active.take().expect("the turn's job is active");
+            self.last_x
+                .clone_from(&reports.last().expect("one report per rhs").x);
+            self.reports.extend(reports);
+            self.latencies_ms
+                .extend(std::iter::repeat_n(ms_since(since), k));
+            if left == 0 || !self.begin_next() {
+                break;
+            }
+        }
     }
 }
 
@@ -210,9 +269,10 @@ pub struct ServiceStats {
     pub p50_ms: f64,
     /// 99th-percentile solve latency, milliseconds.
     pub p99_ms: f64,
-    /// Median queue wait (admission to activation), milliseconds: the
-    /// part of a solve's latency spent behind other tenants' work before
-    /// its own first superstep.
+    /// Median queue wait (admission to the job's begin), milliseconds:
+    /// the part of a solve's latency spent behind other work — other
+    /// tenants' turns and the tenant's own earlier jobs — before its own
+    /// first superstep.
     pub queue_wait_p50_ms: f64,
     /// 99th-percentile queue wait, milliseconds.
     pub queue_wait_p99_ms: f64,
@@ -316,9 +376,10 @@ impl SolveService {
             last_used: self.clock,
             n,
             pending: VecDeque::new(),
-            active_since: None,
-            active_k: 0,
+            active: None,
             reports: Vec::new(),
+            waits_ms: Vec::new(),
+            latencies_ms: Vec::new(),
         });
         TenantId(self.tenants.len() - 1)
     }
@@ -338,7 +399,7 @@ impl SolveService {
                 .tenants
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| s.session.is_some() && s.active_since.is_none())
+                .filter(|(_, s)| s.session.is_some() && s.active.is_none())
                 .min_by_key(|(_, s)| s.last_used)
                 .map(|(i, _)| i);
             let Some(v) = victim else {
@@ -349,12 +410,19 @@ impl SolveService {
         }
     }
 
-    /// Rebuilds evicted tenant `t`'s session warm: the partition, routed
-    /// topology, and rank state are reconstructed from the registration
-    /// data with the tenant's last solution as the starting iterate, so a
-    /// re-admitted tenant resumes exactly where its evicted session
-    /// stopped.
-    fn rebuild(&mut self, t: usize) {
+    /// Re-admits evicted tenant `t` if [`make_room`] finds room; returns
+    /// whether it did. When every resident is active the tenant's job
+    /// stays queued rather than overshoot the residency cap. The session
+    /// is rebuilt warm: the partition, routed topology, and rank state
+    /// are reconstructed from the registration data with the tenant's
+    /// last solution as the starting iterate, so a re-admitted tenant
+    /// resumes exactly where its evicted session stopped.
+    ///
+    /// [`make_room`]: SolveService::make_room
+    fn readmit(&mut self, t: usize) -> bool {
+        if !self.make_room() {
+            return false;
+        }
         let slot = &mut self.tenants[t];
         slot.session = Some(TenantSession::build(
             slot.method,
@@ -365,6 +433,7 @@ impl SolveService {
             &slot.opts,
         ));
         self.rebuilds += 1;
+        true
     }
 
     /// Submits one right-hand side for `tenant`. Fails with
@@ -476,16 +545,15 @@ impl SolveService {
     /// completed, then returns the window's service stats.
     ///
     /// Each round visits every runnable tenant once, in registration
-    /// order rotated by a seeded offset, in three steps:
+    /// order rotated by a seeded offset, in two steps:
     ///
-    /// 1. on this thread, in visit order, an idle tenant starts its next
-    ///    pending job (which may rebuild an evicted session, or wait for a
-    ///    later round while the residency cap has no idle session to
-    ///    evict);
-    /// 2. one pool dispatch advances every active tenant by up to
-    ///    `quantum` supersteps, each tenant's quantum on one worker;
-    /// 3. on this thread, in visit order, every tenant whose job reached
-    ///    a verdict files its reports.
+    /// 1. on this thread, in visit order, each tenant's LRU stamp is
+    ///    refreshed and an idle tenant begins its next pending job (which
+    ///    may rebuild an evicted session, or wait for a later round while
+    ///    the residency cap has no idle session to evict);
+    /// 2. one pool dispatch runs every active tenant's turn on one worker:
+    ///    up to `quantum` supersteps of its queue, filing each finished
+    ///    job and beginning the next (see [`ServeConfig::quantum`]).
     ///
     /// Tenants never share solver state, so the per-tenant reports are
     /// independent of the interleaving and of the worker count — the
@@ -494,7 +562,6 @@ impl SolveService {
         let t0 = Instant::now();
         let mut latencies_ms: Vec<f64> = Vec::new();
         let mut waits_ms: Vec<f64> = Vec::new();
-        let mut solves = 0u64;
         let mut rounds = 0u64;
         let quantum = self.cfg.quantum;
         // Harvest pool busy time accumulated outside this window (previous
@@ -516,53 +583,39 @@ impl SolveService {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let rot = (self.rng >> 33) as usize % runnable.len();
-            let mut visit = Vec::with_capacity(runnable.len());
             for i in 0..runnable.len() {
                 let t = runnable[(i + rot) % runnable.len()];
                 self.clock += 1;
                 self.tenants[t].last_used = self.clock;
-                if self.tenants[t].active_since.is_some() || self.activate(t, &mut waits_ms) {
-                    visit.push(t);
+                // Activation is the (re-)admission point of an evicted
+                // tenant.
+                let slot = &self.tenants[t];
+                if slot.active.is_none() && (slot.session.is_some() || self.readmit(t)) {
+                    self.tenants[t].begin_next();
                 }
             }
-
             // A round always makes progress: with no tenant active, every
             // resident is idle, so the first visited tenant finds room.
-            assert!(!visit.is_empty(), "a runnable round activates a tenant");
-            // Every tenant of the round is resident and active (activation
-            // never evicts an active session), so each contributes exactly
-            // one session to the dispatch.
-            let mut sessions: Vec<Option<&mut TenantSession>> = self
-                .tenants
-                .iter_mut()
-                .map(|s| s.session.as_mut())
-                .collect();
-            let mut turns: Vec<(&mut TenantSession, bool)> = visit
-                .iter()
-                .map(|&t| {
-                    let session = sessions[t]
-                        .take()
-                        .expect("an active tenant's session is never evicted");
-                    (session, false)
-                })
-                .collect();
-            self.pool.for_each_mut(&mut turns, |(session, finished)| {
-                *finished = if session.panel_active() {
-                    session.step_panel(quantum)
-                } else {
-                    session.step_batch(quantum)
-                };
+            assert!(
+                self.tenants.iter().any(|s| s.active.is_some()),
+                "a runnable round activates a tenant"
+            );
+            // Every active tenant was visited this round, so the dispatch
+            // runs exactly the round's turns.
+            self.pool.for_each_mut(&mut self.tenants, |slot| {
+                if slot.active.is_some() {
+                    slot.turn(quantum);
+                }
             });
             rounds += 1;
-            let finished: Vec<bool> = turns.into_iter().map(|(_, f)| f).collect();
-
-            for (&t, done) in visit.iter().zip(finished) {
-                if done {
-                    solves += self.finish_job(t, &mut latencies_ms);
-                }
+            for slot in &mut self.tenants {
+                self.queued -= slot.latencies_ms.len();
+                latencies_ms.append(&mut slot.latencies_ms);
+                waits_ms.append(&mut slot.waits_ms);
             }
         }
 
+        let solves = latencies_ms.len() as u64;
         let wall_s = t0.elapsed().as_secs_f64();
         let busy: u64 = self.pool_stats.take_epoch().iter().sum();
         let denom = wall_s * 1e9 * self.cfg.workers as f64;
@@ -591,76 +644,6 @@ impl SolveService {
                 0.0
             },
         }
-    }
-
-    /// Starts idle tenant `t`'s next pending job, recording each of its
-    /// right-hand sides' queue wait in `waits_ms`; returns `false` if it
-    /// has none or must wait for room. Activation is the (re-)admission
-    /// point: an evicted tenant gets its session rebuilt warm here,
-    /// evicting the LRU idle resident to make room. When every resident
-    /// is active the job stays queued for a later round rather than
-    /// overshoot the residency cap.
-    fn activate(&mut self, t: usize, waits_ms: &mut Vec<f64>) -> bool {
-        if self.tenants[t].pending.is_empty() {
-            return false;
-        }
-        if self.tenants[t].session.is_none() {
-            if !self.make_room() {
-                return false;
-            }
-            self.rebuild(t);
-        }
-        let slot = &mut self.tenants[t];
-        let job = slot.pending.pop_front().expect("checked non-empty above");
-        let wait = job.submitted_at.elapsed().as_secs_f64() * 1e3;
-        waits_ms.extend(std::iter::repeat_n(wait, job.bs.len()));
-        slot.active_k = job.bs.len();
-        slot.last_b = job
-            .bs
-            .last()
-            .expect("an admitted job has at least one rhs")
-            .clone();
-        let session = slot.session.as_mut().expect("residency ensured above");
-        if job.bs.len() == 1 {
-            session.begin_solve(&job.bs[0]);
-        } else {
-            // A tenant batch runs as one fused panel solve under the same
-            // quantum.
-            session.begin_panel(&job.bs);
-        }
-        slot.active_since = Some(job.submitted_at);
-        true
-    }
-
-    /// Files tenant `t`'s finished job: its reports, its last solution
-    /// (the warm start of a rebuild), each right-hand side's latency in
-    /// `latencies_ms`, and the queue accounting. Returns the solves it
-    /// completed.
-    fn finish_job(&mut self, t: usize, latencies_ms: &mut Vec<f64>) -> u64 {
-        let slot = &mut self.tenants[t];
-        let session = slot
-            .session
-            .as_mut()
-            .expect("an active tenant's session is never evicted");
-        if session.panel_active() {
-            let reports = session.finish_panel();
-            if let Some(last) = reports.last() {
-                slot.last_x = last.x.clone();
-            }
-            slot.reports.extend(reports);
-        } else {
-            let report = session.finish();
-            slot.last_x = report.x.clone();
-            slot.reports.push(report);
-        }
-        let since = slot
-            .active_since
-            .take()
-            .expect("active solve has an admission time");
-        let latency = since.elapsed().as_secs_f64() * 1e3;
-        latencies_ms.extend(std::iter::repeat_n(latency, slot.active_k));
-        self.queued -= slot.active_k;
-        std::mem::take(&mut slot.active_k) as u64
     }
 
     /// Drains the finished reports for one tenant (completion order).

@@ -444,3 +444,118 @@ fn one_pool_dispatch_per_round_for_one_tenant() {
 fn one_pool_dispatch_per_round_for_sixteen_tenants() {
     assert_one_dispatch_per_round(16);
 }
+
+/// Runs one `method` tenant registered at `b0` through `windows`, each
+/// a drain window whose jobs (one right-hand side each) are submitted up
+/// front, and returns every report's fingerprint plus the last window's
+/// scheduler rounds and pool dispatches.
+fn run_queue(
+    method: Method,
+    workers: usize,
+    quantum: usize,
+    b0: &[f64],
+    windows: &[&[Vec<f64>]],
+) -> (Vec<ReportPrint>, u64, u64) {
+    let a = poisson(12);
+    let n = a.nrows();
+    let mut svc = SolveService::new(ServeConfig {
+        workers,
+        quantum,
+        queue_capacity: 64,
+        seed: 11,
+        ..ServeConfig::default()
+    });
+    let id = svc.add_tenant(
+        method,
+        a,
+        b0,
+        &vec![0.0; n],
+        &block_partition(n, 4),
+        &opts(),
+    );
+    let (mut rounds, mut dispatches) = (0, 0);
+    for jobs in windows {
+        for b in *jobs {
+            svc.submit(id, b.clone()).expect("queue has room");
+        }
+        let pool = svc.pool_stats();
+        rounds = svc.run_until_idle().rounds;
+        dispatches = pool.dispatches();
+    }
+    let prints = svc.take_reports(id).iter().map(print).collect();
+    (prints, rounds, dispatches)
+}
+
+/// The same jobs on a solo session registered at `b0`.
+fn run_queue_solo(method: Method, b0: &[f64], jobs: &[Vec<f64>]) -> Vec<DistReport> {
+    let a = poisson(12);
+    let n = a.nrows();
+    let part = block_partition(n, 4);
+    let mut session = TenantSession::build(method, a, b0, &vec![0.0; n], &part, &opts());
+    jobs.iter().map(|b| session.solve(b)).collect()
+}
+
+/// A turn spends its whole quantum on the tenant's queue: four warm
+/// re-solves of an already converged right-hand side take one superstep
+/// each, so at quantum 4 they all finish in one round and one pool
+/// dispatch, with the reports of a solo session.
+#[test]
+fn a_turn_continues_into_the_next_job() {
+    let n = poisson(12).nrows();
+    let b = rhs(n, 1, 0);
+    // The first job converges cold; the four after it re-solve it warm.
+    let jobs = vec![b.clone(); 5];
+    let solo = run_queue_solo(Method::BlockJacobi, &b, &jobs);
+    assert!(solo.iter().all(|r| r.converged_at.is_some()));
+    assert!(
+        solo[1..].iter().all(|r| r.records.len() == 2),
+        "one step each"
+    );
+
+    // The cold job runs in a window of its own, the four warm jobs in the
+    // window under test.
+    let (served, rounds, dispatches) =
+        run_queue(Method::BlockJacobi, 2, 4, &b, &[&jobs[..1], &jobs[1..]]);
+    assert_eq!(rounds, 1, "four one-step jobs fill one quantum");
+    assert_eq!(dispatches, 1);
+    let want: Vec<ReportPrint> = solo.iter().map(print).collect();
+    assert_eq!(
+        served, want,
+        "the served queue diverged from its solo session"
+    );
+}
+
+/// A Distributed Southwell job that reaches its verdict mid-quantum hands
+/// the rest of the turn to the tenant's next job: the window takes the
+/// rounds of the two jobs' supersteps laid end to end, and at every pool
+/// size the reports equal a solo session's.
+#[test]
+fn a_job_ending_mid_quantum_hands_its_turn_to_the_next() {
+    // The jobs take 304 and 57 supersteps: 3 and 1 past a multiple of 7,
+    // so laid end to end they share a round.
+    const QUANTUM: usize = 7;
+    let n = poisson(12).nrows();
+    let b0 = rhs(n, 0, 0);
+    let jobs = vec![rhs(n, 0, 1), rhs(n, 0, 2)];
+    let solo = run_queue_solo(Method::DistributedSouthwell, &b0, &jobs);
+    let steps: Vec<usize> = solo.iter().map(|r| r.records.len() - 1).collect();
+    assert_ne!(steps[0] % QUANTUM, 0, "the first job ends mid-quantum");
+    let end_to_end = (steps[0] + steps[1]).div_ceil(QUANTUM);
+    assert!(
+        end_to_end < steps[0].div_ceil(QUANTUM) + steps[1].div_ceil(QUANTUM),
+        "continuing saves a round"
+    );
+    let want: Vec<ReportPrint> = solo.iter().map(print).collect();
+    for workers in [1usize, 2, 3] {
+        let (served, rounds, dispatches) = run_queue(
+            Method::DistributedSouthwell,
+            workers,
+            QUANTUM,
+            &b0,
+            &[&jobs],
+        );
+        assert_eq!(served, want, "{workers} workers: diverged from solo");
+        assert_eq!(rounds as usize, end_to_end, "{workers} workers");
+        assert_eq!(dispatches, rounds, "{workers} workers");
+    }
+}

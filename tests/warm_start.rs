@@ -9,7 +9,7 @@
 //!    the original run continue for the same number of steps — exact
 //!    residual norms at every boundary and the final solution match to
 //!    the bit.
-//! 2. **Changed `b` ⇒ exact reseed.** After `begin_solve` with a new
+//! 2. **Changed `b` ⇒ exact reseed.** After `begin` with a new
 //!    right-hand side, every rank's maintained `‖r_p‖²` equals a bitwise
 //!    recompute from its residual (no stale `norm_dirty` cache), the
 //!    residual itself equals `b − Ax` to rounding, and the DS ghost
@@ -98,12 +98,12 @@ proptest! {
         let mut subject = TenantSession::build(
             method, a.clone(), &b, &x0, &part, &opts(mode, k),
         );
-        subject.begin_solve(&b);
-        while !subject.step_batch(2) {}
-        let first = subject.finish();
-        subject.begin_solve(&b); // bitwise-unchanged: must touch nothing
-        while !subject.step_batch(2) {}
-        let resumed = subject.finish();
+        subject.begin(std::slice::from_ref(&b));
+        while !subject.step(2) {}
+        let first = subject.finish().remove(0);
+        subject.begin(std::slice::from_ref(&b)); // bitwise-unchanged: must touch nothing
+        while !subject.step(2) {}
+        let resumed = subject.finish().remove(0);
 
         // Reference: one uninterrupted 2k-step run.
         let mut reference = TenantSession::build(
@@ -155,8 +155,8 @@ proptest! {
         let mut session = TenantSession::build(
             method, a.clone(), &b, &x0, &part, &opts(mode, k),
         );
-        session.begin_solve(&b);
-        while !session.step_batch(2) {}
+        session.begin(std::slice::from_ref(&b));
+        while !session.step(2) {}
         session.finish();
 
         // Snapshot the DS ghost layer before the reseed: the reseed must
@@ -173,7 +173,7 @@ proptest! {
         let b2: Vec<f64> = (0..n)
             .map(|i| amp * (((i * 37 + seed as usize) % 11) as f64 / 11.0 - 0.5))
             .collect();
-        session.begin_solve(&b2);
+        session.begin(std::slice::from_ref(&b2));
 
         macro_rules! snap {
             ($s:expr) => {{
@@ -250,8 +250,8 @@ proptest! {
         }
 
         // And the re-solve still works end to end.
-        while !session.step_batch(4) {}
-        let report = session.finish();
+        while !session.step(4) {}
+        let report = session.finish().remove(0);
         let final_norm = report
             .records
             .last()
@@ -300,8 +300,8 @@ fn norm_cache_requires_invalidation_after_out_of_band_mutation() {
     let TenantSession::Ds(mut s) = session else {
         panic!("DS build returns a DS session");
     };
-    s.begin_solve(&b);
-    s.step_batch(2);
+    s.begin(std::slice::from_ref(&b));
+    s.step(2);
 
     let rank = &mut s.ranks_mut()[0];
     let before = rank.maintained_norm_sq().expect("DS maintains norms");
@@ -317,7 +317,7 @@ fn norm_cache_requires_invalidation_after_out_of_band_mutation() {
     // With the hook: the next phase refreshes. Stepping once makes the
     // maintained norm consistent with the mutated residual again.
     rank.invalidate_norm_cache();
-    s.step_batch(1);
+    s.step(1);
     let rank = &s.ranks()[0];
     let after = rank.maintained_norm_sq().expect("DS maintains norms");
     let recomputed = rank.ls.residual_norm_sq();
