@@ -10,8 +10,8 @@ use super::verdict::{nudge_all, Boundary, Transition, Verdict};
 use crate::history::interpolate_crossing;
 use dsw_partition::{Partition, Redundancy, ReplicaMap};
 use dsw_rma::{
-    AsyncExecutor, AsyncOptions, ChaosConfig, CloseMode, CostModel, ExecMode, Executor,
-    MonitorStats, RankAlgorithm, RedundantHost, RunStats, StepStats,
+    AsyncOptions, ChaosConfig, CloseMode, CostModel, ExecMode, Executor, MonitorStats,
+    RankAlgorithm, RedundantHost, RunStats, StepStats,
 };
 use dsw_sparse::CsrMatrix;
 use std::time::Instant;
@@ -90,19 +90,21 @@ impl Default for MonitorMode {
 
 /// Which execution substrate drives the ranks.
 ///
-/// Both backends run the same [`RankAlgorithm`] programs and the same
-/// driver stack (verified monitoring, watchdog, recovery accounting) —
-/// what changes is *when* phases run and puts land:
+/// Both backends run the same [`RankAlgorithm`] programs on the same
+/// [`Executor`] and its epoch close, under the same driver stack
+/// (verified monitoring, watchdog, recovery accounting) — what changes is
+/// *which* ranks run in an epoch:
 ///
-/// * [`ExecBackend::Superstep`] is the lock-step [`Executor`]: every rank
-///   runs every phase each parallel step, puts become visible at the next
-///   epoch close. Records are per parallel step.
-/// * [`ExecBackend::Async`] is the [`AsyncExecutor`]: per-rank phase
-///   clocks, a pseudo-random subset advances each scheduler tick (bounded
-///   by `max_lag`, optionally skewed by the straggler model), and puts
-///   land at the target's next phase boundary. Records are per tick, and
-///   `max_steps` counts *logical* full steps — the run ends when the
-///   slowest rank has completed that many.
+/// * [`ExecBackend::Superstep`] is lock-step: every rank runs every phase
+///   each parallel step, puts become visible at the next epoch close.
+///   Records are per parallel step.
+/// * [`ExecBackend::Async`] is the [scheduled](Executor::scheduled)
+///   executor: each scheduler tick is one epoch in which a pseudo-random
+///   subset of ranks runs, each at its own next phase (bounded by
+///   `max_lag`, optionally skewed by the straggler model); a rank that
+///   sits the tick out keeps its inbox. Records are per tick, each charged
+///   its epoch's modelled time, and `max_steps` counts *logical* full
+///   steps — the run ends when the slowest rank has completed that many.
 #[derive(Debug, Clone, Copy)]
 pub enum ExecBackend {
     /// Lock-step supersteps, sequential or on the persistent worker pool.
@@ -138,8 +140,8 @@ pub struct DistOptions {
     pub backend: ExecBackend,
     /// Where epoch closes run (serial reference or the worker pool; all
     /// solvers declare their neighbor sets, so the executor routes
-    /// target-major either way — identical results). Superstep backend
-    /// only; the async scheduler has no epoch close.
+    /// target-major either way — identical results). The async backend
+    /// runs on the calling thread, so its epochs always close serially.
     pub close_mode: CloseMode,
     /// Configuration for Distributed Southwell (ablations). Its
     /// `local_solver` field is also honored by Block Jacobi and Parallel
@@ -821,15 +823,25 @@ where
     R: RankAlgorithm + Recoverable,
     V: NormView<R>,
 {
-    match opts.backend {
-        ExecBackend::Superstep(mode) => {
-            let ex = superstep_executor(ranks, opts, mode);
-            let mut run = SuperstepRun::new(method, ex, view, a, b, *opts);
-            run.step_batch(a, b, opts.max_steps);
-            run.finish()
+    let ex = match opts.backend {
+        ExecBackend::Superstep(mode) => superstep_executor(ranks, opts, mode),
+        ExecBackend::Async(aopts) => {
+            let (model, mode) = (opts.cost_model, ExecMode::Sequential);
+            let mut ex = Executor::scheduled(ranks, model, mode, opts.chaos, aopts)
+                .unwrap_or_else(|e| panic!("ExecBackend::Async: {e}"));
+            // Under a coded placement the replica sets progress as logical
+            // owners: the lag bound and the run goal track each block's
+            // freshest replica, so a replica-covered straggler no longer
+            // gates the whole run.
+            if let Some(groups) = view.lag_groups() {
+                ex.set_lag_groups(groups);
+            }
+            ex
         }
-        ExecBackend::Async(aopts) => drive_async(method, ranks, &view, a, b, opts, aopts),
-    }
+    };
+    let mut run = SuperstepRun::new(method, ex, view, a, b, *opts);
+    run.step_batch(a, b, usize::MAX);
+    run.finish()
 }
 
 /// The superstep executor for `opts` in `mode`.
@@ -989,11 +1001,70 @@ impl SolveLog {
     }
 }
 
-/// The lock-step run: an executor, the view the monitor reads it through,
-/// and the current solve's [`SolveLog`]. [`run_method`] and [`drive`] run
-/// one solve and drop it; a
-/// [`SolveSession`](crate::dist::session::SolveSession) keeps one across
-/// warm-started solves.
+/// The async backend's boundary rule. A single idle tick means nothing (a
+/// tick where every coin flip fails is idle by accident), so relaxations
+/// and messages accumulate over a *sweep window*, in which every logical
+/// owner advances through at least one full step's worth of phases; a
+/// window with no work and nothing in flight is idle (nudge, then
+/// deadlock), as a lock-step idle step is: each rank ran all its phases on
+/// empty inboxes and stayed silent, so rerunning them repeats the silence.
+/// The run ends when every logical clock reaches `max_steps` full steps, or
+/// after a tick budget of eight times the ticks the slowest logical owner
+/// is expected to need, plus slack for tiny runs.
+struct Sweep {
+    goal: usize,
+    budget: usize,
+    nphases: usize,
+    relax: u64,
+    msgs: u64,
+    /// Logical clocks at the window's start.
+    start: Vec<usize>,
+}
+
+impl Sweep {
+    fn new<R: RankAlgorithm>(ex: &Executor<R>, max_steps: usize) -> Self {
+        let nphases = ex.ranks()[0].phases();
+        let goal = max_steps * nphases;
+        let p_min = ex.pacing_probability().max(1e-3);
+        Sweep {
+            goal,
+            budget: ((goal as f64 / p_min) * 8.0).ceil() as usize + 64,
+            nphases,
+            relax: 0,
+            msgs: 0,
+            start: ex.logical_clocks(),
+        }
+    }
+
+    /// Folds tick `tick`'s stats `s` into the window: `(idle, last)`.
+    fn close<R: RankAlgorithm>(
+        &mut self,
+        ex: &Executor<R>,
+        tick: usize,
+        s: &StepStats,
+    ) -> (bool, bool) {
+        self.relax += s.relaxations;
+        self.msgs += s.msgs;
+        let clocks = ex.logical_clocks();
+        let last = tick == self.budget || clocks.iter().all(|&c| c >= self.goal);
+        let swept = clocks
+            .iter()
+            .zip(&self.start)
+            .all(|(&c, &from)| c - from >= self.nphases);
+        if !swept {
+            return (false, last);
+        }
+        let idle = self.relax == 0 && self.msgs == 0 && ex.in_flight() == 0;
+        (self.start, self.relax, self.msgs) = (clocks, 0, 0);
+        (idle, last)
+    }
+}
+
+/// The run: an executor (lock-step or scheduled), the view the monitor
+/// reads it through, and the current solve's [`SolveLog`].
+/// [`run_method`] and [`drive`] run one solve and drop it; a
+/// [`SolveSession`](crate::dist::session::SolveSession) keeps a lock-step
+/// one across warm-started solves.
 pub(crate) struct SuperstepRun<R: RankAlgorithm, V> {
     pub(crate) method: Method,
     pub(crate) ex: Executor<R>,
@@ -1001,6 +1072,8 @@ pub(crate) struct SuperstepRun<R: RankAlgorithm, V> {
     pub(crate) opts: DistOptions,
     pub(crate) log: SolveLog,
     step: usize,
+    /// The async boundary rule; `None` on the lock-step backend.
+    sweep: Option<Sweep>,
 }
 
 impl<R, V> SuperstepRun<R, V>
@@ -1022,6 +1095,8 @@ where
         let log = SolveLog::new(monitor, &opts, initial, recovery_counts(ex.ranks()));
         SuperstepRun {
             method,
+            sweep: matches!(opts.backend, ExecBackend::Async(_))
+                .then(|| Sweep::new(&ex, opts.max_steps)),
             ex,
             view,
             opts,
@@ -1054,33 +1129,50 @@ where
         self.log.verdict.is_done()
     }
 
-    /// Advances up to `quantum` supersteps of the solve; returns `true`
-    /// once it has reached a verdict or run out of steps.
+    /// Advances up to `quantum` executor steps of the solve (supersteps,
+    /// or scheduler ticks); returns `true` once it has reached a verdict
+    /// or run out of steps.
     pub(crate) fn step_batch(&mut self, a: &CsrMatrix, b: &[f64], quantum: usize) -> bool {
         let nranks = self.ex.nranks();
+        let cap = self
+            .sweep
+            .as_ref()
+            .map_or(self.opts.max_steps, |w| w.budget);
         for _ in 0..quantum {
-            if self.is_done() || self.step >= self.opts.max_steps {
+            if self.is_done() || self.step >= cap {
                 break;
             }
             self.step += 1;
             let s = self.ex.step();
-            // A step with no relaxations, no messages, and no stalled rank
-            // (which could still hold undelivered puts) is globally idle:
-            // nothing can change anymore.
+            let (idle, last) = match &mut self.sweep {
+                // A step with no relaxations, no messages, and no stalled
+                // rank (which could still hold undelivered puts) is
+                // globally idle: nothing can change anymore.
+                None => {
+                    let quiet = s.relaxations == 0 && s.msgs == 0;
+                    (quiet && s.faults.stalled_ranks == 0, self.step == cap)
+                }
+                Some(w) => w.close(&self.ex, self.step, &s),
+            };
             let at = Boundary {
                 index: self.step,
                 relaxations: s.relaxations,
-                idle: s.relaxations == 0 && s.msgs == 0 && s.faults.stalled_ranks == 0,
-                last: self.step == self.opts.max_steps,
+                idle,
+                last,
             };
             let reading =
                 self.log
                     .monitor
                     .measure(a, b, self.ex.ranks(), &self.view, &self.log.verdict, at);
             let ranks = self.ex.ranks_mut();
-            self.log.push(at, reading, &s, nranks, || nudge_all(ranks));
+            // A nudge re-arms the run even at its last boundary (within
+            // the cap).
+            let t = self.log.push(at, reading, &s, nranks, || nudge_all(ranks));
+            if at.last && t == Transition::Continue {
+                self.log.verdict.stop();
+            }
         }
-        if self.step >= self.opts.max_steps {
+        if self.step >= cap {
             self.log.verdict.stop();
         }
         self.is_done()
@@ -1102,114 +1194,6 @@ where
         self.settle(last);
         report
     }
-}
-
-/// The asynchronous run loop: one scheduler tick per iteration.
-///
-/// Everything the superstep loop reports is reported here at tick
-/// granularity — each tick gets a cumulative [`StepRecord`] (so
-/// `converged_at` and the `*_to_reach` interpolations are in ticks), the
-/// maintained norm is summed every tick, and the exact `b − Ax` recompute
-/// fires on the same triggers (possible claims, the `verify_every`
-/// cadence counted in ticks, idle windows, the final tick). The run ends
-/// when the *slowest* rank has completed `max_steps` full parallel steps,
-/// or on a verdict, or when a generous tick budget derived from the
-/// realized advance probabilities runs out.
-///
-/// Freeze detection cannot use single boundaries (a tick where every coin
-/// flip fails is idle by accident): the loop instead accumulates
-/// relaxations and messages over a *sweep window* — the span in which
-/// *every* rank advances through at least one full step's worth of
-/// phases — and treats a window with no work and nothing in flight as the
-/// superstep loop treats an idle step (nudge, then deadlock). That is the
-/// superstep idle guarantee verbatim: each rank ran all its phases on
-/// empty inboxes and neither relaxed nor sent, so rerunning them can only
-/// repeat the silence.
-fn drive_async<R, V>(
-    method: Method,
-    ranks: Vec<R>,
-    view: &V,
-    a: &CsrMatrix,
-    b: &[f64],
-    opts: &DistOptions,
-    aopts: AsyncOptions,
-) -> DistReport
-where
-    R: RankAlgorithm + Recoverable,
-    V: NormView<R>,
-{
-    let nranks = ranks.len();
-    let nphases = ranks[0].phases();
-    let mut ex = AsyncExecutor::with_chaos(ranks, aopts, opts.chaos)
-        .unwrap_or_else(|e| panic!("ExecBackend::Async: {e}"));
-    // Under a coded placement the replica sets progress as logical owners:
-    // the lag bound and the run goal track each block's freshest replica,
-    // so a replica-covered straggler no longer gates the whole run.
-    if let Some(groups) = view.lag_groups() {
-        ex.set_lag_groups(groups);
-    }
-    let mut monitor = MonitorCore::new(a.nrows());
-    let initial = monitor.exact_view(a, b, ex.ranks(), view);
-    let mut log = SolveLog::new(monitor, opts, initial, recovery_counts(ex.ranks()));
-
-    // Clock goal: the slowest logical owner completes `max_steps` full
-    // steps (per-rank clocks without lag groups, per-replica-set freshest
-    // clocks with them).
-    let goal = opts.max_steps * nphases;
-    // Tick budget: expected ticks to the goal are `goal / p`, where `p` is
-    // the pacing probability of the slowest logical owner; eight times
-    // that (plus slack for tiny runs) is unreachable unless the scheduler
-    // genuinely cannot make progress.
-    let p_min = ex.pacing_probability().max(1e-3);
-    let budget = ((goal as f64 / p_min) * 8.0).ceil() as usize + 64;
-
-    // Sweep-window accumulators for freeze detection; the window closes
-    // when every logical owner has advanced `nphases` clocks past its
-    // checkpoint.
-    let mut window_relax = 0u64;
-    let mut window_msgs = 0u64;
-    let mut window_start: Vec<usize> = ex.logical_clocks();
-
-    for tick in 1..=budget {
-        ex.tick();
-        let s = *ex.stats.steps.last().expect("tick pushes a step record");
-        window_relax += s.relaxations;
-        window_msgs += s.msgs;
-
-        let clocks = ex.logical_clocks();
-        let swept = clocks
-            .iter()
-            .zip(&window_start)
-            .all(|(&c, &from)| c - from >= nphases);
-        let mut idle = false;
-        if swept {
-            idle = window_relax == 0 && window_msgs == 0 && ex.in_flight() == 0;
-            window_start = clocks.clone();
-            window_relax = 0;
-            window_msgs = 0;
-        }
-        let at = Boundary {
-            index: tick,
-            relaxations: s.relaxations,
-            idle,
-            last: tick == budget || clocks.iter().all(|&c| c >= goal),
-        };
-        let reading = log
-            .monitor
-            .measure(a, b, ex.ranks(), view, &log.verdict, at);
-        match log.push(at, reading, &s, nranks, || nudge_all(ex.ranks_mut())) {
-            Transition::Done(_) => break,
-            // A nudge re-arms the run even at its last boundary.
-            Transition::Nudged => {}
-            Transition::Continue if at.last => break,
-            Transition::Continue => {}
-        }
-    }
-
-    let x = log.monitor.gather_view(ex.ranks(), view);
-    let stats = std::mem::take(&mut ex.stats);
-    let now = recovery_counts(ex.ranks());
-    log.report(method, nranks, stats, now, x)
 }
 
 #[cfg(test)]
@@ -1493,6 +1477,56 @@ mod tests {
             "stall windows must be drawn and counted"
         );
         assert!(!r1.deadlocked && !r1.diverged);
+    }
+
+    /// Each scheduler tick charges its epoch's α–β–γ cost: when every
+    /// rank always advances, tick `2k` has modelled exactly lock-step
+    /// step `k` (two epochs per Distributed Southwell step), up to the
+    /// order of the two epoch charges' summation.
+    #[test]
+    fn async_backend_charges_modelled_time_per_tick() {
+        let (a, b, x0, part) = poisson_setup(24, 24, 16);
+        let lock = DistOptions {
+            max_steps: 40,
+            target_residual: None,
+            ..DistOptions::default()
+        };
+        let async_opts = DistOptions {
+            backend: ExecBackend::Async(AsyncOptions {
+                advance_probability: 1.0,
+                max_lag: 1_000_000,
+                seed: 0,
+                straggler_skew: 0.0,
+            }),
+            ..lock
+        };
+        let l = run_method(Method::DistributedSouthwell, &a, &b, &x0, &part, &lock);
+        let r = run_method(
+            Method::DistributedSouthwell,
+            &a,
+            &b,
+            &x0,
+            &part,
+            &async_opts,
+        );
+        assert_eq!(r.records.len(), 2 * (l.records.len() - 1) + 1);
+        for (k, rec) in l.records.iter().enumerate().skip(1) {
+            let tick = &r.records[2 * k];
+            assert_eq!((tick.msgs, tick.relaxations), (rec.msgs, rec.relaxations));
+            assert!(
+                (tick.time - rec.time).abs() <= 1e-12 * rec.time,
+                "tick {}: {} vs step {k}: {}",
+                2 * k,
+                tick.time,
+                rec.time
+            );
+        }
+        let t = r.time_to_reach(0.1).expect("the async run reaches 0.1");
+        assert!(t > 0.0, "time to 0.1 is {t}");
+        assert!(
+            r.stats.steps.iter().all(|s| s.route_ns > 0),
+            "route_ns measured"
+        );
     }
 
     /// A coded placement on the lock-step backend: converges, pays a

@@ -1,9 +1,9 @@
 //! The stop rule every drive loop shares: converge on a verified norm;
 //! idle → nudge → deadlock; diverge past the cutoff — plus the trigger
 //! that confirms a maintained-norm reading exactly before any verdict.
-//! The superstep run (`run_method`, `drive`, sessions) feeds [`Verdict`]
-//! once per step, the async loop once per tick (idle meaning a silent
-//! sweep window), a fused panel once per column per step.
+//! The run loop (`run_method`, `drive`, sessions) feeds [`Verdict`] once
+//! per step — once per scheduler tick on the async backend, idle meaning
+//! a silent sweep window — and a fused panel once per column per step.
 
 use super::driver::{DistOptions, MaintainedNorm, MonitorMode};
 use super::recovery::Recoverable;

@@ -1,24 +1,20 @@
 //! Asynchronous execution: ranks progress at different rates.
 //!
 //! The paper's MPI implementation uses Casper ghost processes for
-//! asynchronous one-sided progress, and its predecessor (ICCS'16) was an
-//! explicitly asynchronous method. The lock-step [`crate::Executor`]
-//! captures the *epoch semantics*; this module captures the *asynchrony*:
-//! each scheduler tick advances a pseudo-random subset of ranks by one
-//! phase, so some ranks race ahead while others lag (bounded by
-//! `max_lag` phases, modelling a progress guarantee). Puts are delivered
-//! when the *target* finishes its current phase — a rank never sees a
-//! message mid-phase, preserving the window-consistency rule — but unlike
-//! the superstep executor, messages from a fast neighbor can arrive
-//! "early" and several at once.
-//!
-//! The Southwell protocols tolerate this by design (their neighbor data
-//! are estimates); the `async_execution_still_converges` tests demonstrate
-//! it.
+//! asynchronous one-sided progress. A schedule on the one [`Executor`]
+//! models it: each scheduler tick is one epoch in which only a
+//! pseudo-random subset of ranks runs, each at its own next phase, so some
+//! ranks race ahead while others lag (by at most `max_lag` phases). A rank
+//! that sits a tick out keeps its inbox, as a stalled rank does, so puts
+//! can arrive "early" and several at once — but never mid-phase. Routing,
+//! fault fates and modelled time are the epoch close's own. The Southwell
+//! protocols tolerate the staleness by design: their neighbor data are
+//! estimates.
 
-use crate::executor::{Envelope, PhaseCtx, RankAlgorithm};
-use crate::fault::{ChaosConfig, FaultInjector};
-use crate::stats::{RunStats, StepStats};
+use crate::executor::{ExecMode, Executor, RankAlgorithm};
+use crate::fault::{mix64, ChaosConfig, XorShift};
+use crate::stats::CostModel;
+use std::ops::{Deref, DerefMut};
 
 /// Scheduling options for the asynchronous executor.
 #[derive(Debug, Clone, Copy)]
@@ -51,400 +47,188 @@ impl Default for AsyncOptions {
     }
 }
 
-/// SplitMix64 finalizer — the same mixer the fault injector uses; here it
-/// turns `(seed, rank)` into the per-rank speed draw.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// The outcome of [`AsyncExecutor::run_steps`]: how many ticks elapsed,
-/// with `Err` marking a timeout (the goal was NOT reached within the
-/// budget). A goal reached exactly on the final permitted tick is
-/// `Ok(max_ticks)`, not a timeout.
-pub type RunStepsResult = Result<usize, usize>;
-
-/// Runs ranks with independent phase clocks.
-pub struct AsyncExecutor<A: RankAlgorithm> {
-    ranks: Vec<A>,
-    /// Global phase counter per rank (`step * phases + phase`).
-    clock: Vec<usize>,
-    /// Messages awaiting the target's next phase boundary.
-    pending: Vec<Vec<Envelope<A::Msg>>>,
-    /// Messages visible to the target's next phase: at each phase boundary
-    /// the rank's `pending` queue is drained into this buffer (the moment
-    /// of visibility under the window rule), the phase reads it, and it is
-    /// cleared — retaining its capacity across ticks.
-    inboxes: Vec<Vec<Envelope<A::Msg>>>,
-    opts: AsyncOptions,
-    /// Per-rank advance probability (the straggler model): uniform at
-    /// `advance_probability` when `straggler_skew` is zero, skewed
-    /// downward per rank otherwise. Drawn once at construction.
-    advance_p: Vec<f64>,
-    rng_state: u64,
-    /// Fault decisions for messages crossing tick boundaries.
-    injector: FaultInjector,
-    /// Messages deferred by delay injection: `(due_tick, target, env)`.
-    delayed: Vec<(u64, usize, Envelope<A::Msg>)>,
-    /// Stall decisions for the current tick window (redrawn every
-    /// `phases()` ticks; all `false` without stall injection).
-    stall_window: Vec<bool>,
-    /// Logical lag groups (see [`AsyncExecutor::set_lag_groups`]): the
-    /// progress bound gates on the slowest *group* (a group progresses at
-    /// its fastest member), not the slowest rank. `None` = every rank is
-    /// its own group — the classic per-rank bound.
-    lag_groups: Option<Vec<Vec<u32>>>,
-    /// Per-(origin, target) message indices for the fate keys (scratch).
-    fate_seq: Vec<u32>,
-    /// Targets touched in `fate_seq` by the current origin (scratch).
-    seq_touched: Vec<usize>,
-    /// Completed scheduler ticks.
-    ticks: u64,
-    /// Aggregate statistics (time model is not meaningful here; only
-    /// message counts are tracked).
-    pub stats: RunStats,
-}
-
-impl<A: RankAlgorithm> AsyncExecutor<A> {
-    /// Creates an asynchronous executor.
-    pub fn new(ranks: Vec<A>, opts: AsyncOptions) -> Self {
-        Self::with_chaos(ranks, opts, ChaosConfig::none())
-            .expect("a no-fault config is always accepted")
+impl AsyncOptions {
+    /// Checks ranges; returns a human-readable error for bad options (NaN
+    /// is out of every range).
+    pub fn validate(&self) -> Result<(), String> {
+        let unit = |name: &str, v: f64| {
+            if (0.0..=1.0).contains(&v) {
+                Ok(())
+            } else {
+                Err(format!("{name} must be in [0, 1], got {v}"))
+            }
+        };
+        unit("advance_probability", self.advance_probability)?;
+        unit("straggler_skew", self.straggler_skew)?;
+        if self.max_lag == 0 {
+            return Err("max_lag must be at least 1".into());
+        }
+        Ok(())
     }
+}
 
-    /// As [`new`](Self::new), with message fault injection (drops,
-    /// duplicates, delays — delays are measured in scheduler ticks here)
-    /// and stall injection at tick-window granularity: stall decisions are
-    /// redrawn once every `phases()` ticks (one parallel step's worth of
-    /// phases, mirroring the superstep executor's per-step draws), and a
-    /// stalled rank executes no phase for the whole window while its
-    /// pending messages keep accumulating.
-    pub fn with_chaos(
-        ranks: Vec<A>,
-        opts: AsyncOptions,
-        chaos: ChaosConfig,
-    ) -> Result<Self, String> {
-        assert!(!ranks.is_empty(), "need at least one rank");
-        assert!(
-            (0.0..=1.0).contains(&opts.advance_probability),
-            "advance_probability must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&opts.straggler_skew),
-            "straggler_skew must be in [0, 1]"
-        );
-        assert!(opts.max_lag >= 1, "max_lag must be at least 1");
-        chaos.validate()?;
-        let n = ranks.len();
-        // The per-rank speed draw is independent of the scheduler's
-        // coin-flip stream, so turning skew on or off never perturbs the
-        // flips themselves.
-        let advance_p: Vec<f64> = (0..n)
+/// The asynchronous scheduler's policy state on a scheduled [`Executor`]:
+/// which ranks run each epoch.
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    /// Per-rank advance probability (the straggler model), drawn once.
+    pub(crate) advance_p: Vec<f64>,
+    /// The coin-flip stream.
+    rng: XorShift,
+    max_lag: usize,
+    /// Lag groups ([`Executor::set_lag_groups`]); `None` = one per rank.
+    lag_groups: Option<Vec<Vec<u32>>>,
+}
+
+/// Each lag group's largest value of `vals` (`vals` itself without groups).
+fn group_max<T: Copy + PartialOrd>(groups: Option<&Vec<Vec<u32>>>, vals: &[T]) -> Vec<T> {
+    let Some(groups) = groups else {
+        return vals.to_vec();
+    };
+    let max = |g: &Vec<u32>| {
+        g.iter()
+            .map(|&m| vals[m as usize])
+            .reduce(|a, b| if b > a { b } else { a })
+    };
+    groups
+        .iter()
+        .map(|g| max(g).expect("lag groups are non-empty"))
+        .collect()
+}
+
+impl Schedule {
+    /// The schedule of valid `opts` over `n` ranks.
+    pub(crate) fn new(opts: &AsyncOptions, n: usize) -> Self {
+        // The speed draw is independent of the coin-flip stream, so turning
+        // skew on or off never perturbs the flips themselves.
+        let advance_p = (0..n as u64)
             .map(|i| {
                 let u = if opts.straggler_skew > 0.0 {
-                    let h = mix64(opts.seed ^ (i as u64).wrapping_mul(0xd1342543de82ef95));
-                    (h >> 11) as f64 / (1u64 << 53) as f64
+                    let key = opts.seed ^ i.wrapping_mul(0xd1342543de82ef95);
+                    (mix64(key.wrapping_add(0x9e3779b97f4a7c15)) >> 11) as f64 / (1u64 << 53) as f64
                 } else {
                     0.0
                 };
                 opts.advance_probability * (1.0 - opts.straggler_skew * u)
             })
             .collect();
-        Ok(AsyncExecutor {
-            injector: FaultInjector::new(chaos, n),
-            ranks,
-            clock: vec![0; n],
-            pending: (0..n).map(|_| Vec::new()).collect(),
-            inboxes: (0..n).map(|_| Vec::new()).collect(),
-            opts,
+        Schedule {
             advance_p,
-            rng_state: opts.seed.wrapping_mul(0x9e3779b97f4a7c15) | 1,
-            delayed: Vec::new(),
-            stall_window: vec![false; n],
+            rng: XorShift::new(opts.seed),
+            max_lag: opts.max_lag,
             lag_groups: None,
-            fate_seq: vec![0; n],
-            seq_touched: Vec::new(),
-            ticks: 0,
-            stats: RunStats::new(n),
-        })
+        }
     }
 
-    fn next_f64(&mut self) -> f64 {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Immutable access to the rank programs.
-    pub fn ranks(&self) -> &[A] {
-        &self.ranks
-    }
-
-    /// Mutable access to the rank programs (the driver's freeze watchdog
-    /// nudges through this).
-    pub fn ranks_mut(&mut self) -> &mut [A] {
-        &mut self.ranks
-    }
-
-    /// The per-rank phase clocks.
-    pub fn clocks(&self) -> &[usize] {
-        &self.clock
-    }
-
-    /// Declares logical lag groups for the progress bound, e.g. the
-    /// replica sets of a redundancy-coded placement: a logical block has
-    /// made progress once its *fastest* host has, so the `max_lag` bound
-    /// gates on the slowest group maximum instead of the slowest rank.
-    /// With singleton groups this is exactly the per-rank bound. Groups
-    /// may overlap (a rank hosting `r` blocks sits in `r` groups); every
-    /// rank must appear in at least one group.
-    pub fn set_lag_groups(&mut self, groups: Vec<Vec<u32>>) {
-        let n = self.ranks.len();
-        assert!(!groups.is_empty(), "need at least one lag group");
-        let mut covered = vec![false; n];
-        for g in &groups {
-            assert!(!g.is_empty(), "lag groups must be non-empty");
-            for &m in g {
-                assert!((m as usize) < n, "lag group member {m} out of range");
-                covered[m as usize] = true;
-            }
+    /// Installs lag groups, checked to be non-empty and to cover the ranks.
+    pub(crate) fn set_lag_groups(&mut self, groups: Vec<Vec<u32>>) {
+        let mut covered = vec![false; self.advance_p.len()];
+        for &m in groups.iter().flatten() {
+            *covered
+                .get_mut(m as usize)
+                .unwrap_or_else(|| panic!("lag group member {m} out of range")) = true;
         }
         assert!(
-            covered.iter().all(|&c| c),
-            "every rank must appear in at least one lag group"
+            groups.iter().all(|g| !g.is_empty()) && covered.iter().all(|&c| c),
+            "lag groups must be non-empty and cover every rank"
         );
         self.lag_groups = Some(groups);
     }
 
-    /// The progress gate: the slowest logical group's best clock (per-rank
-    /// minimum when no groups are declared).
-    fn lag_gate(&self) -> usize {
-        match &self.lag_groups {
-            None => *self
-                .clock
-                .iter()
-                .min()
-                .expect("an executor has at least one rank"),
-            Some(groups) => groups
-                .iter()
-                .map(|g| {
-                    g.iter()
-                        .map(|&m| self.clock[m as usize])
-                        .max()
-                        .expect("lag groups are validated non-empty")
-                })
-                .min()
-                .expect("lag groups are validated non-empty"),
-        }
+    /// Per-lag-group best clocks.
+    pub(crate) fn logical_clocks(&self, clock: &[usize]) -> Vec<usize> {
+        group_max(self.lag_groups.as_ref(), clock)
     }
 
-    /// Per-group best clocks (the logical progress observable): one entry
-    /// per lag group, or the per-rank clocks when no groups are declared.
-    pub fn logical_clocks(&self) -> Vec<usize> {
-        match &self.lag_groups {
-            None => self.clock.clone(),
-            Some(groups) => groups
-                .iter()
-                .map(|g| {
-                    g.iter()
-                        .map(|&m| self.clock[m as usize])
-                        .max()
-                        .expect("lag groups are validated non-empty")
-                })
-                .collect(),
-        }
+    /// The slowest lag group's fastest member's advance probability.
+    pub(crate) fn pacing_probability(&self) -> f64 {
+        let best = group_max(self.lag_groups.as_ref(), &self.advance_p);
+        best.into_iter().fold(f64::INFINITY, f64::min)
     }
 
-    /// The pace the run is gated on: the slowest group's fastest member's
-    /// advance probability (slowest rank when no groups are declared) —
-    /// what a tick budget should divide by.
-    pub fn pacing_probability(&self) -> f64 {
-        match &self.lag_groups {
-            None => self.advance_p.iter().cloned().fold(f64::INFINITY, f64::min),
-            Some(groups) => groups
-                .iter()
-                .map(|g| {
-                    g.iter()
-                        .map(|&m| self.advance_p[m as usize])
-                        .fold(0.0, f64::max)
-                })
-                .fold(f64::INFINITY, f64::min),
-        }
+    /// The ranks this epoch skips: a stalled rank, then a rank `max_lag`
+    /// or more phases past the slowest logical clock, then each remaining
+    /// rank by its coin, flipped in rank order.
+    pub(crate) fn pick(&mut self, clock: &[usize], stalled: &[bool]) -> Vec<bool> {
+        let gate = self.logical_clocks(clock).into_iter().min();
+        let gate = gate.expect("an executor has ranks");
+        (0..clock.len())
+            .map(|i| {
+                stalled[i]
+                    || clock[i] >= gate + self.max_lag
+                    || self.rng.next_f64() >= self.advance_p[i]
+            })
+            .collect()
+    }
+}
+
+/// An [`Executor`] built with an asynchronous schedule
+/// ([`Executor::scheduled`]): each [`Executor::step`] is one scheduler
+/// tick. Dereferences to the executor.
+pub struct AsyncExecutor<A: RankAlgorithm>(Executor<A>);
+
+impl<A: RankAlgorithm> AsyncExecutor<A> {
+    /// Creates an asynchronous executor; panics if `opts` fails
+    /// [`AsyncOptions::validate`].
+    pub fn new(ranks: Vec<A>, opts: AsyncOptions) -> Self {
+        Self::with_chaos(ranks, opts, ChaosConfig::none()).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Direct access to the fault injector, e.g. to force targeted
-    /// stragglers with [`FaultInjector::inject_stall`].
-    pub fn injector_mut(&mut self) -> &mut FaultInjector {
-        &mut self.injector
+    /// As [`new`](Self::new), with fault injection: delays count ticks,
+    /// and stalls are redrawn every `phases()` ticks (one parallel step's
+    /// worth of epochs). Returns the error of a bad `opts` or `chaos`.
+    pub fn with_chaos(
+        ranks: Vec<A>,
+        opts: AsyncOptions,
+        chaos: ChaosConfig,
+    ) -> Result<Self, String> {
+        let model = CostModel::default();
+        Executor::scheduled(ranks, model, ExecMode::Sequential, chaos, opts).map(AsyncExecutor)
     }
 
-    /// Completed scheduler ticks.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
+    /// Ticks until every *logical* clock (per-rank, or per lag group) has
+    /// completed `steps` full parallel steps: `Ok(ticks)` — also when the
+    /// last permitted tick gets there — or `Err(max_ticks)` on a timeout.
+    pub fn run_steps(&mut self, steps: usize, max_ticks: usize) -> Result<usize, usize> {
+        let goal = steps * self.ranks()[0].phases();
+        let mut ticks = 0;
+        while self.logical_clocks().iter().any(|&c| c < goal) {
+            if ticks == max_ticks {
+                return Err(max_ticks);
+            }
+            self.step();
+            ticks += 1;
+        }
+        Ok(ticks)
     }
+}
 
-    /// The realized per-rank advance probabilities (the straggler model's
-    /// speed draws; all equal to `advance_probability` at zero skew).
-    pub fn advance_probabilities(&self) -> &[f64] {
-        &self.advance_p
+impl<A: RankAlgorithm> Deref for AsyncExecutor<A> {
+    type Target = Executor<A>;
+    fn deref(&self) -> &Executor<A> {
+        &self.0
     }
+}
 
-    /// Messages currently in flight: queued for a future phase boundary or
-    /// parked by delay injection. Zero means nothing undelivered remains,
-    /// so a globally idle window cannot be woken by the substrate.
-    pub fn in_flight(&self) -> usize {
-        self.pending.iter().map(Vec::len).sum::<usize>() + self.delayed.len()
-    }
-
-    /// One scheduler tick: every rank that wins the coin flip — and is not
-    /// too far ahead of the progress gate, and not stalled this window —
-    /// executes its next phase. Returns the number of ranks advanced.
-    pub fn tick(&mut self) -> usize {
-        let n = self.ranks.len();
-        let nphases = self.ranks[0].phases();
-        let mut advanced = 0;
-        let t_tick = std::time::Instant::now();
-        let mut step = StepStats::default();
-        // Stall window: decisions are redrawn once every `nphases` ticks
-        // (one parallel step's worth of phases), mirroring the superstep
-        // executor's per-step draws; a stalled rank sits out the window.
-        if self.ticks.is_multiple_of(nphases as u64) {
-            self.stall_window = self.injector.step_stalls();
-            step.faults.stalled_ranks += self.stall_window.iter().filter(|&&s| s).count() as u64;
-        }
-        let gate = self.lag_gate();
-        // Messages produced this tick are held back until the tick ends, so
-        // a rank never sees a same-tick neighbor's output mid-flight (the
-        // window rule: data lands between the target's phases).
-        let mut tick_out: Vec<(usize, Envelope<A::Msg>)> = Vec::new();
-        for i in 0..n {
-            if self.stall_window[i] {
-                continue; // injected stall: no phase, inbox accumulates
-            }
-            if self.clock[i] >= gate + self.opts.max_lag {
-                continue; // progress bound: wait for stragglers
-            }
-            if self.next_f64() >= self.advance_p[i] {
-                continue;
-            }
-            // Phase boundary for rank i: pending puts become visible by
-            // moving into the rank's inbox (cleared after the phase, so
-            // each message is seen exactly once; capacity is retained).
-            self.inboxes[i].append(&mut self.pending[i]);
-            // Deterministic order regardless of arrival interleaving.
-            self.inboxes[i].sort_by_key(|e| e.src);
-            let phase = self.clock[i] % nphases;
-            let mut ctx = PhaseCtx::capture(i);
-            let t0 = std::time::Instant::now();
-            self.ranks[i].phase(phase, &self.inboxes[i], &mut ctx);
-            self.inboxes[i].clear();
-            let (outbox, mut totals) = ctx.into_outbox_and_totals();
-            totals.wall_ns = t0.elapsed().as_nanos() as u64;
-            self.stats.msgs_per_rank[i] += totals.msgs.total();
-            self.stats.rank_time_ns[i] += totals.wall_ns;
-            step.compute_ns_max_rank = step.compute_ns_max_rank.max(totals.wall_ns);
-            step.absorb(&totals);
-            tick_out.extend(outbox);
-            self.clock[i] += 1;
-            advanced += 1;
-        }
-        // Fault injection at the tick boundary (the serialized delivery
-        // point, analogous to the superstep executor's epoch close). Fates
-        // are keyed on `(tick, origin, target, index, class)`; `tick_out`
-        // is grouped by origin in rank order, so the per-(origin, target)
-        // index scratch resets whenever the origin changes.
-        let message_faults = self.injector.config().message_faults_active();
-        let mut cur_origin = usize::MAX;
-        for (target, env) in tick_out {
-            let fate = if message_faults {
-                if env.src != cur_origin {
-                    for &t in &self.seq_touched {
-                        self.fate_seq[t] = 0;
-                    }
-                    self.seq_touched.clear();
-                    cur_origin = env.src;
-                }
-                let idx = self.fate_seq[target];
-                self.fate_seq[target] += 1;
-                if idx == 0 {
-                    self.seq_touched.push(target);
-                }
-                self.injector
-                    .fate_at(self.ticks, env.src as u32, target as u32, idx, env.class)
-            } else {
-                crate::fault::Fate::DELIVER
-            };
-            if fate.dropped {
-                step.faults.dropped.add(env.class, 1);
-                continue;
-            }
-            if fate.duplicated {
-                step.faults.duplicated.add(env.class, 1);
-                self.pending[target].push(env.clone());
-            }
-            if fate.delay > 0 {
-                step.faults.delayed.add(env.class, 1);
-                self.delayed
-                    .push((self.ticks + fate.delay as u64, target, env));
-            } else {
-                self.pending[target].push(env);
-            }
-        }
-        // Surface deferred messages whose delay expired this tick — one
-        // order-preserving partition pass (deferral order is kept for both
-        // the extracted and the retained messages).
-        if !self.delayed.is_empty() {
-            let due = self.ticks;
-            for (_, target, env) in self.delayed.extract_if(.., |d| d.0 <= due) {
-                self.pending[target].push(env);
-            }
-        }
-        self.ticks += 1;
-        // Record a pseudo-step for the counters. The tick runs on the
-        // calling thread, so span == one worker's busy time.
-        step.span_ns = t_tick.elapsed().as_nanos() as u64;
-        step.workers = 1;
-        self.stats.steps.push(step);
-        advanced
-    }
-
-    /// Ticks until every *logical* clock — per-rank clocks, or the group
-    /// maxima when lag groups are declared — has completed at least
-    /// `steps` full parallel steps (all phases), or `max_ticks` elapses.
-    ///
-    /// `Ok(ticks)` when the goal was reached — including when the final
-    /// permitted tick is the one that gets every clock there — and
-    /// `Err(max_ticks)` on a genuine timeout. (An earlier version returned
-    /// a bare tick count, which made a goal reached exactly on the last
-    /// tick indistinguishable from running out of budget.)
-    pub fn run_steps(&mut self, steps: usize, max_ticks: usize) -> RunStepsResult {
-        let nphases = self.ranks[0].phases();
-        let goal = steps * nphases;
-        let done = |ex: &Self| ex.logical_clocks().iter().all(|&c| c >= goal);
-        for t in 0..max_ticks {
-            if done(self) {
-                return Ok(t);
-            }
-            self.tick();
-        }
-        if done(self) {
-            Ok(max_ticks)
-        } else {
-            Err(max_ticks)
-        }
+impl<A: RankAlgorithm> DerefMut for AsyncExecutor<A> {
+    fn deref_mut(&mut self) -> &mut Executor<A> {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::RankAlgorithm;
+    use crate::executor::{Envelope, PhaseCtx};
     use crate::stats::CommClass;
+
+    /// The realized per-rank advance probabilities.
+    fn advance_p<A: RankAlgorithm>(ex: &Executor<A>) -> &[f64] {
+        &ex.schedule
+            .as_ref()
+            .expect("a scheduled executor")
+            .advance_p
+    }
 
     /// The ring test program from the superstep executor tests.
     struct Ring {
@@ -480,7 +264,7 @@ mod tests {
         // Lag bound held throughout (final state check).
         let min = *ex.clocks().iter().min().unwrap();
         let max = *ex.clocks().iter().max().unwrap();
-        assert!(max - min <= ex.opts.max_lag);
+        assert!(max - min <= AsyncOptions::default().max_lag);
         // Values grew (messages flowed).
         assert!(ex.ranks().iter().all(|r| r.value > 1));
         assert!(ex.stats.total_msgs() > 0);
@@ -590,7 +374,7 @@ mod tests {
             AsyncExecutor::new(ranks, opts)
         };
         let ex = mk();
-        let ps = ex.advance_probabilities();
+        let ps = advance_p(&ex);
         let lo = ps.iter().cloned().fold(f64::INFINITY, f64::min);
         let hi = ps.iter().cloned().fold(0.0, f64::max);
         assert!(hi - lo > 0.1, "skew 0.9 should spread rank speeds: {ps:?}");
@@ -607,10 +391,75 @@ mod tests {
         // Zero skew keeps the homogeneous model exactly.
         let ranks: Vec<Ring> = (0..3).map(|id| Ring { id, n: 3, value: 1 }).collect();
         let flat = AsyncExecutor::new(ranks, AsyncOptions::default());
-        assert!(flat
-            .advance_probabilities()
+        assert!(advance_p(&flat)
             .iter()
             .all(|&p| p == AsyncOptions::default().advance_probability));
+    }
+
+    /// Every out-of-range field, NaN included, is an `Err` naming the
+    /// field — from `validate` and from the constructors — never a panic.
+    #[test]
+    fn bad_options_are_errors() {
+        let ok = AsyncOptions::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let bad = [
+            (
+                "advance_probability",
+                AsyncOptions {
+                    advance_probability: 1.5,
+                    ..ok
+                },
+            ),
+            (
+                "advance_probability",
+                AsyncOptions {
+                    advance_probability: -0.1,
+                    ..ok
+                },
+            ),
+            (
+                "advance_probability",
+                AsyncOptions {
+                    advance_probability: f64::NAN,
+                    ..ok
+                },
+            ),
+            (
+                "straggler_skew",
+                AsyncOptions {
+                    straggler_skew: 1.01,
+                    ..ok
+                },
+            ),
+            (
+                "straggler_skew",
+                AsyncOptions {
+                    straggler_skew: -1.0,
+                    ..ok
+                },
+            ),
+            (
+                "straggler_skew",
+                AsyncOptions {
+                    straggler_skew: f64::NAN,
+                    ..ok
+                },
+            ),
+            ("max_lag", AsyncOptions { max_lag: 0, ..ok }),
+        ];
+        for (field, opts) in bad {
+            let err = opts.validate().expect_err(field);
+            assert!(err.contains(field), "{err}");
+            let ranks: Vec<Ring> = (0..3).map(|id| Ring { id, n: 3, value: 1 }).collect();
+            let built = AsyncExecutor::with_chaos(ranks, opts, ChaosConfig::none());
+            assert_eq!(built.err(), Some(err));
+        }
+        let chaos = ChaosConfig {
+            drop_rate: 2.0,
+            ..ChaosConfig::none()
+        };
+        let ranks: Vec<Ring> = (0..3).map(|id| Ring { id, n: 3, value: 1 }).collect();
+        assert!(AsyncExecutor::with_chaos(ranks, ok, chaos).is_err());
     }
 
     #[test]
@@ -623,7 +472,8 @@ mod tests {
                 ..AsyncOptions::default()
             },
         );
-        assert_eq!(ex.tick(), 0);
+        // No rank advanced: every clock is still zero.
+        ex.step();
         assert_eq!(ex.clocks(), &[0, 0, 0]);
     }
 
@@ -662,7 +512,7 @@ mod tests {
                     .map(|r| (r.sent, r.received))
                     .collect::<Vec<_>>(),
                 ex.clocks().to_vec(),
-                ex.ticks(),
+                ex.stats.nsteps(),
             )
         };
         assert_eq!(obs(&a), obs(&b), "stall pattern must be deterministic");
@@ -690,13 +540,13 @@ mod tests {
         ex.injector_mut().inject_stall(2, 3);
         // 3 stalled windows × 1 phase per window = 3 ticks frozen.
         for _ in 0..3 {
-            ex.tick();
+            ex.step();
         }
         assert_eq!(ex.clocks()[2], 0, "stalled rank must not advance");
         assert!(ex.clocks().iter().any(|&c| c > 0), "others keep moving");
         assert_eq!(ex.stats.total_faults().stalled_ranks, 3);
         for _ in 0..10 {
-            ex.tick();
+            ex.step();
         }
         assert!(ex.clocks()[2] > 0, "rank resumes after the stall expires");
     }
@@ -724,7 +574,7 @@ mod tests {
         // Singleton groups (the default): everyone is fenced at max_lag.
         let mut fenced = mk();
         for _ in 0..50 {
-            fenced.tick();
+            fenced.step();
         }
         assert!(fenced.clocks().iter().all(|&c| c <= 3));
         // Rank 0's block is replicated on rank 1: the gate follows the
@@ -732,7 +582,7 @@ mod tests {
         let mut coded = mk();
         coded.set_lag_groups(vec![vec![0, 1], vec![1], vec![2], vec![3]]);
         for _ in 0..50 {
-            coded.tick();
+            coded.step();
         }
         assert_eq!(coded.clocks()[0], 0);
         assert!(

@@ -21,7 +21,14 @@
 //! `(epoch, origin, target, index, class)` (see
 //! [`FaultInjector::fate_at`]), per-target work is independent, and the
 //! chunk partials combine with exact integer arithmetic.
+//!
+//! An epoch runs every rank that is not skipped, each at phase
+//! `clock % phases()` of its own clock, then closes; a skipped rank keeps
+//! its inbox. A lock-step [`Executor::step`] is `phases()` epochs that
+//! skip only stalled ranks; a [scheduled](Executor::scheduled) one is one
+//! epoch of the ranks the asynchronous schedule picks.
 
+use crate::async_exec::{AsyncOptions, Schedule};
 use crate::fault::{ChaosConfig, FaultInjector};
 use crate::pool::{SyncPtr, WorkerPool};
 use crate::stats::{ClassCounts, CommClass, CostModel, FaultStats, RunStats, StepStats};
@@ -227,9 +234,8 @@ impl<M> PhaseCtx<M> {
 
     /// Constructor for a *capture* context, whose puts are collected
     /// rather than routed: the context a composition layer (the multi-RHS
-    /// panel adapter in [`crate::panel`], the redundancy wrapper) or the
-    /// asynchronous executor hands to a rank's phase. Pair with
-    /// [`PhaseCtx::into_captured`].
+    /// panel adapter in [`crate::panel`], the redundancy wrapper) hands to
+    /// an inner rank's phase. Pair with [`PhaseCtx::into_captured`].
     pub fn capture(rank: usize) -> Self {
         Self::capture_reusing(rank, Vec::new())
     }
@@ -478,6 +484,12 @@ pub struct Executor<A: RankAlgorithm> {
     injector: FaultInjector,
     /// Global epoch (phase) counter, for delay due-dates and fate keys.
     epochs_executed: u64,
+    /// Per-rank phase clocks: phases each rank has executed.
+    clock: Vec<usize>,
+    /// Stall draws, redrawn every `phases()` epochs.
+    stalled: Vec<bool>,
+    /// The asynchronous schedule, if any.
+    pub(crate) schedule: Option<Schedule>,
     /// Statistics accumulated over all executed steps.
     pub stats: RunStats,
 }
@@ -499,7 +511,8 @@ struct CloseShared<'a, M> {
     step_rank_ns: *mut u64,
     in_edges: &'a [Vec<(u32, u32)>],
     totals: &'a [PhaseTotals],
-    stalled: &'a [bool],
+    /// Ranks that did not run this epoch (stalled or unscheduled).
+    skip: &'a [bool],
     injector: &'a FaultInjector,
     epoch: u64,
     /// Ranks per chunk (the last chunk may be short).
@@ -553,8 +566,65 @@ impl<A: RankAlgorithm> Executor<A> {
             mode,
             close_mode: CloseMode::Auto,
             epochs_executed: 0,
+            clock: vec![0; n],
+            stalled: vec![false; n],
+            schedule: None,
             stats,
         }
+    }
+
+    /// As [`with_chaos`](Self::with_chaos), scheduled by `opts`: each
+    /// [`step`](Self::step) is one tick, an epoch of the ranks the schedule
+    /// picks. A bad `opts` or `chaos` is an `Err`, not a panic.
+    pub fn scheduled(
+        ranks: Vec<A>,
+        model: CostModel,
+        mode: ExecMode,
+        chaos: ChaosConfig,
+        opts: AsyncOptions,
+    ) -> Result<Self, String> {
+        chaos.validate()?;
+        opts.validate()?;
+        let mut ex = Self::with_chaos(ranks, model, mode, chaos);
+        ex.schedule = Some(Schedule::new(&opts, ex.nranks()));
+        Ok(ex)
+    }
+
+    /// Declares logical lag groups, e.g. the replica sets of a coded
+    /// placement: a group progresses at its fastest member, so the
+    /// schedule's `max_lag` bound gates on the slowest group, not the
+    /// slowest rank. Groups may overlap; every rank must be in one.
+    ///
+    /// # Panics
+    /// On an unscheduled executor, or if the groups miss a rank.
+    pub fn set_lag_groups(&mut self, groups: Vec<Vec<u32>>) {
+        let schedule = self.schedule.as_mut().expect("lag groups gate a schedule");
+        schedule.set_lag_groups(groups);
+    }
+
+    /// The per-rank phase clocks.
+    pub fn clocks(&self) -> &[usize] {
+        &self.clock
+    }
+
+    /// Per-lag-group best clocks (the per-rank clocks without groups).
+    pub fn logical_clocks(&self) -> Vec<usize> {
+        let schedule = self.schedule.as_ref();
+        schedule.map_or_else(|| self.clock.clone(), |s| s.logical_clocks(&self.clock))
+    }
+
+    /// The advance probability of the slowest lag group's fastest member
+    /// (1 unscheduled): what a tick budget divides by.
+    pub fn pacing_probability(&self) -> f64 {
+        let schedule = self.schedule.as_ref();
+        schedule.map_or(1.0, Schedule::pacing_probability)
+    }
+
+    /// Messages delivered to an inbox its rank has not yet read, or parked
+    /// by a delay fault: zero means no undelivered put can wake an idle run.
+    pub fn in_flight(&self) -> usize {
+        self.inboxes.iter().map(Vec::len).sum::<usize>()
+            + self.delayed_q.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Chooses where epoch closes run (see [`CloseMode`]). Results are
@@ -614,14 +684,16 @@ impl<A: RankAlgorithm> Executor<A> {
         }
     }
 
-    /// Executes one parallel step (all phases); returns its stats.
+    /// Executes one parallel step (all phases) — one tick on a
+    /// [scheduled](Self::scheduled) executor — and returns its stats.
     ///
     /// With fault injection active, the epoch close additionally: drops,
     /// duplicates, or defers puts per [`FaultInjector::fate_at`]; surfaces
     /// deferred puts whose delay expired; and skips the compute phases of
-    /// stalled ranks (their inboxes keep accumulating until they resume).
-    /// Fates are pure functions of per-message keys, so the fault pattern
-    /// is identical under every [`ExecMode`] and [`CloseMode`].
+    /// stalled ranks, redrawn every `phases()` epochs (their inboxes keep
+    /// accumulating until they resume). Fates are pure functions of
+    /// per-message keys, so the fault pattern is identical under every
+    /// [`ExecMode`] and [`CloseMode`].
     pub fn step(&mut self) -> StepStats {
         let nphases = self.ranks[0].phases();
         debug_assert!(
@@ -629,18 +701,18 @@ impl<A: RankAlgorithm> Executor<A> {
             "all ranks must agree on the phase count"
         );
         let mut step = StepStats::default();
-        // Stall decisions hold for every phase of this step.
-        let stalled = self.injector.step_stalls();
-        step.faults.stalled_ranks += stalled.iter().filter(|&&s| s).count() as u64;
-        for phase in 0..nphases {
-            let t_dispatch = Instant::now();
-            self.run_phase(phase, &stalled);
-            step.span_ns += t_dispatch.elapsed().as_nanos() as u64;
-            let t_close = Instant::now();
-            self.close(&stalled, &mut step);
-            step.route_ns += t_close.elapsed().as_nanos() as u64;
-            self.epochs_executed += 1;
+        if self.epochs_executed.is_multiple_of(nphases as u64) {
+            self.stalled = self.injector.step_stalls();
+            step.faults.stalled_ranks += self.stalled.iter().filter(|&&s| s).count() as u64;
         }
+        let stalled = std::mem::take(&mut self.stalled);
+        let schedule = self.schedule.as_mut();
+        let picked = schedule.map(|s| s.pick(&self.clock, &stalled));
+        match picked {
+            Some(skip) => self.epoch(&skip, &mut step),
+            None => (0..nphases).for_each(|_| self.epoch(&stalled, &mut step)),
+        }
+        self.stalled = stalled;
         // Fold the measured timing of this step (observables only — none of
         // this feeds the deterministic counters or the modelled clock).
         step.workers = self.nworkers() as u32;
@@ -660,12 +732,24 @@ impl<A: RankAlgorithm> Executor<A> {
         step
     }
 
+    /// One epoch: every rank not in `skip` runs its next phase, then the
+    /// epoch closes.
+    fn epoch(&mut self, skip: &[bool], step: &mut StepStats) {
+        let t_dispatch = Instant::now();
+        self.run_phase(skip);
+        step.span_ns += t_dispatch.elapsed().as_nanos() as u64;
+        let t_close = Instant::now();
+        self.close(skip, step);
+        step.route_ns += t_close.elapsed().as_nanos() as u64;
+        self.epochs_executed += 1;
+    }
+
     /// Closes one epoch over the reverse-neighbor index: each target
     /// drains its senders' buckets in origin order. Runs on the calling
     /// thread or chunked across the worker pool ([`CloseMode`]); both
     /// produce bit-identical results because distinct targets touch
     /// disjoint state and chunk partials combine exactly.
-    fn close(&mut self, stalled: &[bool], step: &mut StepStats) {
+    fn close(&mut self, skip: &[bool], step: &mut StepStats) {
         let n = self.ranks.len();
         let use_pool = match self.close_mode {
             CloseMode::Serial => false,
@@ -700,7 +784,7 @@ impl<A: RankAlgorithm> Executor<A> {
             step_rank_ns: self.step_rank_ns.as_mut_ptr(),
             in_edges: &self.topo.in_edges,
             totals: &self.phase_totals,
-            stalled,
+            skip,
             injector: &self.injector,
             epoch: self.epochs_executed,
             chunk,
@@ -738,13 +822,14 @@ impl<A: RankAlgorithm> Executor<A> {
             + self.model.beta * ph.totals.bytes.total() as f64 / p;
     }
 
-    /// Runs `phase` on every non-stalled rank, filling the preallocated
-    /// `self.phase_totals` slots and the per-edge buckets (every container
-    /// is empty on entry — the previous epoch close drained it in place).
-    /// Stalled ranks contribute no puts and zero counters (they perform no
-    /// work at all this phase).
-    fn run_phase(&mut self, phase: usize, stalled: &[bool]) {
+    /// Runs every rank not in `skip` at its next phase, advancing its
+    /// clock, and fills the preallocated `self.phase_totals` slots and the
+    /// per-edge buckets (every container is empty on entry — the previous
+    /// epoch close drained it in place). Skipped ranks contribute no puts
+    /// and zero counters (they perform no work at all this epoch).
+    fn run_phase(&mut self, skip: &[bool]) {
         let n = self.ranks.len();
+        let nphases = self.ranks[0].phases();
         let buckets = SyncPtr(self.buckets.as_mut_ptr());
         match self.mode {
             ExecMode::Sequential => {
@@ -756,11 +841,13 @@ impl<A: RankAlgorithm> Executor<A> {
                 // deterministic counters). At thousands of ranks the saved
                 // clock reads are a measurable slice of the phase.
                 let mut t_prev = Instant::now();
-                for (i, &is_stalled) in stalled.iter().enumerate().take(n) {
-                    if is_stalled {
+                for (i, &skipped) in skip.iter().enumerate().take(n) {
+                    if skipped {
                         self.phase_totals[i] = PhaseTotals::default();
                         continue;
                     }
+                    let phase = self.clock[i] % nphases;
+                    self.clock[i] += 1;
                     let edges = &self.topo.out_edges[i];
                     let mut ctx = PhaseCtx::bucketed(i, edges, buckets.0, self.touched.as_ptr());
                     self.ranks[i].phase(phase, &self.inboxes[i], &mut ctx);
@@ -781,6 +868,7 @@ impl<A: RankAlgorithm> Executor<A> {
                 let grain = (n / (8 * pool.nworkers())).max(1);
                 let ranks = SyncPtr(self.ranks.as_mut_ptr());
                 let slots = SyncPtr(self.phase_totals.as_mut_ptr());
+                let clocks = SyncPtr(self.clock.as_mut_ptr());
                 let touched = &self.touched;
                 let inboxes = &self.inboxes;
                 let out_edges = &self.topo.out_edges;
@@ -788,17 +876,21 @@ impl<A: RankAlgorithm> Executor<A> {
                     // Capture the `SyncPtr` wrappers whole (precise capture
                     // would otherwise grab the raw-pointer fields, which are
                     // not `Sync`).
-                    let (ranks, slots, buckets) = (&ranks, &slots, &buckets);
+                    let (ranks, slots, clocks, buckets) = (&ranks, &slots, &clocks, &buckets);
                     // SAFETY: the pool hands each index to exactly one
-                    // worker, so `ranks[i]`, `slots[i]` — and, through the
-                    // edge list, origin `i`'s buckets — are accessed
-                    // exclusively; `inboxes` is only read.
+                    // worker, so `ranks[i]`, `slots[i]`, `clocks[i]` — and,
+                    // through the edge list, origin `i`'s buckets — are
+                    // accessed exclusively; `inboxes` is only read.
                     let rank = unsafe { &mut *ranks.0.add(i) };
                     let slot = unsafe { &mut *slots.0.add(i) };
-                    if stalled[i] {
+                    if skip[i] {
                         *slot = PhaseTotals::default();
                         return;
                     }
+                    // SAFETY: index `i` is this worker's alone (above).
+                    let clock = unsafe { &mut *clocks.0.add(i) };
+                    let phase = *clock % nphases;
+                    *clock += 1;
                     let mut ctx = PhaseCtx::bucketed(i, &out_edges[i], buckets.0, touched.as_ptr());
                     let t0 = Instant::now();
                     rank.phase(phase, &inboxes[i], &mut ctx);
@@ -834,26 +926,26 @@ unsafe fn close_chunk<M: Clone + Send>(sh: &CloseShared<'_, M>, c: usize) {
 }
 
 /// Routes everything addressed to target `t`: clears the inbox (unless the
-/// target is stalled), drains the inbound buckets in origin order deciding
-/// per-message fates, delivers expired delayed puts in deferral order (an
-/// order-preserving partition pass), and stable-sorts the inbox only if a
-/// fate perturbed its origin order.
+/// target was skipped and so did not read it), drains the inbound buckets
+/// in origin order deciding per-message fates, delivers expired delayed
+/// puts in deferral order (an order-preserving partition pass), and
+/// stable-sorts the inbox only if a fate perturbed its origin order.
 ///
 /// # Safety
 /// Exclusive access to target `t`'s inbox, delayed queue, sort flag, and
 /// every bucket in `in_edges[t]`.
 unsafe fn close_one_target<M: Clone>(sh: &CloseShared<'_, M>, t: usize, faults: &mut FaultStats) {
     let inbox = &mut *sh.inboxes.add(t);
-    let is_stalled = sh.stalled[t];
+    let is_skipped = sh.skip[t];
     // Dirty-target fast path: if no put touched any of `t`'s inbound
     // buckets this phase and no delayed put is parked, there is nothing to
     // route — skip the per-edge bucket scan entirely. The inbox still
-    // empties (the target read it this phase) unless the target is
-    // stalled, and `unsorted[t]` cannot be pending here (the close
+    // empties (the target read it this phase) unless the target was
+    // skipped, and `unsorted[t]` cannot be pending here (the close
     // always clears it before returning).
     let touched = sh.touched[t].load(Ordering::Relaxed);
     if !touched && (*sh.delayed.add(t)).is_empty() {
-        if !is_stalled {
+        if !is_skipped {
             inbox.clear();
         }
         return;
@@ -861,7 +953,7 @@ unsafe fn close_one_target<M: Clone>(sh: &CloseShared<'_, M>, t: usize, faults: 
     if touched {
         sh.touched[t].store(false, Ordering::Relaxed);
     }
-    if !is_stalled {
+    if !is_skipped {
         inbox.clear();
     }
     let message_faults = sh.injector.config().message_faults_active();
@@ -911,11 +1003,11 @@ unsafe fn close_one_target<M: Clone>(sh: &CloseShared<'_, M>, t: usize, faults: 
         }
     }
     // Re-sort only when a fate perturbed origin order: a late arrival, or
-    // appends behind a stalled target's accumulated content. The fresh
+    // appends behind a skipped target's accumulated content. The fresh
     // fault-free fill is origin-major by construction (buckets are drained
     // origin-ascending), so it needs no sort at all.
     let unsorted = &mut *sh.unsorted.add(t);
-    if late || (is_stalled && appended) {
+    if late || (is_skipped && appended) {
         *unsorted = true;
     }
     if *unsorted {

@@ -19,6 +19,11 @@
 //!   on its persistent `WorkerPool` ([`ExecMode`]); both modes produce
 //!   bit-identical results because ranks only interact through the epoch
 //!   boundary;
+//! * the same executor runs the asynchronous regime: built with a schedule
+//!   ([`Executor::scheduled`], [`AsyncOptions`]), each step is one epoch in
+//!   which only the picked ranks run, each at its own phase clock, and
+//!   the one epoch close routes, injects faults and charges modelled time
+//!   exactly as in lock-step ([`AsyncExecutor`] is its constructor type);
 //! * every put is counted, per rank and per [`CommClass`] — message counts
 //!   are the paper's primary communication metric ("total number of
 //!   messages sent by all processes divided by the number of processes")
@@ -45,7 +50,7 @@ pub(crate) mod pool;
 pub mod redundancy;
 pub mod stats;
 
-pub use async_exec::{AsyncExecutor, AsyncOptions, RunStepsResult};
+pub use async_exec::{AsyncExecutor, AsyncOptions};
 pub use executor::{
     CaptureTotals, CloseMode, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm,
 };

@@ -264,7 +264,7 @@ impl PartialEq for StepStats {
 impl StepStats {
     /// Adds the deterministic counters of one or more rank phases, plus
     /// their measured compute time. The one place the per-class counters
-    /// are spelled out, shared by the superstep and asynchronous executors.
+    /// are spelled out, shared by every epoch close.
     pub(crate) fn absorb(&mut self, t: &PhaseTotals) {
         self.msgs += t.msgs.total();
         self.msgs_solve += t.msgs.solve;

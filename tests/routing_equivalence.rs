@@ -6,10 +6,12 @@
 //! size, with drops, duplicates, delays, and stalls injected. The test
 //! program exercises multiple puts per edge, multiple message classes,
 //! and both phases of a two-phase step on a 64-rank and a 256-rank grid.
+//! The asynchronous schedule's epochs are checked the same way against
+//! [`scheduled_reference`], a model with per-rank phase clocks.
 
 use distributed_southwell::rma::{
-    ChaosConfig, CloseMode, CommClass, CostModel, Envelope, ExecMode, Executor, FaultInjector,
-    PhaseCtx, RankAlgorithm, RedundantHost, RunStats, StepStats,
+    AsyncOptions, ChaosConfig, CloseMode, CommClass, CostModel, Envelope, ExecMode, Executor,
+    FaultInjector, PhaseCtx, RankAlgorithm, RedundantHost, RunStats, StepStats,
 };
 use proptest::prelude::*;
 
@@ -472,5 +474,200 @@ fn targeted_stall_accumulation_identical_across_paths() {
             mk(mode, close),
             "{mode:?} × {close:?} diverged under targeted stalls"
         );
+    }
+}
+
+/// The scheduled variant of [`reference`]: one scheduler tick per epoch.
+/// Every `phases()` epochs it draws the stalls; each epoch a rank runs
+/// iff it is not stalled, is less than `max_lag` phases ahead of the
+/// slowest clock, and wins its seeded coin (flipped in rank order, only
+/// by ranks that got that far) against its straggler-skewed speed. Each
+/// running rank reads its inbox at its own phase `clock % phases()`; the
+/// close is [`reference`]'s, except that a rank that did not run keeps
+/// its inbox. The xorshift64* coin stream and the splitmix64 speed draw
+/// are written out here, independently of the substrate.
+fn scheduled_reference<A: RankAlgorithm>(
+    mut ranks: Vec<A>,
+    chaos: ChaosConfig,
+    opts: AsyncOptions,
+    epochs: u64,
+) -> (Vec<A>, RunStats) {
+    let n = ranks.len();
+    let nphases = ranks[0].phases();
+    let model = CostModel::default();
+    let mut injector = FaultInjector::new(chaos, n);
+    let splitmix = |mut z: u64| {
+        z = z.wrapping_add(0x9e3779b97f4a7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    };
+    let unit = |x: u64| (x >> 11) as f64 / (1u64 << 53) as f64;
+    let speed: Vec<f64> = (0..n as u64)
+        .map(|i| {
+            let u = if opts.straggler_skew > 0.0 {
+                unit(splitmix(opts.seed ^ i.wrapping_mul(0xd1342543de82ef95)))
+            } else {
+                0.0
+            };
+            opts.advance_probability * (1.0 - opts.straggler_skew * u)
+        })
+        .collect();
+    let mut coin = opts.seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+    let mut flip = || {
+        coin ^= coin >> 12;
+        coin ^= coin << 25;
+        coin ^= coin >> 27;
+        unit(coin.wrapping_mul(0x2545F4914F6CDD1D))
+    };
+    let mut clock = vec![0usize; n];
+    let mut stalled = vec![false; n];
+    let mut inboxes: Vec<Vec<Envelope<A::Msg>>> = (0..n).map(|_| Vec::new()).collect();
+    let mut delayed: Vec<Vec<(u64, Envelope<A::Msg>)>> = (0..n).map(|_| Vec::new()).collect();
+    let mut stats = RunStats::new(n);
+    for epoch in 0..epochs {
+        let mut step = StepStats::default();
+        if epoch.is_multiple_of(nphases as u64) {
+            stalled = injector.step_stalls();
+            step.faults.stalled_ranks = stalled.iter().filter(|&&s| s).count() as u64;
+        }
+        let gate = *clock.iter().min().unwrap();
+        let runs: Vec<bool> = (0..n)
+            .map(|i| !stalled[i] && clock[i] < gate + opts.max_lag && flip() < speed[i])
+            .collect();
+        let (mut msgs, mut bytes, mut max_flops) = (0u64, 0u64, 0u64);
+        let mut outboxes = Vec::with_capacity(n);
+        for (i, rank) in ranks.iter_mut().enumerate() {
+            if !runs[i] {
+                outboxes.push(Vec::new());
+                continue;
+            }
+            let mut ctx = PhaseCtx::capture(i);
+            rank.phase(clock[i] % nphases, &inboxes[i], &mut ctx);
+            clock[i] += 1;
+            let (outbox, totals) = ctx.into_captured();
+            msgs += totals.msgs;
+            bytes += totals.bytes;
+            max_flops = max_flops.max(totals.flops);
+            step.flops += totals.flops;
+            step.relaxations += totals.relaxations;
+            step.active_ranks += u64::from(totals.relaxations > 0);
+            stats.msgs_per_rank[i] += totals.msgs;
+            for (_, env) in &outbox {
+                let (m, b) = match env.class {
+                    CommClass::Solve => (&mut step.msgs_solve, &mut step.bytes_solve),
+                    CommClass::Residual => (&mut step.msgs_residual, &mut step.bytes_residual),
+                    CommClass::Recovery => (&mut step.msgs_recovery, &mut step.bytes_recovery),
+                    CommClass::Redundancy => {
+                        (&mut step.msgs_redundancy, &mut step.bytes_redundancy)
+                    }
+                    CommClass::Transfer => (&mut step.msgs_transfer, &mut step.bytes_transfer),
+                };
+                *m += 1;
+                *b += env.bytes;
+            }
+            outboxes.push(outbox);
+        }
+        for (inbox, &ran) in inboxes.iter_mut().zip(&runs) {
+            if ran {
+                inbox.clear();
+            }
+        }
+        for (origin, outbox) in outboxes.into_iter().enumerate() {
+            let mut index = vec![0u32; n];
+            for (t, env) in outbox {
+                let fate = injector.fate_at(epoch, origin as u32, t as u32, index[t], env.class);
+                index[t] += 1;
+                if fate.dropped {
+                    step.faults.dropped.add(env.class, 1);
+                    continue;
+                }
+                if fate.duplicated {
+                    step.faults.duplicated.add(env.class, 1);
+                    inboxes[t].push(env.clone());
+                }
+                if fate.delay > 0 {
+                    step.faults.delayed.add(env.class, 1);
+                    delayed[t].push((epoch + fate.delay as u64, env));
+                } else {
+                    inboxes[t].push(env);
+                }
+            }
+        }
+        for (inbox, queue) in inboxes.iter_mut().zip(&mut delayed) {
+            inbox.extend(queue.extract_if(.., |d| d.0 <= epoch).map(|d| d.1));
+            inbox.sort_by_key(|env| env.src);
+        }
+        let p = n as f64;
+        step.msgs = msgs;
+        step.bytes = bytes;
+        step.time = model.sync
+            + model.gamma * max_flops as f64
+            + model.alpha * msgs as f64 / p
+            + model.beta * bytes as f64 / p;
+        stats.steps.push(step);
+    }
+    (ranks, stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Scheduled epochs — a seeded subset of ranks per epoch, each at its
+    /// own phase clock, under the lag gate and straggler skew — observe
+    /// byte-identical inboxes, counters, modelled time and fault tallies
+    /// to [`scheduled_reference`] on the 64-rank grid, under drops,
+    /// duplicates, delays and stalls, sequentially and on the pooled close.
+    #[test]
+    fn scheduled_epochs_identical_to_scheduled_reference(
+        drop_rate in 0.0f64..0.25,
+        duplicate_rate in 0.0f64..0.25,
+        delay_rate in 0.0f64..0.25,
+        max_delay_epochs in 1u64..4,
+        stall_rate in 0.0f64..0.15,
+        seed in 0u64..10_000,
+        advance_probability in 0.3f64..1.0,
+        max_lag in 1u64..5,
+        straggler_skew in 0.0f64..0.9,
+        schedule_seed in 0u64..10_000,
+    ) {
+        let chaos = ChaosConfig {
+            drop_rate,
+            duplicate_rate,
+            delay_rate,
+            max_delay_epochs: max_delay_epochs as usize,
+            stall_rate,
+            stall_steps: 2,
+            seed,
+            ..ChaosConfig::none()
+        };
+        let opts = AsyncOptions {
+            advance_probability,
+            max_lag: max_lag as usize,
+            seed: schedule_seed,
+            straggler_skew,
+        };
+        let epochs = 24;
+        let (ranks, stats) = scheduled_reference(gossip(8), chaos, opts, epochs);
+        let reference = observe(logs(&ranks), &stats);
+        for (mode, close) in [
+            (ExecMode::Sequential, CloseMode::Serial),
+            (ExecMode::Threaded(3), CloseMode::Parallel),
+        ] {
+            let mut ex = Executor::scheduled(gossip(8), CostModel::default(), mode, chaos, opts)
+                .expect("valid options");
+            ex.set_close_mode(close);
+            for _ in 0..epochs {
+                ex.step();
+            }
+            let other = observe(logs(ex.ranks()), &ex.stats);
+            prop_assert_eq!(
+                &reference,
+                &other,
+                "scheduled {:?} × {:?} diverged from the scheduled reference",
+                mode,
+                close
+            );
+        }
     }
 }
