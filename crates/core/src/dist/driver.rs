@@ -13,6 +13,7 @@ use dsw_rma::{
     AsyncOptions, ChaosConfig, CloseMode, CostModel, ExecMode, Executor, MonitorStats,
     RankAlgorithm, RedundantHost, RunStats, StepStats,
 };
+use dsw_sparse::vecops::norm2_sq_cols;
 use dsw_sparse::CsrMatrix;
 use std::time::Instant;
 
@@ -262,40 +263,17 @@ impl MonitorCore {
         }
     }
 
-    /// The `O(P)` maintained global norm: a sum of per-block scalars, no
-    /// gather, no SpMV, independent of `n` and `nnz`. `None` if the
-    /// algorithm does not maintain local norms
-    /// ([`RankAlgorithm::maintained_norm_sq`]). The drive loops read
-    /// global state through a [`NormView`], so the uncoded run (one block
-    /// per rank), a redundancy-coded run (one representative per replica
-    /// set) and a panel column share one loop body and one accounting
-    /// path.
-    pub(crate) fn maintained_view<R: RankAlgorithm>(
-        &mut self,
-        ranks: &[R],
-        view: &impl NormView<R>,
-    ) -> Option<MaintainedNorm> {
-        let t0 = Instant::now();
-        let (norm_sq, slack_sq) = view.maintained_sums(ranks)?;
-        self.stats.evals += 1;
-        self.stats.eval_ns += t0.elapsed().as_nanos() as u64;
-        Some(MaintainedNorm {
-            norm: norm_sq.sqrt(),
-            slack: slack_sq.sqrt(),
-        })
-    }
-
     /// The exact `‖b − Ax‖₂`: gather into the reusable scratch, one SpMV,
     /// one norm — `O(n + nnz)`.
     pub(crate) fn exact_view<R: RankAlgorithm>(
         &mut self,
         a: &CsrMatrix,
         b: &[f64],
-        ranks: &[R],
+        ex: &Executor<R>,
         view: &impl NormView<R>,
     ) -> f64 {
         let t0 = Instant::now();
-        view.scatter_into(ranks, &mut self.x);
+        view.scatter_into(ex, &mut self.x);
         a.spmv(&self.x, &mut self.ax);
         let norm_sq: f64 = b
             .iter()
@@ -314,27 +292,41 @@ impl MonitorCore {
     /// clones out once — for the end-of-run report).
     pub(crate) fn gather_view<R: RankAlgorithm>(
         &mut self,
-        ranks: &[R],
+        ex: &Executor<R>,
         view: &impl NormView<R>,
     ) -> Vec<f64> {
-        view.scatter_into(ranks, &mut self.x);
+        view.scatter_into(ex, &mut self.x);
         self.x.clone()
     }
 
-    /// First half of a boundary measurement: the `O(P)` maintained sum
-    /// (maintained mode only) and the verdict's exact-norm trigger
-    /// ([`Verdict::needs_exact`]). Split from [`MonitorCore::measure`] so
-    /// a fused panel can block several columns' exact recomputes into one
-    /// SpMV.
+    /// First half of a boundary measurement: the verdict's exact-norm
+    /// trigger ([`Verdict::needs_exact`]) on the maintained reading
+    /// (maintained mode only). The exact recompute is left to the run, so
+    /// several columns' recomputes can share one SpMV.
+    ///
+    /// The maintained reading is the `O(P)` sum of per-block scalars — no
+    /// gather, no SpMV, independent of `n` and `nnz` — or `None` if the
+    /// algorithm maintains no local norms
+    /// ([`RankAlgorithm::maintained_norm_sq`]).
     pub(crate) fn read<R: RankAlgorithm>(
         &mut self,
-        ranks: &[R],
+        ex: &Executor<R>,
         view: &impl NormView<R>,
         verdict: &Verdict,
         at: Boundary,
     ) -> Reading {
         let m = match verdict.monitor {
-            MonitorMode::Maintained { .. } => self.maintained_view(ranks, view),
+            MonitorMode::Maintained { .. } => {
+                let t0 = Instant::now();
+                view.maintained_sums(ex).map(|(norm_sq, slack_sq)| {
+                    self.stats.evals += 1;
+                    self.stats.eval_ns += t0.elapsed().as_nanos() as u64;
+                    MaintainedNorm {
+                        norm: norm_sq.sqrt(),
+                        slack: slack_sq.sqrt(),
+                    }
+                })
+            }
             MonitorMode::Exact => None,
         };
         match m {
@@ -351,27 +343,6 @@ impl MonitorCore {
         }
         e
     }
-
-    /// Measures one boundary: `(norm, verified)` — `norm` is what the
-    /// record carries, `verified` says it is the exact norm (verdicts
-    /// require that).
-    pub(crate) fn measure<R: RankAlgorithm>(
-        &mut self,
-        a: &CsrMatrix,
-        b: &[f64],
-        ranks: &[R],
-        view: &impl NormView<R>,
-        verdict: &Verdict,
-        at: Boundary,
-    ) -> (f64, bool) {
-        match self.read(ranks, view, verdict, at) {
-            Reading::Maintained(norm) => (norm, false),
-            Reading::Exact(m) => {
-                let e = self.exact_view(a, b, ranks, view);
-                (self.confirm(e, m), true)
-            }
-        }
-    }
 }
 
 /// How a boundary's norm is obtained ([`MonitorCore::read`]).
@@ -383,22 +354,45 @@ pub(crate) enum Reading {
     Exact(Option<MaintainedNorm>),
 }
 
-/// How a drive loop reads global solver state out of a rank set: each
-/// logical block contributes exactly once, whatever the physical hosting.
+/// One column of a run: how its monitor reads global solver state out of
+/// the rank set (each logical block exactly once, whatever the physical
+/// hosting), plus the few things a column does differently. The defaults
+/// are the lock-step single solve's.
 ///
 /// The uncoded [`DirectView`] is the identity (rank = block). The coded
 /// [`ReplicaView`] reads each block from its freshest replica and declares
-/// the replica sets as scheduler lag groups.
+/// the replica sets as scheduler lag groups. A fused panel's column view
+/// reads one column's clones out of every panel rank.
 pub(crate) trait NormView<R: RankAlgorithm> {
     /// The solver state a logical block is read from.
     type Block: RankAlgorithm;
 
     /// Every logical block's current state, each exactly once, in block
     /// order.
-    fn blocks<'a>(&'a self, ranks: &'a [R]) -> impl Iterator<Item = &'a Self::Block>;
+    fn blocks<'a>(&'a self, ex: &'a Executor<R>) -> impl Iterator<Item = &'a Self::Block>;
 
     /// A block's local system (its rows and iterate).
     fn local<'a>(&self, block: &'a Self::Block) -> &'a LocalSystem;
+
+    /// The column's rank-cumulative recovery counters: `[drift repairs,
+    /// stale discards]`.
+    fn recovery(&self, ranks: &[R]) -> [u64; 2];
+
+    /// The freeze watchdog's nudge of the column's solvers: whether any
+    /// reacted.
+    fn nudge(&self, ranks: &mut [R]) -> bool;
+
+    /// The column's `(relaxations, messages)` in step `s`.
+    fn step_counts(&self, _ranks: &[R], s: &StepStats) -> (u64, u64) {
+        (s.relaxations, s.msgs)
+    }
+
+    /// Writes back any column state the ranks hold elsewhere, before an
+    /// out-of-band read of the iterates.
+    fn flush(&self, _ranks: &mut [R]) {}
+
+    /// Takes a finished column out of the ranks' later steps.
+    fn retire(&self, _ranks: &mut [R]) {}
 
     /// Lag groups for the asynchronous scheduler: ranks hosting a common
     /// block progress as one logical owner, so a replica-covered straggler
@@ -408,8 +402,8 @@ pub(crate) trait NormView<R: RankAlgorithm> {
     }
 
     /// Writes every global row's current value into `x`.
-    fn scatter_into(&self, ranks: &[R], x: &mut [f64]) {
-        for block in self.blocks(ranks) {
+    fn scatter_into(&self, ex: &Executor<R>, x: &mut [f64]) {
+        for block in self.blocks(ex) {
             let ls = self.local(block);
             for (li, &g) in ls.rows.iter().enumerate() {
                 x[g] = ls.x[li];
@@ -419,10 +413,10 @@ pub(crate) trait NormView<R: RankAlgorithm> {
 
     /// `(Σ norm², Σ slack²)` over logical blocks — the inputs of
     /// [`MaintainedNorm`] — or `None` if the algorithm maintains no norms.
-    fn maintained_sums(&self, ranks: &[R]) -> Option<(f64, f64)> {
+    fn maintained_sums(&self, ex: &Executor<R>) -> Option<(f64, f64)> {
         let mut norm_sq = 0.0;
         let mut slack_sq = 0.0;
-        for block in self.blocks(ranks) {
+        for block in self.blocks(ex) {
             norm_sq += block.maintained_norm_sq()?;
             slack_sq += block.undelivered_delta_sq();
         }
@@ -436,25 +430,34 @@ pub(crate) struct DirectView<F>(pub(crate) F);
 
 impl<R, F> NormView<R> for DirectView<F>
 where
-    R: RankAlgorithm,
+    R: RankAlgorithm + Recoverable,
     F: Fn(&R) -> &LocalSystem,
 {
     type Block = R;
 
-    fn blocks<'a>(&'a self, ranks: &'a [R]) -> impl Iterator<Item = &'a R> {
-        ranks.iter()
+    fn blocks<'a>(&'a self, ex: &'a Executor<R>) -> impl Iterator<Item = &'a R> {
+        ex.ranks().iter()
     }
 
     fn local<'a>(&self, block: &'a R) -> &'a LocalSystem {
         (self.0)(block)
     }
+
+    fn recovery(&self, ranks: &[R]) -> [u64; 2] {
+        recovery_counts(ranks)
+    }
+
+    fn nudge(&self, ranks: &mut [R]) -> bool {
+        nudge_all(ranks)
+    }
 }
 
 /// The coded view over [`RedundantHost`] ranks: block `b` is read from
-/// its *representative* — the furthest-along host (first on ties, so
-/// lock-step runs always read the primary). Every replica holds a valid
-/// estimate state; the representative is simply the freshest one, which is
-/// exactly the first-arrival semantics the message plane uses.
+/// its *representative* — the host furthest along by the executor's phase
+/// clocks (first on ties, so lock-step runs always read the primary).
+/// Every replica holds a valid estimate state; the representative is
+/// simply the freshest one, which is exactly the first-arrival semantics
+/// the message plane uses.
 struct ReplicaView {
     /// Hosts per logical block, primary first.
     replicas: Vec<Vec<usize>>,
@@ -491,10 +494,11 @@ impl ReplicaView {
             .collect()
     }
 
-    fn representative<A: RankAlgorithm>(&self, ranks: &[RedundantHost<A>], b: usize) -> usize {
+    /// Block `b`'s freshest host by the per-rank phase `clocks`.
+    fn representative(&self, clocks: &[usize], b: usize) -> usize {
         let mut best = self.replicas[b][0];
         for &h in &self.replicas[b][1..] {
-            if ranks[h].clock() > ranks[best].clock() {
+            if clocks[h] > clocks[best] {
                 best = h;
             }
         }
@@ -505,9 +509,9 @@ impl ReplicaView {
 impl<A: WarmStart> NormView<RedundantHost<A>> for ReplicaView {
     type Block = A;
 
-    fn blocks<'a>(&'a self, ranks: &'a [RedundantHost<A>]) -> impl Iterator<Item = &'a A> {
+    fn blocks<'a>(&'a self, ex: &'a Executor<RedundantHost<A>>) -> impl Iterator<Item = &'a A> {
         (0..self.replicas.len()).map(move |b| {
-            ranks[self.representative(ranks, b)]
+            ex.ranks()[self.representative(ex.clocks(), b)]
                 .solver_for(b)
                 .expect("host carries its block")
         })
@@ -517,13 +521,21 @@ impl<A: WarmStart> NormView<RedundantHost<A>> for ReplicaView {
         block.local()
     }
 
+    fn recovery(&self, ranks: &[RedundantHost<A>]) -> [u64; 2] {
+        recovery_counts(ranks)
+    }
+
+    fn nudge(&self, ranks: &mut [RedundantHost<A>]) -> bool {
+        nudge_all(ranks)
+    }
+
     fn lag_groups(&self) -> Option<Vec<Vec<u32>>> {
         Some(self.hosts_u32())
     }
 }
 
 /// One row of the per-step record (all counters cumulative).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepRecord {
     /// Parallel step index (0 = initial state).
     pub step: usize,
@@ -839,9 +851,10 @@ where
             ex
         }
     };
-    let mut run = SuperstepRun::new(method, ex, view, a, b, *opts);
-    run.step_batch(a, b, usize::MAX);
-    run.finish()
+    let mut run = SuperstepRun::with_columns(method, ex, [(view, b.to_vec())], *opts);
+    run.begin(a);
+    run.step_batch(a, usize::MAX);
+    run.finish().remove(0)
 }
 
 /// The superstep executor for `opts` in `mode`.
@@ -853,31 +866,6 @@ pub(crate) fn superstep_executor<R: RankAlgorithm>(
     let mut ex = Executor::with_chaos(ranks, opts.cost_model, mode, opts.chaos);
     ex.set_close_mode(opts.close_mode);
     ex
-}
-
-/// The step-0 record: the exactly measured initial state, zero counters.
-pub(crate) fn initial_record(initial: f64) -> StepRecord {
-    StepRecord {
-        step: 0,
-        residual_norm: initial,
-        relaxations: 0,
-        msgs: 0,
-        msgs_solve: 0,
-        msgs_residual: 0,
-        msgs_recovery: 0,
-        msgs_redundancy: 0,
-        msgs_transfer: 0,
-        bytes: 0,
-        bytes_solve: 0,
-        bytes_residual: 0,
-        bytes_recovery: 0,
-        bytes_redundancy: 0,
-        bytes_transfer: 0,
-        time: 0.0,
-        active_ranks: 0,
-        compute_ns: 0,
-        imbalance: 1.0,
-    }
 }
 
 /// Rank-cumulative recovery counters: `[drift repairs, stale discards]`.
@@ -900,25 +888,29 @@ pub(crate) struct SolveLog {
 }
 
 impl SolveLog {
-    /// A solve from an exactly measured `initial` norm.
-    pub(crate) fn new(
-        monitor: MonitorCore,
-        opts: &DistOptions,
-        initial: f64,
-        base: [u64; 2],
-    ) -> Self {
-        SolveLog {
-            monitor,
-            records: vec![initial_record(initial)],
-            verdict: Verdict::new(opts, initial),
-            base,
-        }
+    /// A log for solves of an `n`-row system; a solve starts at
+    /// [`SolveLog::restart`].
+    pub(crate) fn new(n: usize, opts: &DistOptions) -> Self {
+        let mut log = SolveLog {
+            monitor: MonitorCore::new(n),
+            records: Vec::new(),
+            verdict: Verdict::new(opts, 0.0),
+            base: [0, 0],
+        };
+        log.restart(opts, 0.0, [0, 0]);
+        log
     }
 
-    /// Starts the next solve (the monitor's counters keep accumulating
-    /// until the next report).
+    /// Starts the next solve from an exactly measured `initial` norm: the
+    /// step-0 record, zero counters (the monitor's counters keep
+    /// accumulating until the next report).
     pub(crate) fn restart(&mut self, opts: &DistOptions, initial: f64, base: [u64; 2]) {
-        self.records = vec![initial_record(initial)];
+        let step0 = StepRecord {
+            residual_norm: initial,
+            imbalance: 1.0,
+            ..StepRecord::default()
+        };
+        self.records = vec![step0];
         self.verdict = Verdict::new(opts, initial);
         self.base = base;
     }
@@ -1060,79 +1052,130 @@ impl Sweep {
     }
 }
 
-/// The run: an executor (lock-step or scheduled), the view the monitor
-/// reads it through, and the current solve's [`SolveLog`].
-/// [`run_method`] and [`drive`] run one solve and drop it; a
+/// One solve a run steps: the view its monitor reads through, its
+/// [`SolveLog`], and its right-hand side. A scalar, async or coded run has
+/// one column; a fused panel has one per right-hand side.
+pub(crate) struct Column<V> {
+    pub(crate) view: V,
+    pub(crate) log: SolveLog,
+    pub(crate) b: Vec<f64>,
+    /// The solution, gathered when the column retires.
+    x: Option<Vec<f64>>,
+    /// This step's boundary, and its reading once confirmed: `(norm,
+    /// verified)`, with the maintained reading an exact one confirms.
+    at: Boundary,
+    reading: (f64, bool),
+    maintained: Option<MaintainedNorm>,
+}
+
+impl<V> Column<V> {
+    /// Starts the column's next solve on `ranks` from its exactly measured
+    /// `initial` norm.
+    pub(crate) fn restart<R>(&mut self, opts: &DistOptions, initial: f64, ranks: &[R])
+    where
+        R: RankAlgorithm,
+        V: NormView<R>,
+    {
+        let base = self.view.recovery(ranks);
+        self.log.restart(opts, initial, base);
+        self.x = None;
+    }
+
+    /// Leaves the column finished at the ranks' current state, whose
+    /// exact norm is `norm`: one step-0 record, no verdict, no steps to
+    /// take.
+    pub(crate) fn settle<R>(&mut self, opts: &DistOptions, norm: f64, ranks: &[R])
+    where
+        R: RankAlgorithm,
+        V: NormView<R>,
+    {
+        self.restart(opts, norm, ranks);
+        self.log.verdict.stop();
+    }
+}
+
+/// The run: an executor (lock-step or scheduled) and the [`Column`]s it
+/// steps. [`run_method`] and [`drive`] run one solve and drop it; a
 /// [`SolveSession`](crate::dist::session::SolveSession) keeps a lock-step
-/// one across warm-started solves.
+/// one across warm-started solves, and a fused panel steps its columns
+/// through one.
 pub(crate) struct SuperstepRun<R: RankAlgorithm, V> {
     pub(crate) method: Method,
     pub(crate) ex: Executor<R>,
-    view: V,
     pub(crate) opts: DistOptions,
-    pub(crate) log: SolveLog,
-    step: usize,
+    pub(crate) cols: Vec<Column<V>>,
+    pub(crate) step: usize,
     /// The async boundary rule; `None` on the lock-step backend.
     sweep: Option<Sweep>,
+    /// Columns whose reading awaits an exact recompute this step.
+    need_exact: Vec<usize>,
+    /// Blocked-verification scratch (`n` × columns, grown on demand):
+    /// interleaved iterates, their products, per-column sums.
+    pub(crate) x_panel: Vec<f64>,
+    pub(crate) ax_panel: Vec<f64>,
+    sq: Vec<f64>,
 }
 
 impl<R, V> SuperstepRun<R, V>
 where
-    R: RankAlgorithm + Recoverable,
+    R: RankAlgorithm,
     V: NormView<R>,
 {
-    /// Wraps a built executor, measuring the initial state exactly.
-    pub(crate) fn new(
+    /// A run of one column per `(view, b)` on a built executor. Each
+    /// column's log holds a placeholder until the caller begins a solve.
+    pub(crate) fn with_columns(
         method: Method,
         ex: Executor<R>,
-        view: V,
-        a: &CsrMatrix,
-        b: &[f64],
+        cols: impl IntoIterator<Item = (V, Vec<f64>)>,
         opts: DistOptions,
     ) -> Self {
-        let mut monitor = MonitorCore::new(a.nrows());
-        let initial = monitor.exact_view(a, b, ex.ranks(), &view);
-        let log = SolveLog::new(monitor, &opts, initial, recovery_counts(ex.ranks()));
+        let cols: Vec<Column<V>> = cols
+            .into_iter()
+            .map(|(view, b)| Column {
+                log: SolveLog::new(b.len(), &opts),
+                view,
+                b,
+                x: None,
+                at: Boundary::default(),
+                reading: (0.0, false),
+                maintained: None,
+            })
+            .collect();
         SuperstepRun {
             method,
             sweep: matches!(opts.backend, ExecBackend::Async(_))
                 .then(|| Sweep::new(&ex, opts.max_steps)),
             ex,
-            view,
             opts,
-            log,
+            need_exact: Vec::with_capacity(cols.len()),
+            cols,
             step: 0,
+            x_panel: Vec::new(),
+            ax_panel: Vec::new(),
+            sq: Vec::new(),
         }
     }
 
-    /// Starts a new solve of `(a, b)` from the ranks' current state.
-    pub(crate) fn begin(&mut self, a: &CsrMatrix, b: &[f64]) {
-        let initial = self
-            .log
-            .monitor
-            .exact_view(a, b, self.ex.ranks(), &self.view);
-        self.log
-            .restart(&self.opts, initial, recovery_counts(self.ex.ranks()));
+    /// Starts a new solve of every column from the ranks' current state.
+    pub(crate) fn begin(&mut self, a: &CsrMatrix) {
+        for col in &mut self.cols {
+            let initial = col.log.monitor.exact_view(a, &col.b, &self.ex, &col.view);
+            col.restart(&self.opts, initial, self.ex.ranks());
+        }
         self.step = 0;
     }
 
-    /// Leaves the run finished at the ranks' current state, whose exact
-    /// norm is `norm`: one step-0 record, no verdict, no steps to take.
-    pub(crate) fn settle(&mut self, norm: f64) {
-        self.log
-            .restart(&self.opts, norm, recovery_counts(self.ex.ranks()));
-        self.log.verdict.stop();
-    }
-
-    /// Whether the current solve has reached a verdict or its step budget.
+    /// Whether every column has reached a verdict or its step budget.
     pub(crate) fn is_done(&self) -> bool {
-        self.log.verdict.is_done()
+        self.cols.iter().all(|c| c.log.verdict.is_done())
     }
 
-    /// Advances up to `quantum` executor steps of the solve (supersteps,
-    /// or scheduler ticks); returns `true` once it has reached a verdict
-    /// or run out of steps.
-    pub(crate) fn step_batch(&mut self, a: &CsrMatrix, b: &[f64], quantum: usize) -> bool {
+    /// Advances up to `quantum` executor steps (supersteps, or scheduler
+    /// ticks); returns `true` once every column has reached a verdict or
+    /// the run is out of steps. Each step reads every running column's
+    /// boundary, runs the exact recomputes it needs (blocked into one SpMV
+    /// when several columns need one), then feeds each column's verdict.
+    pub(crate) fn step_batch(&mut self, a: &CsrMatrix, quantum: usize) -> bool {
         let nranks = self.ex.nranks();
         let cap = self
             .sweep
@@ -1144,55 +1187,161 @@ where
             }
             self.step += 1;
             let s = self.ex.step();
-            let (idle, last) = match &mut self.sweep {
+            let swept = self
+                .sweep
+                .as_mut()
+                .map(|w| w.close(&self.ex, self.step, &s));
+
+            // Stage 1: each running column's boundary and monitor reading.
+            self.need_exact.clear();
+            for (c, col) in self.cols.iter_mut().enumerate() {
+                if col.log.verdict.is_done() {
+                    continue;
+                }
+                let (relaxations, msgs) = col.view.step_counts(self.ex.ranks(), &s);
                 // A step with no relaxations, no messages, and no stalled
                 // rank (which could still hold undelivered puts) is
                 // globally idle: nothing can change anymore.
-                None => {
-                    let quiet = s.relaxations == 0 && s.msgs == 0;
-                    (quiet && s.faults.stalled_ranks == 0, self.step == cap)
+                let quiet = relaxations == 0 && msgs == 0 && s.faults.stalled_ranks == 0;
+                let (idle, last) = swept.unwrap_or((quiet, self.step == cap));
+                col.at = Boundary {
+                    index: self.step,
+                    relaxations,
+                    idle,
+                    last,
+                };
+                let verdict = &col.log.verdict;
+                match col.log.monitor.read(&self.ex, &col.view, verdict, col.at) {
+                    Reading::Maintained(norm) => col.reading = (norm, false),
+                    Reading::Exact(m) => {
+                        col.maintained = m;
+                        self.need_exact.push(c);
+                    }
                 }
-                Some(w) => w.close(&self.ex, self.step, &s),
-            };
-            let at = Boundary {
-                index: self.step,
-                relaxations: s.relaxations,
-                idle,
-                last,
-            };
-            let reading =
-                self.log
-                    .monitor
-                    .measure(a, b, self.ex.ranks(), &self.view, &self.log.verdict, at);
-            let ranks = self.ex.ranks_mut();
-            // A nudge re-arms the run even at its last boundary (within
-            // the cap).
-            let t = self.log.push(at, reading, &s, nranks, || nudge_all(ranks));
-            if at.last && t == Transition::Continue {
-                self.log.verdict.stop();
+            }
+
+            // Stage 2: the exact recomputes, which read the iterates
+            // out-of-band.
+            for &c in &self.need_exact {
+                self.cols[c].view.flush(self.ex.ranks_mut());
+            }
+            if let [c] = self.need_exact[..] {
+                let col = &mut self.cols[c];
+                let monitor = &mut col.log.monitor;
+                let e = monitor.exact_view(a, &col.b, &self.ex, &col.view);
+                col.reading = (monitor.confirm(e, col.maintained), true);
+            } else if !self.need_exact.is_empty() {
+                self.blocked_exact(a);
+            }
+
+            // Stage 3: records and verdicts.
+            for c in 0..self.cols.len() {
+                let col = &mut self.cols[c];
+                if col.log.verdict.is_done() {
+                    continue;
+                }
+                let (view, ranks) = (&col.view, self.ex.ranks_mut());
+                let t = col
+                    .log
+                    .push(col.at, col.reading, &s, nranks, || view.nudge(ranks));
+                // A nudge re-arms the run even at its last boundary (within
+                // the cap).
+                if col.at.last && t == Transition::Continue {
+                    col.log.verdict.stop();
+                }
+                if col.log.verdict.is_done() {
+                    self.retire(c);
+                }
             }
         }
         if self.step >= cap {
-            self.log.verdict.stop();
+            for c in 0..self.cols.len() {
+                if !self.cols[c].log.verdict.is_done() {
+                    self.retire(c);
+                }
+            }
         }
         self.is_done()
     }
 
-    /// Closes the current solve and returns its report. Stats cover this
-    /// solve only: the executor's accumulators are harvested as an epoch
-    /// ([`RunStats::take_epoch`]). The run is left
-    /// [settled](SuperstepRun::settle) at the final norm, so finishing
-    /// again reports an empty solve that still holds its step-0 record.
-    pub(crate) fn finish(&mut self) -> DistReport {
-        let x = self.log.monitor.gather_view(self.ex.ranks(), &self.view);
-        let stats = self.ex.stats.take_epoch();
-        let now = recovery_counts(self.ex.ranks());
-        let last = self.log.last_norm();
-        let report = self
-            .log
-            .report(self.method, self.ex.nranks(), stats, now, x);
-        self.settle(last);
-        report
+    /// One exact recompute for every column in `need_exact`: the iterates
+    /// interleaved row-major, one [`CsrMatrix::spmv_panel`] (a single CSR
+    /// index walk for all columns), then per-column norms by
+    /// [`norm2_sq_cols`]. Both kernels keep the ordered-accumulation
+    /// contract, so each column's norm is bit-identical to `exact_view`'s.
+    fn blocked_exact(&mut self, a: &CsrMatrix) {
+        let t0 = Instant::now();
+        let kk = self.need_exact.len();
+        let nk = a.nrows() * kk;
+        self.x_panel.resize(nk, 0.0);
+        self.ax_panel.resize(nk, 0.0);
+        self.sq.resize(kk, 0.0);
+        let (x, ax) = (&mut self.x_panel[..nk], &mut self.ax_panel[..nk]);
+        for (j, &c) in self.need_exact.iter().enumerate() {
+            let view = &self.cols[c].view;
+            for block in view.blocks(&self.ex) {
+                let ls = view.local(block);
+                for (li, &g) in ls.rows.iter().enumerate() {
+                    x[g * kk + j] = ls.x[li];
+                }
+            }
+        }
+        a.spmv_panel(x, kk, ax);
+        for (j, &c) in self.need_exact.iter().enumerate() {
+            for (row, &b) in ax.chunks_exact_mut(kk).zip(&self.cols[c].b) {
+                row[j] = b - row[j];
+            }
+        }
+        norm2_sq_cols(ax, kk, &mut self.sq[..kk]);
+        // The walk is shared; charge each column an equal share of it.
+        let ns_share = t0.elapsed().as_nanos() as u64 / kk as u64;
+        for (j, &c) in self.need_exact.iter().enumerate() {
+            let col = &mut self.cols[c];
+            let monitor = &mut col.log.monitor;
+            monitor.stats.verifications += 1;
+            monitor.stats.verify_ns += ns_share;
+            col.reading = (monitor.confirm(self.sq[j].sqrt(), col.maintained), true);
+        }
+    }
+
+    /// Ends column `c`'s solve: stops it, gathers its solution while its
+    /// state is current, and takes it out of later steps.
+    fn retire(&mut self, c: usize) {
+        let col = &mut self.cols[c];
+        col.log.verdict.stop();
+        col.view.flush(self.ex.ranks_mut());
+        col.x = Some(col.log.monitor.gather_view(&self.ex, &col.view));
+        col.view.retire(self.ex.ranks_mut());
+    }
+
+    /// Closes the current solve: one report per column, in column order.
+    /// Stats cover this solve only: the executor's accumulators are
+    /// harvested as an epoch ([`RunStats::take_epoch`]) and shared by
+    /// every column's report. Each column is left
+    /// [settled](Column::settle) at its final norm, so finishing again
+    /// reports an empty solve that still holds its step-0 record.
+    pub(crate) fn finish(&mut self) -> Vec<DistReport> {
+        for c in 0..self.cols.len() {
+            if self.cols[c].x.is_none() {
+                self.retire(c);
+            }
+        }
+        let mut stats = Some(self.ex.stats.take_epoch());
+        let (k, nranks) = (self.cols.len(), self.ex.nranks());
+        let mut reports = Vec::with_capacity(k);
+        for (c, col) in self.cols.iter_mut().enumerate() {
+            let stats = if c + 1 == k {
+                stats.take().expect("taken once, by the last column")
+            } else {
+                stats.clone().expect("held until the last column")
+            };
+            let now = col.view.recovery(self.ex.ranks());
+            let x = col.x.take().expect("a retired column holds its solution");
+            let last = col.log.last_norm();
+            reports.push(col.log.report(self.method, nranks, stats, now, x));
+            col.settle(&self.opts, last, self.ex.ranks());
+        }
+        reports
     }
 }
 

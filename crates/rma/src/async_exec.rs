@@ -11,10 +11,8 @@
 //! protocols tolerate the staleness by design: their neighbor data are
 //! estimates.
 
-use crate::executor::{ExecMode, Executor, RankAlgorithm};
-use crate::fault::{mix64, ChaosConfig, XorShift};
-use crate::stats::CostModel;
-use std::ops::{Deref, DerefMut};
+use crate::executor::{Executor, RankAlgorithm};
+use crate::fault::{mix64, XorShift};
 
 /// Scheduling options for the asynchronous executor.
 #[derive(Debug, Clone, Copy)]
@@ -162,33 +160,11 @@ impl Schedule {
     }
 }
 
-/// An [`Executor`] built with an asynchronous schedule
-/// ([`Executor::scheduled`]): each [`Executor::step`] is one scheduler
-/// tick. Dereferences to the executor.
-pub struct AsyncExecutor<A: RankAlgorithm>(Executor<A>);
-
-impl<A: RankAlgorithm> AsyncExecutor<A> {
-    /// Creates an asynchronous executor; panics if `opts` fails
-    /// [`AsyncOptions::validate`].
-    pub fn new(ranks: Vec<A>, opts: AsyncOptions) -> Self {
-        Self::with_chaos(ranks, opts, ChaosConfig::none()).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// As [`new`](Self::new), with fault injection: delays count ticks,
-    /// and stalls are redrawn every `phases()` ticks (one parallel step's
-    /// worth of epochs). Returns the error of a bad `opts` or `chaos`.
-    pub fn with_chaos(
-        ranks: Vec<A>,
-        opts: AsyncOptions,
-        chaos: ChaosConfig,
-    ) -> Result<Self, String> {
-        let model = CostModel::default();
-        Executor::scheduled(ranks, model, ExecMode::Sequential, chaos, opts).map(AsyncExecutor)
-    }
-
-    /// Ticks until every *logical* clock (per-rank, or per lag group) has
-    /// completed `steps` full parallel steps: `Ok(ticks)` — also when the
-    /// last permitted tick gets there — or `Err(max_ticks)` on a timeout.
+impl<A: RankAlgorithm> Executor<A> {
+    /// Steps until every *logical* clock (per-rank, or per lag group) has
+    /// completed `steps` full parallel steps: `Ok(steps taken)` — also
+    /// when the last permitted step gets there — or `Err(max_ticks)` on a
+    /// timeout. On a scheduled executor each step is one tick.
     pub fn run_steps(&mut self, steps: usize, max_ticks: usize) -> Result<usize, usize> {
         let goal = steps * self.ranks()[0].phases();
         let mut ticks = 0;
@@ -203,24 +179,12 @@ impl<A: RankAlgorithm> AsyncExecutor<A> {
     }
 }
 
-impl<A: RankAlgorithm> Deref for AsyncExecutor<A> {
-    type Target = Executor<A>;
-    fn deref(&self) -> &Executor<A> {
-        &self.0
-    }
-}
-
-impl<A: RankAlgorithm> DerefMut for AsyncExecutor<A> {
-    fn deref_mut(&mut self) -> &mut Executor<A> {
-        &mut self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{Envelope, PhaseCtx};
-    use crate::stats::CommClass;
+    use crate::executor::{Envelope, ExecMode, PhaseCtx};
+    use crate::fault::ChaosConfig;
+    use crate::stats::{CommClass, CostModel};
 
     /// The realized per-rank advance probabilities.
     fn advance_p<A: RankAlgorithm>(ex: &Executor<A>) -> &[f64] {
@@ -256,7 +220,14 @@ mod tests {
     #[test]
     fn async_ring_makes_progress_under_lag_bound() {
         let ranks: Vec<Ring> = (0..5).map(|id| Ring { id, n: 5, value: 1 }).collect();
-        let mut ex = AsyncExecutor::new(ranks, AsyncOptions::default());
+        let mut ex = Executor::scheduled(
+            ranks,
+            CostModel::default(),
+            ExecMode::Sequential,
+            ChaosConfig::none(),
+            AsyncOptions::default(),
+        )
+        .expect("valid async options");
         let ticks = ex
             .run_steps(10, 10_000)
             .expect("should reach 10 steps within budget");
@@ -278,7 +249,14 @@ mod tests {
     fn async_scheduling_is_deterministic_per_seed() {
         let mk = || {
             let ranks: Vec<Ring> = (0..4).map(|id| Ring { id, n: 4, value: 1 }).collect();
-            AsyncExecutor::new(ranks, AsyncOptions::default())
+            Executor::scheduled(
+                ranks,
+                CostModel::default(),
+                ExecMode::Sequential,
+                ChaosConfig::none(),
+                AsyncOptions::default(),
+            )
+            .expect("valid async options")
         };
         let mut a = mk();
         let mut b = mk();
@@ -297,7 +275,14 @@ mod tests {
     fn run_steps_distinguishes_goal_on_final_tick_from_timeout() {
         let mk = || {
             let ranks: Vec<Ring> = (0..4).map(|id| Ring { id, n: 4, value: 1 }).collect();
-            AsyncExecutor::new(ranks, AsyncOptions::default())
+            Executor::scheduled(
+                ranks,
+                CostModel::default(),
+                ExecMode::Sequential,
+                ChaosConfig::none(),
+                AsyncOptions::default(),
+            )
+            .expect("valid async options")
         };
         // Find the exact tick count this seed needs for 6 full steps.
         let needed = mk().run_steps(6, 10_000).expect("ample budget");
@@ -348,7 +333,14 @@ mod tests {
                 sent: 0,
             })
             .collect();
-        let mut ex = AsyncExecutor::new(ranks, AsyncOptions::default());
+        let mut ex = Executor::scheduled(
+            ranks,
+            CostModel::default(),
+            ExecMode::Sequential,
+            ChaosConfig::none(),
+            AsyncOptions::default(),
+        )
+        .expect("valid async options");
         ex.run_steps(20, 10_000).unwrap();
         let sent: u64 = ex.ranks().iter().map(|r| r.sent).sum();
         let received: u64 = ex.ranks().iter().map(|r| r.received).sum();
@@ -371,7 +363,14 @@ mod tests {
         };
         let mk = || {
             let ranks: Vec<Ring> = (0..8).map(|id| Ring { id, n: 8, value: 1 }).collect();
-            AsyncExecutor::new(ranks, opts)
+            Executor::scheduled(
+                ranks,
+                CostModel::default(),
+                ExecMode::Sequential,
+                ChaosConfig::none(),
+                opts,
+            )
+            .expect("valid async options")
         };
         let ex = mk();
         let ps = advance_p(&ex);
@@ -390,7 +389,14 @@ mod tests {
         assert_eq!(a.clocks(), b.clocks());
         // Zero skew keeps the homogeneous model exactly.
         let ranks: Vec<Ring> = (0..3).map(|id| Ring { id, n: 3, value: 1 }).collect();
-        let flat = AsyncExecutor::new(ranks, AsyncOptions::default());
+        let flat = Executor::scheduled(
+            ranks,
+            CostModel::default(),
+            ExecMode::Sequential,
+            ChaosConfig::none(),
+            AsyncOptions::default(),
+        )
+        .expect("valid async options");
         assert!(advance_p(&flat)
             .iter()
             .all(|&p| p == AsyncOptions::default().advance_probability));
@@ -451,7 +457,13 @@ mod tests {
             let err = opts.validate().expect_err(field);
             assert!(err.contains(field), "{err}");
             let ranks: Vec<Ring> = (0..3).map(|id| Ring { id, n: 3, value: 1 }).collect();
-            let built = AsyncExecutor::with_chaos(ranks, opts, ChaosConfig::none());
+            let built = Executor::scheduled(
+                ranks,
+                CostModel::default(),
+                ExecMode::Sequential,
+                ChaosConfig::none(),
+                opts,
+            );
             assert_eq!(built.err(), Some(err));
         }
         let chaos = ChaosConfig {
@@ -459,19 +471,26 @@ mod tests {
             ..ChaosConfig::none()
         };
         let ranks: Vec<Ring> = (0..3).map(|id| Ring { id, n: 3, value: 1 }).collect();
-        assert!(AsyncExecutor::with_chaos(ranks, ok, chaos).is_err());
+        assert!(
+            Executor::scheduled(ranks, CostModel::default(), ExecMode::Sequential, chaos, ok)
+                .is_err()
+        );
     }
 
     #[test]
     fn zero_probability_never_advances() {
         let ranks: Vec<Ring> = (0..3).map(|id| Ring { id, n: 3, value: 1 }).collect();
-        let mut ex = AsyncExecutor::new(
+        let mut ex = Executor::scheduled(
             ranks,
+            CostModel::default(),
+            ExecMode::Sequential,
+            ChaosConfig::none(),
             AsyncOptions {
                 advance_probability: 0.0,
                 ..AsyncOptions::default()
             },
-        );
+        )
+        .expect("valid async options");
         // No rank advanced: every clock is still zero.
         ex.step();
         assert_eq!(ex.clocks(), &[0, 0, 0]);
@@ -498,14 +517,20 @@ mod tests {
                     sent: 0,
                 })
                 .collect();
-            AsyncExecutor::with_chaos(ranks, AsyncOptions::default(), chaos)
-                .expect("stall configs are supported at tick-window granularity")
+            Executor::scheduled(
+                ranks,
+                CostModel::default(),
+                ExecMode::Sequential,
+                chaos,
+                AsyncOptions::default(),
+            )
+            .expect("stall configs are supported at tick-window granularity")
         };
         let mut a = mk();
         let mut b = mk();
         a.run_steps(20, 10_000).unwrap();
         b.run_steps(20, 10_000).unwrap();
-        let obs = |ex: &AsyncExecutor<Counter>| {
+        let obs = |ex: &Executor<Counter>| {
             (
                 ex.ranks()
                     .iter()
@@ -530,13 +555,17 @@ mod tests {
     #[test]
     fn targeted_stall_freezes_rank_for_windows() {
         let ranks: Vec<Ring> = (0..4).map(|id| Ring { id, n: 4, value: 1 }).collect();
-        let mut ex = AsyncExecutor::new(
+        let mut ex = Executor::scheduled(
             ranks,
+            CostModel::default(),
+            ExecMode::Sequential,
+            ChaosConfig::none(),
             AsyncOptions {
                 advance_probability: 1.0,
                 ..AsyncOptions::default()
             },
-        );
+        )
+        .expect("valid async options");
         ex.injector_mut().inject_stall(2, 3);
         // 3 stalled windows × 1 phase per window = 3 ticks frozen.
         for _ in 0..3 {
@@ -559,14 +588,18 @@ mod tests {
     fn lag_groups_ungate_covered_stragglers() {
         let mk = || {
             let ranks: Vec<Ring> = (0..4).map(|id| Ring { id, n: 4, value: 1 }).collect();
-            let mut ex = AsyncExecutor::new(
+            let mut ex = Executor::scheduled(
                 ranks,
+                CostModel::default(),
+                ExecMode::Sequential,
+                ChaosConfig::none(),
                 AsyncOptions {
                     advance_probability: 1.0,
                     max_lag: 3,
                     ..AsyncOptions::default()
                 },
-            );
+            )
+            .expect("valid async options");
             // Rank 0 is a dead straggler.
             ex.injector_mut().inject_stall(0, 1_000_000);
             ex
@@ -607,7 +640,14 @@ mod tests {
         };
         let mk = || {
             let ranks: Vec<Ring> = (0..4).map(|id| Ring { id, n: 4, value: 1 }).collect();
-            AsyncExecutor::with_chaos(ranks, AsyncOptions::default(), chaos).unwrap()
+            Executor::scheduled(
+                ranks,
+                CostModel::default(),
+                ExecMode::Sequential,
+                chaos,
+                AsyncOptions::default(),
+            )
+            .unwrap()
         };
         let mut a = mk();
         let mut b = mk();

@@ -23,7 +23,7 @@
 //!   ([`Executor::scheduled`], [`AsyncOptions`]), each step is one epoch in
 //!   which only the picked ranks run, each at its own phase clock, and
 //!   the one epoch close routes, injects faults and charges modelled time
-//!   exactly as in lock-step ([`AsyncExecutor`] is its constructor type);
+//!   exactly as in lock-step;
 //! * every put is counted, per rank and per [`CommClass`] — message counts
 //!   are the paper's primary communication metric ("total number of
 //!   messages sent by all processes divided by the number of processes")
@@ -50,7 +50,7 @@ pub(crate) mod pool;
 pub mod redundancy;
 pub mod stats;
 
-pub use async_exec::{AsyncExecutor, AsyncOptions};
+pub use async_exec::AsyncOptions;
 pub use executor::{
     CaptureTotals, CloseMode, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm,
 };

@@ -190,7 +190,7 @@ pub type FlushFn<A> = fn(cols: &mut [A], resident: &[usize], scratch: &mut [f64]
 /// captured puts are re-packed per (target, class) in [`CommClass::ALL`]
 /// order. Flops and relaxations are forwarded to the real context;
 /// per-column message and relaxation counts accumulate in the adapter
-/// for the driver's per-column idle detection.
+/// over each parallel step for the driver's per-column idle detection.
 pub struct PanelRank<A: RankAlgorithm> {
     cols: Vec<A>,
     active: Vec<bool>,
@@ -301,21 +301,16 @@ impl<A: RankAlgorithm> PanelRank<A> {
         self.active[c] = on;
     }
 
-    /// Messages column `c` put since the last [`PanelRank::begin_step`].
+    /// Messages column `c` put in the current parallel step (since this
+    /// rank's last phase 0).
     pub fn col_msgs(&self, c: usize) -> u64 {
         self.col_msgs[c]
     }
 
-    /// Rows column `c` relaxed since the last [`PanelRank::begin_step`].
+    /// Rows column `c` relaxed in the current parallel step (since this
+    /// rank's last phase 0).
     pub fn col_relaxations(&self, c: usize) -> u64 {
         self.col_relax[c]
-    }
-
-    /// Resets the per-column step counters; call once per parallel step,
-    /// before the executor runs the step's phases.
-    pub fn begin_step(&mut self) {
-        self.col_msgs.fill(0);
-        self.col_relax.fill(0);
     }
 }
 
@@ -338,6 +333,10 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
     ) {
         debug_assert!(self.touched.iter().all(|&t| self.staging[t].is_empty()));
         self.touched.clear();
+        if phase == 0 {
+            self.col_msgs.fill(0);
+            self.col_relax.fill(0);
+        }
 
         if let Some(fused) = self.fused {
             // Algorithm-level path: the fused phase consumes the packed
@@ -531,9 +530,6 @@ mod tests {
         let mut ex = Executor::new(panels, CostModel::default(), ExecMode::Sequential);
         let mut fused_msgs = 0u64;
         for _ in 0..steps {
-            for r in ex.ranks_mut() {
-                r.begin_step();
-            }
             let s = ex.step();
             fused_msgs += s.msgs;
         }
@@ -564,7 +560,6 @@ mod tests {
         let frozen: Vec<f64> = ex.ranks().iter().map(|r| r.col(1).value).collect();
         for r in ex.ranks_mut() {
             r.set_active(1, false);
-            r.begin_step();
         }
         ex.step();
         let after: Vec<f64> = ex.ranks().iter().map(|r| r.col(1).value).collect();

@@ -154,11 +154,6 @@ pub struct RedundantHost<A: RankAlgorithm> {
     self_next: Vec<Envelope<CodedMsg<A::Msg>>>,
     /// Duplicate copies discarded by reconciliation over the run.
     reconciled: u64,
-    /// Phase calls executed: the host's progress clock. All hosted blocks
-    /// advance together, so this orders replicas of a block by freshness
-    /// (the driver picks the furthest-along host as the block's
-    /// representative when reading global state).
-    clock: u64,
 }
 
 impl<A: RankAlgorithm> RedundantHost<A> {
@@ -191,7 +186,6 @@ impl<A: RankAlgorithm> RedundantHost<A> {
             blocks,
             self_next: Vec::new(),
             reconciled: 0,
-            clock: 0,
         }
     }
 
@@ -217,11 +211,6 @@ impl<A: RankAlgorithm> RedundantHost<A> {
     /// Duplicate copies discarded by first-arrival reconciliation so far.
     pub fn reconciled(&self) -> u64 {
         self.reconciled
-    }
-
-    /// Phase calls executed so far (the host's progress clock).
-    pub fn clock(&self) -> u64 {
-        self.clock
     }
 
     /// Reconciles one arrived copy into the hosted blocks: fresh slots are
@@ -263,7 +252,6 @@ impl<A: RankAlgorithm> RankAlgorithm for RedundantHost<A> {
         inbox: &[Envelope<Self::Msg>],
         ctx: &mut PhaseCtx<Self::Msg>,
     ) {
-        self.clock += 1;
         // Copies this host addressed to itself last phase become visible
         // now — the same boundary an executor delivery would have.
         let self_in = std::mem::take(&mut self.self_next);

@@ -9,7 +9,7 @@
 
 use distributed_southwell::core::dist::{distribute, DistributedSouthwellRank};
 use distributed_southwell::partition::{partition_multilevel, Graph, MultilevelOptions};
-use distributed_southwell::rma::{AsyncExecutor, AsyncOptions, CostModel, ExecMode, Executor};
+use distributed_southwell::rma::{AsyncOptions, ChaosConfig, CostModel, ExecMode, Executor};
 use distributed_southwell::sparse::{gen, vecops};
 
 fn main() {
@@ -54,15 +54,19 @@ fn main() {
     // Asynchronous: ranks advance with probability 0.6 per tick, at most
     // 6 phases apart. Run until everyone completed 60 logical steps.
     for (prob, lag) in [(0.9, 2), (0.6, 6), (0.3, 10)] {
-        let mut ex = AsyncExecutor::new(
+        let mut ex = Executor::scheduled(
             DistributedSouthwellRank::build(locals.clone(), &norms, &r0),
+            CostModel::default(),
+            ExecMode::Sequential,
+            ChaosConfig::none(),
             AsyncOptions {
                 advance_probability: prob,
                 max_lag: lag,
                 seed: 3,
                 ..AsyncOptions::default()
             },
-        );
+        )
+        .expect("valid async options");
         let ticks = ex.run_steps(60, 100_000).expect("budget is ample");
         println!(
             "async p={prob:.1} lag≤{lag:<2}: {ticks} ticks, ‖r‖ = {:.4e}, {:.1} msgs/rank",
@@ -73,15 +77,19 @@ fn main() {
 
     // Heterogeneous speeds (the straggler regime): skew 0.8 spreads the
     // per-rank advance probabilities over [0.14, 0.7].
-    let mut ex = AsyncExecutor::new(
+    let mut ex = Executor::scheduled(
         DistributedSouthwellRank::build(locals.clone(), &norms, &r0),
+        CostModel::default(),
+        ExecMode::Sequential,
+        ChaosConfig::none(),
         AsyncOptions {
             advance_probability: 0.7,
             max_lag: 8,
             seed: 3,
             straggler_skew: 0.8,
         },
-    );
+    )
+    .expect("valid async options");
     let ticks = ex.run_steps(60, 400_000).expect("budget is ample");
     println!(
         "async skew=0.8   : {ticks} ticks, ‖r‖ = {:.4e}, {:.1} msgs/rank",

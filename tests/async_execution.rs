@@ -13,9 +13,7 @@
 
 use distributed_southwell::core::dist::{distribute, BlockJacobiRank, DistributedSouthwellRank};
 use distributed_southwell::partition::{partition_multilevel, Graph, MultilevelOptions};
-use distributed_southwell::rma::{
-    AsyncExecutor, AsyncOptions, ChaosConfig, CostModel, ExecMode, Executor,
-};
+use distributed_southwell::rma::{AsyncOptions, ChaosConfig, CostModel, ExecMode, Executor};
 use distributed_southwell::sparse::{gen, vecops};
 
 fn problem(nx: usize, seed: u64) -> (distributed_southwell::sparse::CsrMatrix, Vec<f64>, Vec<f64>) {
@@ -53,15 +51,19 @@ fn distributed_southwell_converges_under_async_scheduling() {
     let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
     let r0 = a.residual(&b, &x0);
     let ranks = DistributedSouthwellRank::build(locals, &norms, &r0);
-    let mut ex = AsyncExecutor::new(
+    let mut ex = Executor::scheduled(
         ranks,
+        CostModel::default(),
+        ExecMode::Sequential,
+        ChaosConfig::none(),
         AsyncOptions {
             advance_probability: 0.6,
             max_lag: 6,
             seed: 5,
             ..AsyncOptions::default()
         },
-    );
+    )
+    .expect("valid async options");
     ex.run_steps(400, 200_000).expect("budget is ample");
     let res = residual_of(ex.ranks(), |r| &r.ls, &a, &b);
     assert!(res < 1e-3, "async DS should converge, residual {res}");
@@ -78,15 +80,19 @@ fn distributed_southwell_converges_under_straggler_skew() {
     let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
     let r0 = a.residual(&b, &x0);
     let ranks = DistributedSouthwellRank::build(locals, &norms, &r0);
-    let mut ex = AsyncExecutor::new(
+    let mut ex = Executor::scheduled(
         ranks,
+        CostModel::default(),
+        ExecMode::Sequential,
+        ChaosConfig::none(),
         AsyncOptions {
             advance_probability: 0.7,
             max_lag: 8,
             seed: 11,
             straggler_skew: 0.8,
         },
-    );
+    )
+    .expect("valid async options");
     ex.run_steps(400, 400_000).expect("budget is ample");
     let res = residual_of(ex.ranks(), |r| &r.ls, &a, &b);
     assert!(
@@ -104,15 +110,19 @@ fn block_jacobi_becomes_asynchronous_jacobi_and_still_converges_on_poisson() {
     let part = partition_multilevel(&Graph::from_matrix(&a), 6, MultilevelOptions::default());
     let locals = distribute(&a, &b, &x0, &part).unwrap();
     let ranks = BlockJacobiRank::build(locals);
-    let mut ex = AsyncExecutor::new(
+    let mut ex = Executor::scheduled(
         ranks,
+        CostModel::default(),
+        ExecMode::Sequential,
+        ChaosConfig::none(),
         AsyncOptions {
             advance_probability: 0.5,
             max_lag: 3,
             seed: 9,
             ..AsyncOptions::default()
         },
-    );
+    )
+    .expect("valid async options");
     ex.run_steps(300, 100_000).expect("budget is ample");
     let res = residual_of(ex.ranks(), |r| &r.ls, &a, &b);
     assert!(
@@ -140,15 +150,19 @@ fn async_and_superstep_agree_when_everyone_always_advances() {
         sync_ex.step();
     }
 
-    let mut async_ex = AsyncExecutor::new(
+    let mut async_ex = Executor::scheduled(
         DistributedSouthwellRank::build(locals, &norms, &r0),
+        CostModel::default(),
+        ExecMode::Sequential,
+        ChaosConfig::none(),
         AsyncOptions {
             advance_probability: 1.0,
             max_lag: 1_000_000,
             seed: 0,
             ..AsyncOptions::default()
         },
-    );
+    )
+    .expect("valid async options");
     async_ex.run_steps(12, 1_000).expect("lock-step: 24 ticks");
 
     let xs: Vec<f64> = sync_ex
@@ -186,15 +200,17 @@ fn assert_fate_parity(chaos: ChaosConfig, nsteps: usize) {
         sync_ex.step();
     }
 
-    let mut async_ex = AsyncExecutor::with_chaos(
+    let mut async_ex = Executor::scheduled(
         DistributedSouthwellRank::build(locals, &norms, &r0),
+        CostModel::default(),
+        ExecMode::Sequential,
+        chaos,
         AsyncOptions {
             advance_probability: 1.0,
             max_lag: 1_000_000,
             seed: 0,
             ..AsyncOptions::default()
         },
-        chaos,
     )
     .expect("message faults are supported");
     async_ex
