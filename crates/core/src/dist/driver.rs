@@ -1352,6 +1352,19 @@ mod tests {
     use dsw_sparse::gen;
 
     fn poisson_setup(nx: usize, ny: usize, p: usize) -> (CsrMatrix, Vec<f64>, Vec<f64>, Partition) {
+        let (a, b, x0) = poisson_problem(nx, ny);
+        let g = Graph::from_matrix(&a);
+        let part = partition_multilevel(&g, p, MultilevelOptions::default());
+        (a, b, x0, part)
+    }
+
+    /// The §4.2 freeze instance: 16×16 Poisson on its pinned 8 parts.
+    fn freeze_setup() -> (CsrMatrix, Vec<f64>, Vec<f64>, Partition) {
+        let (a, b, x0) = poisson_problem(16, 16);
+        (a, b, x0, crate::dist::freeze_partition())
+    }
+
+    fn poisson_problem(nx: usize, ny: usize) -> (CsrMatrix, Vec<f64>, Vec<f64>) {
         let mut a = gen::grid2d_poisson(nx, ny);
         a.scale_unit_diagonal().unwrap();
         let n = a.nrows();
@@ -1363,9 +1376,7 @@ mod tests {
         for v in x0.iter_mut() {
             *v *= scale;
         }
-        let g = Graph::from_matrix(&a);
-        let part = partition_multilevel(&g, p, MultilevelOptions::default());
-        (a, b, x0, part)
+        (a, b, x0)
     }
 
     #[test]
@@ -1414,7 +1425,7 @@ mod tests {
 
     #[test]
     fn piggyback_only_deadlocks_and_is_reported() {
-        let (a, b, x0, part) = poisson_setup(16, 16, 8);
+        let (a, b, x0, part) = freeze_setup();
         let opts = DistOptions {
             max_steps: 300,
             target_residual: Some(1e-6),
@@ -1471,7 +1482,7 @@ mod tests {
         // Without deadlock avoidance DS freezes on this setup (see
         // `no_deadlock_avoidance_can_freeze`). The freeze watchdog's forced
         // rebroadcast restores exact norms, so the run converges anyway.
-        let (a, b, x0, part) = poisson_setup(16, 16, 8);
+        let (a, b, x0, part) = freeze_setup();
         let base = DistOptions {
             max_steps: 400,
             target_residual: Some(1e-6),

@@ -49,3 +49,18 @@ pub use session::{SolveSession, TenantSession, WarmStart};
 /// ([`DistOptions::redundancy`](driver::DistOptions)) without depending on
 /// `dsw-partition` directly.
 pub use dsw_partition::{Redundancy, ReplicaMap};
+
+/// The §4.2 freeze instance's partition: 16×16 Poisson over 8 parts, read
+/// from a part map (one row of 16 digits per grid row). The deadlock tests
+/// pin it so that whether their instance freezes does not depend on the
+/// partitioner.
+#[cfg(test)]
+pub(crate) fn freeze_partition() -> dsw_partition::Partition {
+    let map = include_str!("../../../../tests/fixtures/freeze_16x16_8parts.map");
+    let assignment = map
+        .split_whitespace()
+        .flat_map(str::bytes)
+        .map(|d| usize::from(d - b'0'))
+        .collect();
+    dsw_partition::Partition::new(8, assignment)
+}

@@ -374,11 +374,7 @@ mod tests {
         let mut x0 = gen::random_guess(n, 11);
         let s = 1.0 / dsw_sparse::vecops::norm2(&a.residual(&b, &x0));
         x0.iter_mut().for_each(|v| *v *= s);
-        let part = dsw_partition::partition_multilevel(
-            &dsw_partition::Graph::from_matrix(&a),
-            8,
-            dsw_partition::MultilevelOptions::default(),
-        );
+        let part = crate::dist::freeze_partition();
         let locals = distribute(&a, &b, &x0, &part).unwrap();
         let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
         let ranks = ParallelSouthwellRank::build_with(locals, &norms, false);

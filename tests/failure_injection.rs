@@ -10,12 +10,25 @@
 use distributed_southwell::core::dist::{
     distribute, DistributedSouthwellRank, DsConfig, RecoveryConfig,
 };
-use distributed_southwell::partition::{partition_multilevel, Graph, MultilevelOptions};
+use distributed_southwell::partition::Partition;
 use distributed_southwell::rma::{ChaosConfig, CommClass, CostModel, ExecMode, Executor};
 use distributed_southwell::sparse::{gen, vecops};
 
+/// The §4.2 freeze instance's 8 parts of the 16×16 grid, pinned as a part
+/// map (one row of 16 digits per grid row) so that whether the freeze tests
+/// freeze does not depend on the partitioner.
+fn freeze_partition() -> Partition {
+    let map = include_str!("fixtures/freeze_16x16_8parts.map");
+    let assignment = map
+        .split_whitespace()
+        .flat_map(str::bytes)
+        .map(|d| usize::from(d - b'0'))
+        .collect();
+    Partition::new(8, assignment)
+}
+
 /// The paper's §4.2 setup: 16×16 Poisson, unit-diagonal scaling, b = 0,
-/// random guess scaled to a unit initial residual, 8 multilevel parts.
+/// random guess scaled to a unit initial residual, 8 pinned parts.
 fn ds_executor_cfg(
     chaos: ChaosConfig,
     cfg: DsConfig,
@@ -32,7 +45,7 @@ fn ds_executor_cfg(
     let mut x0 = gen::random_guess(n, 11);
     let s = 1.0 / vecops::norm2(&a.residual(&b, &x0));
     x0.iter_mut().for_each(|v| *v *= s);
-    let part = partition_multilevel(&Graph::from_matrix(&a), 8, MultilevelOptions::default());
+    let part = freeze_partition();
     let locals = distribute(&a, &b, &x0, &part).unwrap();
     let norms: Vec<f64> = locals.iter().map(|l| l.residual_norm_sq()).collect();
     let r0 = a.residual(&b, &x0);
