@@ -105,47 +105,46 @@ impl Graph {
     /// Breadth-first traversal order from `start`, restricted to the
     /// connected component of `start`.
     pub fn bfs_order(&self, start: usize) -> Vec<usize> {
-        let mut seen = vec![false; self.nvertices()];
         let mut order = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        seen[start] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &w in self.neighbors(v) {
-                if !seen[w] {
-                    seen[w] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
+        self.bfs_into(start, &mut vec![false; self.nvertices()], &mut order);
         order
     }
 
     /// Full BFS order covering all components (each component started from
     /// its lowest-index unvisited vertex).
     pub fn bfs_order_all(&self) -> Vec<usize> {
+        self.bfs_order_from(0)
+    }
+
+    /// Full BFS order starting with `first`'s component; every further
+    /// component starts from its lowest-index unvisited vertex.
+    pub(crate) fn bfs_order_from(&self, first: usize) -> Vec<usize> {
         let n = self.nvertices();
         let mut seen = vec![false; n];
         let mut order = Vec::with_capacity(n);
-        let mut queue = std::collections::VecDeque::new();
-        for s in 0..n {
-            if seen[s] {
-                continue;
-            }
-            seen[s] = true;
-            queue.push_back(s);
-            while let Some(v) = queue.pop_front() {
-                order.push(v);
-                for &w in self.neighbors(v) {
-                    if !seen[w] {
-                        seen[w] = true;
-                        queue.push_back(w);
-                    }
-                }
+        for s in std::iter::once(first).chain(0..n) {
+            if seen.get(s) == Some(&false) {
+                self.bfs_into(s, &mut seen, &mut order);
             }
         }
         order
+    }
+
+    /// Appends the BFS order of `start`'s unseen component to `order`,
+    /// which doubles as the queue.
+    fn bfs_into(&self, start: usize, seen: &mut [bool], order: &mut Vec<usize>) {
+        let mut head = order.len();
+        seen[start] = true;
+        order.push(start);
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            for &w in self.neighbors(v) {
+                if !seen[w] {
+                    seen[w] = true;
+                    order.push(w);
+                }
+            }
+        }
     }
 
     /// Connected components: returns `(ncomponents, component id per vertex)`.
@@ -232,6 +231,10 @@ mod tests {
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[2], comp[3]);
         assert_ne!(comp[0], comp[2]);
-        assert_eq!(g.bfs_order_all().len(), 4);
+        assert_eq!(g.bfs_order_all(), vec![0, 1, 2, 3]);
+        // The first component is the one asked for; the rest follow.
+        assert_eq!(g.bfs_order_from(3), vec![3, 2, 0, 1]);
+        let empty = Graph::from_parts(vec![0], vec![], vec![], vec![]);
+        assert!(empty.bfs_order_all().is_empty());
     }
 }

@@ -9,11 +9,11 @@
 //! * [`coloring::greedy_coloring_bfs`] — greedy multicoloring in BFS order
 //!   (the scheme the paper uses for MC-GS in Figures 2 and 5),
 //! * [`Partition`] — a `rows → parts` assignment with quality metrics,
-//! * partitioners in increasing sophistication: [`partition_strip`]
-//!   (contiguous row blocks), [`partition_greedy_growing`] (BFS region
-//!   growing), and [`partition_multilevel`] — a METIS-style multilevel
-//!   scheme (heavy-edge matching coarsening, greedy initial partition,
-//!   boundary Kernighan–Lin/FM refinement on every level),
+//! * two partitioners: [`partition_strip`] (contiguous row blocks) and
+//!   [`partition_multilevel`] — a METIS-style multilevel scheme
+//!   (heavy-edge matching coarsening, an initial partition grown part by
+//!   part along one breadth-first sweep of the coarsest graph in
+//!   O(n + m), boundary Kernighan–Lin/FM refinement on every level),
 //! * [`Redundancy`] / [`ReplicaMap`] — deterministic redundancy-coded
 //!   block placement (each block hosted by `r` ranks) for straggler
 //!   resilience, with [`PartitionError`] covering degenerate requests.
@@ -32,7 +32,7 @@ pub use agglomerate::agglomerate_coarse;
 pub use coloring::{greedy_coloring_bfs, Coloring};
 pub use graph::Graph;
 pub use partitioner::{
-    partition_greedy_growing, partition_multilevel, partition_strip, try_partition_strip,
-    MultilevelOptions, Partition, PartitionError,
+    partition_multilevel, partition_strip, try_partition_strip, MultilevelOptions, Partition,
+    PartitionError,
 };
 pub use redundancy::{Redundancy, ReplicaMap};
