@@ -14,33 +14,65 @@ use dsw_bench::experiments::scaling::{run_fig8, run_fig9, scaling_points};
 use dsw_bench::experiments::suite_tables::{suite_runs, table2, table3, table4};
 use dsw_bench::experiments::{ablation, table1};
 use dsw_bench::harness::ExperimentCtx;
+use std::path::{Path, PathBuf};
+
+/// The parsed command line: the context every experiment but `smoke`
+/// runs under, the `--out` directory if one was given, and the ids.
+struct Cli {
+    ctx: ExperimentCtx,
+    out: Option<PathBuf>,
+    ids: Vec<String>,
+}
+
+impl Cli {
+    fn parse(args: impl IntoIterator<Item = String>) -> Self {
+        let mut ctx = ExperimentCtx::default();
+        let mut out = None;
+        let mut ids = Vec::new();
+        let mut it = args.into_iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--scale" => {
+                    ctx.scale = it.next().expect("--scale F").parse().expect("float scale")
+                }
+                "--ranks" => {
+                    ctx.ranks = it
+                        .next()
+                        .expect("--ranks N")
+                        .parse()
+                        .expect("integer ranks")
+                }
+                "--steps" => {
+                    ctx.max_steps = it
+                        .next()
+                        .expect("--steps K")
+                        .parse()
+                        .expect("integer steps")
+                }
+                "--out" => out = Some(PathBuf::from(it.next().expect("--out DIR"))),
+                _ => ids.push(a),
+            }
+        }
+        if let Some(dir) = &out {
+            ctx.out_dir = dir.clone();
+        }
+        Cli { ctx, out, ids }
+    }
+}
+
+/// The smoke context: its own scale and rank count, writing to `out`
+/// (the `--out` directory) when given and to the temporary directory
+/// otherwise, so a smoke run never overwrites `results/`.
+fn smoke_ctx(out: Option<&Path>) -> ExperimentCtx {
+    let mut sctx = ExperimentCtx::smoke();
+    if let Some(dir) = out {
+        sctx.out_dir = dir.to_path_buf();
+    }
+    sctx
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut ctx = ExperimentCtx::default();
-    let mut ids: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => ctx.scale = it.next().expect("--scale F").parse().expect("float scale"),
-            "--ranks" => {
-                ctx.ranks = it
-                    .next()
-                    .expect("--ranks N")
-                    .parse()
-                    .expect("integer ranks")
-            }
-            "--steps" => {
-                ctx.max_steps = it
-                    .next()
-                    .expect("--steps K")
-                    .parse()
-                    .expect("integer steps")
-            }
-            "--out" => ctx.out_dir = it.next().expect("--out DIR").into(),
-            other => ids.push(other.to_string()),
-        }
-    }
+    let Cli { ctx, out, ids } = Cli::parse(std::env::args().skip(1));
     if ids.is_empty() {
         eprintln!(
             "usage: experiments [--scale F] [--ranks N] [--steps K] [--out DIR] <ids...>\n\
@@ -190,7 +222,7 @@ fn main() {
                 dsw_bench::experiments::multirhs::run_multirhs(&ctx);
             }
             "smoke" => {
-                let sctx = ExperimentCtx::smoke();
+                let sctx = smoke_ctx(out.as_deref());
                 run_fig2(&sctx);
                 run_fig5(&sctx);
                 run_fig6(&sctx);
@@ -207,5 +239,35 @@ fn main() {
                 std::process::exit(2);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Cli {
+        Cli::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn smoke_writes_to_out_when_given() {
+        let cli = parse(&["--out", "some/dir", "smoke"]);
+        assert_eq!(cli.ids, ["smoke"]);
+        let sctx = smoke_ctx(cli.out.as_deref());
+        assert_eq!(sctx.out_dir, PathBuf::from("some/dir"));
+        let default = ExperimentCtx::smoke();
+        assert_eq!((sctx.scale, sctx.ranks), (default.scale, default.ranks));
+        assert_eq!(cli.ctx.out_dir, PathBuf::from("some/dir"));
+    }
+
+    #[test]
+    fn smoke_without_out_stays_in_the_temp_dir() {
+        let cli = parse(&["--scale", "0.5", "smoke"]);
+        let sctx = smoke_ctx(cli.out.as_deref());
+        assert_eq!(sctx.out_dir, ExperimentCtx::smoke().out_dir);
+        assert_ne!(sctx.out_dir, PathBuf::from("results"));
+        assert_eq!(cli.ctx.out_dir, PathBuf::from("results"));
+        assert_eq!(cli.ctx.scale, 0.5);
     }
 }

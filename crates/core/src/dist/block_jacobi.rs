@@ -3,10 +3,7 @@
 use super::layout::LocalSystem;
 use super::local_solver::{LocalSolver, LocalSolverImpl};
 use super::msg::SlabVec;
-use dsw_rma::{
-    CommClass, Envelope, FlushFn, FusedPhaseFn, PanelMsg, PanelPart, PanelPhaseCtx, PhaseCtx,
-    RankAlgorithm,
-};
+use dsw_rma::{CommClass, Envelope, FusedPanel, PanelMsg, PanelPhaseCtx, PhaseCtx, RankAlgorithm};
 
 /// One rank of the Block Jacobi iteration: every parallel step, relax the
 /// local subdomain with one Gauss–Seidel sweep (the paper's "Hybrid
@@ -124,53 +121,9 @@ macro_rules! dispatch_lanes {
     };
 }
 
-/// Applies packed panel deltas straight to each addressed column's
-/// residual — the zero-copy counterpart of feeding
-/// [`BlockJacobiRank::apply_inbox`] per-column envelope streams. Parts
-/// are read in place (no payload clones); per column, envelope order is
-/// preserved, so the boundary additions fold in exactly the scalar
-/// stream's order.
-fn apply_packed(
-    cols: &mut [BlockJacobiRank],
-    active: &[bool],
-    inbox: &[Envelope<PanelMsg<BjMsg>>],
-) {
-    for env in inbox {
-        // All columns are clones of one rank, so the neighbor topology is
-        // shared: resolve the sender's slot once per packed message.
-        let s = cols[0].ls.neighbor_slot(env.src);
-        for part in &env.payload.parts {
-            let dr = &part.msg.dr;
-            // One shared part per neighbor (every rank of a panel runs this
-            // fused phase, so no fallback part arrives), self-describing:
-            // `mask` names the columns whose deltas it carries, interleaved
-            // slot-major (`dr[i·nc + j]` = boundary row `i`, `j`-th mask
-            // column).
-            // A column that dropped out after the put simply skips its
-            // lane — the addressing never leans on the receiver's
-            // (possibly newer) active set.
-            let nc = part.mask.count_ones() as usize;
-            let mut bits = part.mask;
-            let mut j = 0;
-            while bits != 0 {
-                let c = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if active[c] {
-                    let ls = &mut cols[c].ls;
-                    debug_assert_eq!(dr.len(), ls.boundary_rows_to[s].len() * nc);
-                    for (i, &li) in ls.boundary_rows_to[s].iter().enumerate() {
-                        ls.r[li as usize] += dr[i * nc + j];
-                    }
-                }
-                j += 1;
-            }
-        }
-    }
-}
-
-/// [`apply_packed`] for a rank whose column residuals are resident in
-/// the interleaved panel scratch: folds each shared part's slot-major
-/// lanes straight into `r_panel` (same layout, so the inner loop is a
+/// Applies packed panel deltas to column residuals resident in the
+/// interleaved panel scratch: folds each shared part's slot-major lanes
+/// straight into `r_panel` (same layout, so the inner loop is a
 /// contiguous `kk`-wide add per boundary row). Per column the additions
 /// hit the same rows in the same order as the scalar stream — resident
 /// parts always carry exactly the resident column set, because any
@@ -248,17 +201,14 @@ fn lane_norms_sq_dyn(kk: usize, r_panel: &[f64], m: usize, out: &mut [f64]) {
     }
 }
 
-/// The [`FlushFn`] registered through
-/// [`WarmStart::panel_flush`](super::session::WarmStart::panel_flush):
-/// scatters the resident `r`/`x` lanes back into each listed column's
-/// own vectors. `ghost_dr` is deliberately not reconstructed — it is
-/// transient scratch, overwritten in full by every relax path before any
-/// read.
+/// The [`FusedPanel::flush`] of the kernel
+/// [`WarmStart::panel_kernel`](super::session::WarmStart::panel_kernel)
+/// returns: scatters the resident `r`/`x` lanes back into each listed
+/// column's own vectors. `ghost_dr` is deliberately not reconstructed —
+/// it is transient scratch, overwritten in full by every relax path
+/// before any read.
 fn flush_panel_lanes(cols: &mut [BlockJacobiRank], resident: &[usize], scratch: &mut [f64]) {
     let kk = resident.len();
-    if kk == 0 {
-        return;
-    }
     let m = cols[resident[0]].ls.nrows();
     let (r_panel, rest) = scratch.split_at(m * kk);
     let x_panel = &rest[..m * kk];
@@ -417,10 +367,10 @@ fn fused_gs_sweep(cols: &mut [BlockJacobiRank], sel: &[usize], out: &mut PanelPh
     }
 
     // One shared Solve part per neighbor carrying every active column's
-    // deltas, slot-major ([`apply_packed`] / [`apply_packed_resident`]
-    // unchunk by the part's column mask). The updated `r`/`x` stay in
-    // the panel scratch (resident lanes), and `ghost_dr` is not mirrored
-    // back — it is transient scratch every relax path fully overwrites.
+    // deltas, slot-major ([`apply_packed_resident`] unchunks by the
+    // part's column mask). The updated `r`/`x` stay in the panel scratch
+    // (resident lanes), and `ghost_dr` is not mirrored back — it is
+    // transient scratch every relax path fully overwrites.
     // The modelled wire size charges each column its full scalar
     // message — payload plus the per-message fixed cost — so the panel's
     // savings stay in the header/tag framing the fusion actually
@@ -440,28 +390,22 @@ fn fused_gs_sweep(cols: &mut [BlockJacobiRank], sel: &[usize], out: &mut PanelPh
             dr: SlabVec::from(lanes),
         };
         let bytes = msg.wire_bytes() + (kk as u64 - 1) * EMPTY_SOLVE_BYTES;
-        out.stage_shared(
-            ls0.neighbors[s],
-            sel,
-            PanelPart {
-                col: sel[0] as u16,
-                mask: 0,
-                class: CommClass::Solve,
-                bytes,
-                msg,
-            },
-        );
+        out.stage_shared(ls0.neighbors[s], sel, CommClass::Solve, bytes, msg);
     }
     *out.scratch = buf;
 }
 
-/// The algorithm-level fused panel phase installed through
-/// [`WarmStart::panel_fused`](super::session::WarmStart::panel_fused):
-/// Block Jacobi relaxes the selected rows of every active column against
-/// all `k` residual columns in a single pass per sweep. Gauss–Seidel
-/// local solvers take the interleaved [`fused_gs_sweep`]; other solvers
-/// relax column-by-column (the zero-copy unpack and direct staging still
-/// apply).
+/// The [`FusedPanel::phase`] of the kernel
+/// [`WarmStart::panel_kernel`](super::session::WarmStart::panel_kernel)
+/// returns for Gauss–Seidel ranks: phase 0 relaxes every active column
+/// in one interleaved sweep ([`fused_gs_sweep`]), phase 1 folds the
+/// neighbors' deltas into the resident lanes and measures every
+/// column's norm in one pass.
+///
+/// Under the panel preconditions (superstep executor, reliable link)
+/// phase 1 applies every delta of the step, so phase 0's inbox is
+/// always empty; and phase 0 leaves the active columns resident, so an
+/// empty resident set in phase 1 means no column relaxed.
 fn fused_panel_phase(
     cols: &mut [BlockJacobiRank],
     active: &[bool],
@@ -471,90 +415,33 @@ fn fused_panel_phase(
 ) {
     match phase {
         0 => {
-            // Empty inbox on a reliable link (phase 1 applied everything);
-            // when deltas do land here they fold into wherever the
-            // residuals currently live — resident lanes or rank state.
-            if out.resident.is_empty() {
-                apply_packed(cols, active, inbox);
-            } else {
-                let kk = out.resident.len();
-                let m = cols[0].ls.nrows();
-                let mut buf = std::mem::take(out.scratch);
-                apply_packed_resident(cols, inbox, kk, &mut buf[..m * kk]);
-                *out.scratch = buf;
-            }
+            debug_assert!(inbox.is_empty(), "phase 1 applied every delta");
             let sel: Vec<usize> = (0..cols.len()).filter(|&c| active[c]).collect();
-            if sel.is_empty() {
-                return;
-            }
-            if matches!(cols[sel[0]].solver, LocalSolverImpl::GaussSeidel) {
+            if !sel.is_empty() {
                 fused_gs_sweep(cols, &sel, out);
-                return;
-            }
-            for &c in &sel {
-                let col = &mut cols[c];
-                col.ghost_dr.iter_mut().for_each(|v| *v = 0.0);
-                let flops = col.solver.relax(&mut col.ls, &mut col.ghost_dr);
-                out.add_flops(flops);
-                out.record_relaxations(c, col.ls.nrows() as u64);
-            }
-            // One shared Solve part per neighbor, column-chunked in
-            // `sel` order — the same wire layout [`fused_gs_sweep`]
-            // stages, so [`apply_packed`] unchunks both identically.
-            let kk = sel.len();
-            for s in 0..cols[sel[0]].ls.nneighbors() {
-                let ghosts = &cols[sel[0]].ls.ghosts_of[s];
-                let mut lanes = Vec::with_capacity(kk * ghosts.len());
-                for &slot in ghosts {
-                    for &c in &sel {
-                        lanes.push(cols[c].ghost_dr[slot as usize]);
-                    }
-                }
-                let msg = BjMsg {
-                    dr: SlabVec::from(lanes),
-                };
-                let bytes = msg.wire_bytes() + (kk as u64 - 1) * EMPTY_SOLVE_BYTES;
-                out.stage_shared(
-                    cols[sel[0]].ls.neighbors[s],
-                    &sel,
-                    PanelPart {
-                        col: sel[0] as u16,
-                        mask: 0,
-                        class: CommClass::Solve,
-                        bytes,
-                        msg,
-                    },
-                );
             }
         }
         1 => {
             if out.resident.is_empty() {
-                apply_packed(cols, active, inbox);
-                for (c, col) in cols.iter_mut().enumerate() {
-                    if active[c] {
-                        col.norm_sq = col.ls.residual_norm_sq();
-                    }
-                }
-            } else {
-                // Residuals live in the resident lanes: fold the deltas
-                // in place and refresh each column's maintained norm by
-                // the same index-ordered accumulation
-                // [`LocalSystem::residual_norm_sq`] performs — strided
-                // reads, identical fold, bit-identical sums.
-                let kk = out.resident.len();
-                let m = cols[0].ls.nrows();
-                let mut buf = std::mem::take(out.scratch);
-                apply_packed_resident(cols, inbox, kk, &mut buf[..m * kk]);
-                let mut sums = [0.0_f64; 64];
-                dispatch_lanes!(kk, lane_norms_sq, (&buf[..m * kk], m, &mut sums), {
-                    lane_norms_sq_dyn(kk, &buf[..m * kk], m, &mut sums)
-                });
-                for (j, &c) in out.resident.iter().enumerate() {
-                    debug_assert!(active[c]);
-                    cols[c].norm_sq = sums[j];
-                }
-                *out.scratch = buf;
+                return;
             }
+            // Residuals live in the resident lanes: fold the deltas in
+            // place and refresh each column's maintained norm by the same
+            // index-ordered accumulation [`LocalSystem::residual_norm_sq`]
+            // performs — strided reads, identical fold, bit-identical sums.
+            let kk = out.resident.len();
+            let m = cols[0].ls.nrows();
+            let mut buf = std::mem::take(out.scratch);
+            apply_packed_resident(cols, inbox, kk, &mut buf[..m * kk]);
+            let mut sums = [0.0_f64; 64];
+            dispatch_lanes!(kk, lane_norms_sq, (&buf[..m * kk], m, &mut sums), {
+                lane_norms_sq_dyn(kk, &buf[..m * kk], m, &mut sums)
+            });
+            for (j, &c) in out.resident.iter().enumerate() {
+                debug_assert!(active[c]);
+                cols[c].norm_sq = sums[j];
+            }
+            *out.scratch = buf;
         }
         _ => unreachable!("Block Jacobi has two phases"),
     }
@@ -583,12 +470,13 @@ impl super::session::WarmStart for BlockJacobiRank {
         // every step regardless of norms. Nothing to re-seed.
     }
 
-    fn panel_fused() -> Option<FusedPhaseFn<Self>> {
-        Some(fused_panel_phase)
-    }
-
-    fn panel_flush() -> Option<FlushFn<Self>> {
-        Some(flush_panel_lanes)
+    fn panel_kernel(&self) -> Option<FusedPanel<Self>> {
+        // The fused kernel interleaves one Gauss–Seidel sweep; other
+        // local solvers take the panel's per-column path.
+        matches!(self.solver, LocalSolverImpl::GaussSeidel).then_some(FusedPanel {
+            phase: fused_panel_phase,
+            flush: flush_panel_lanes,
+        })
     }
 
     fn copy_state_from(&mut self, other: &Self) {
@@ -766,47 +654,63 @@ mod tests {
         // over `k` columns charges the `BjMsg` it carries plus one empty
         // message's fixed cost per extra column, which is exactly `k`
         // scalar puts on that edge. Covers the interleaved Gauss–Seidel
-        // sweep and the column-by-column fallback.
+        // sweep, the only local solver with a fused kernel.
         let a = gen::grid2d_poisson(12, 12);
         let n = a.nrows();
         let b = gen::random_rhs(n, 4);
         let part = partition_strip(n, 4);
         let locals = distribute(&a, &b, &vec![0.0; n], &part).unwrap();
-        for solver in [LocalSolver::GaussSeidel, LocalSolver::MulticolorGaussSeidel] {
-            let ranks = BlockJacobiRank::build_with_solver(locals.clone(), solver);
-            let id = 1;
-            let mut scalar = ranks[id].clone();
+        let ranks = BlockJacobiRank::build(locals);
+        let id = 1;
+        let mut scalar = ranks[id].clone();
+        let mut ctx = PhaseCtx::capture(id);
+        scalar.phase(0, &[], &mut ctx);
+        let (scalar_out, _) = ctx.into_captured();
+        assert_eq!(scalar_out.len(), 2, "a middle strip has two neighbors");
+        for (_, env) in &scalar_out {
+            assert_eq!(env.bytes, env.payload.wire_bytes());
+            assert_eq!(
+                env.bytes,
+                8 * env.payload.dr.len() as u64 + EMPTY_SOLVE_BYTES
+            );
+        }
+        for k in [1usize, 3] {
+            let mut panel = PanelRank::new(vec![ranks[id].clone(); k], ranks.len());
+            panel.set_fused(ranks[id].panel_kernel());
             let mut ctx = PhaseCtx::capture(id);
-            scalar.phase(0, &[], &mut ctx);
-            let (scalar_out, _) = ctx.into_captured();
-            assert_eq!(scalar_out.len(), 2, "a middle strip has two neighbors");
-            for (_, env) in &scalar_out {
-                assert_eq!(env.bytes, env.payload.wire_bytes());
+            panel.phase(0, &[], &mut ctx);
+            let (fused_out, _) = ctx.into_captured();
+            assert_eq!(fused_out.len(), scalar_out.len());
+            for ((t, env), (st, senv)) in fused_out.iter().zip(&scalar_out) {
+                assert_eq!(t, st);
+                let [part] = &env.payload.parts[..] else {
+                    panic!("one shared part per neighbor");
+                };
+                assert_eq!(part.mask.count_ones() as usize, k);
                 assert_eq!(
-                    env.bytes,
-                    8 * env.payload.dr.len() as u64 + EMPTY_SOLVE_BYTES
+                    part.bytes,
+                    part.msg.wire_bytes() + (k as u64 - 1) * EMPTY_SOLVE_BYTES,
+                    "k = {k}"
                 );
+                assert_eq!(part.bytes, k as u64 * senv.bytes, "k = {k}");
             }
-            for k in [1usize, 3] {
-                let mut panel = PanelRank::new(vec![ranks[id].clone(); k], ranks.len());
-                panel.set_fused(BlockJacobiRank::panel_fused());
-                let mut ctx = PhaseCtx::capture(id);
-                panel.phase(0, &[], &mut ctx);
-                let (fused_out, _) = ctx.into_captured();
-                assert_eq!(fused_out.len(), scalar_out.len());
-                for ((t, env), (st, senv)) in fused_out.iter().zip(&scalar_out) {
-                    assert_eq!(t, st);
-                    let [part] = &env.payload.parts[..] else {
-                        panic!("one shared part per neighbor");
-                    };
-                    assert_eq!(part.mask.count_ones() as usize, k);
-                    assert_eq!(
-                        part.bytes,
-                        part.msg.wire_bytes() + (k as u64 - 1) * EMPTY_SOLVE_BYTES,
-                        "{solver:?} k = {k}"
-                    );
-                    assert_eq!(part.bytes, k as u64 * senv.bytes, "{solver:?} k = {k}");
-                }
+        }
+    }
+
+    #[test]
+    fn only_gauss_seidel_ranks_have_a_fused_panel_kernel() {
+        let a = gen::grid2d_poisson(8, 8);
+        let n = a.nrows();
+        let b = gen::random_rhs(n, 5);
+        let part = partition_strip(n, 2);
+        let locals = distribute(&a, &b, &vec![0.0; n], &part).unwrap();
+        for (solver, fused) in [
+            (LocalSolver::GaussSeidel, true),
+            (LocalSolver::MulticolorGaussSeidel, false),
+            (LocalSolver::Exact, false),
+        ] {
+            for rank in BlockJacobiRank::build_with_solver(locals.clone(), solver) {
+                assert_eq!(rank.panel_kernel().is_some(), fused, "{solver:?}");
             }
         }
     }

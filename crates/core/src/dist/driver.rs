@@ -535,6 +535,14 @@ impl<A: WarmStart> NormView<RedundantHost<A>> for ReplicaView {
 }
 
 /// One row of the per-step record (all counters cumulative).
+///
+/// The counters are the executor's. On a fused panel column (a report of
+/// [`TenantSession::solve_panel`](super::TenantSession::solve_panel) or
+/// of a multi-rhs job) that executor runs the whole batch, so
+/// `relaxations`, the message and byte counts and `time` are the
+/// batch's, shared by every column of the panel, not the column's own:
+/// a column of a `k`-wide panel reports up to about `k` times its own
+/// relaxations. The residual norm and the step index are the column's.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepRecord {
     /// Parallel step index (0 = initial state).
@@ -681,12 +689,16 @@ impl DistReport {
         self.crossing(target, |r| r.time)
     }
 
-    /// Communication cost (msgs/rank) expended to reach `target`.
+    /// Communication cost (msgs/rank) expended to reach `target`. For a
+    /// panel column this counts the batch's messages (see
+    /// [`StepRecord`]).
     pub fn comm_to_reach(&self, target: f64) -> Option<f64> {
         self.crossing(target, |r| r.msgs as f64 / self.nranks as f64)
     }
 
-    /// Relaxations per unknown expended to reach `target`.
+    /// Relaxations per unknown expended to reach `target`. For a panel
+    /// column this counts the batch's relaxations, every column's, not
+    /// the column's own (see [`StepRecord`]).
     pub fn relaxations_to_reach(&self, target: f64) -> Option<f64> {
         self.crossing(target, |r| r.relaxations as f64 / self.n as f64)
     }

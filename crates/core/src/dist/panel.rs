@@ -1,5 +1,5 @@
 //! Fused multi-RHS panel solves: `k` right-hand sides of one system,
-//! relaxed per sweep with one packed message per (edge, phase, class).
+//! relaxed per sweep with one packed message per (edge, phase).
 //!
 //! A [`PanelRun`] fuses `k` warm-started solves of `A x = b_c` into one
 //! executor of [`PanelRank`]s: every rank hosts `k` clones of its solver
@@ -126,11 +126,10 @@ impl<R: WarmStart + Clone> PanelRun<R> {
             .iter()
             .map(|r| {
                 let mut panel = PanelRank::new(vec![r.clone(); bs.len()], base_ranks.len());
-                // Algorithm-level fusion, when the rank type provides it
-                // (bit-identical per column to the fallback loop — the
+                // Algorithm-level fusion, when the rank provides it
+                // (bit-identical per column to the per-column path — the
                 // `multirhs` proptests pin both paths).
-                panel.set_fused(R::panel_fused());
-                panel.set_flush(R::panel_flush());
+                panel.set_fused(r.panel_kernel());
                 panel
             })
             .collect();

@@ -89,27 +89,16 @@ pub trait WarmStart: RankAlgorithm + Recoverable {
     /// from the exact per-rank `‖r_q‖²` vector, indexed by rank.
     fn reseed_estimates(&mut self, norms_sq: &[f64]);
 
-    /// Algorithm-level fused panel phase for multi-RHS solves, if the
-    /// rank type provides one. The panel adapter then relaxes all
-    /// columns in a single pass per phase (amortizing the sparse index
-    /// walk and skipping per-column envelope reconstruction) instead of
-    /// looping its per-column fallback. Implementations must be
-    /// bit-identical per column to the fallback — see
-    /// [`dsw_rma::panel::FusedPhaseFn`] for the contract.
-    fn panel_fused() -> Option<dsw_rma::FusedPhaseFn<Self>>
-    where
-        Self: Sized,
-    {
-        None
-    }
-
-    /// Scatter-back hook for a fused panel phase that keeps column lanes
-    /// resident in the panel scratch across steps (see
-    /// [`dsw_rma::FlushFn`]). Must be provided whenever
-    /// [`panel_fused`](WarmStart::panel_fused) installs a phase that
-    /// records residency; the panel driver calls it before any
-    /// out-of-band read of per-column solve vectors.
-    fn panel_flush() -> Option<dsw_rma::FlushFn<Self>>
+    /// The algorithm-level fused panel kernel for multi-RHS solves of
+    /// this rank, if it has one: a phase that relaxes all columns in a
+    /// single pass (amortizing the sparse index walk and skipping
+    /// per-column envelope reconstruction), and the flush that scatters
+    /// the column lanes it keeps resident back before any out-of-band
+    /// read. `None` (the default) runs the panel's per-column path.
+    /// Block Jacobi returns a kernel for its Gauss–Seidel local solver
+    /// only. A kernel must be bit-identical per column to the per-column
+    /// path — see [`dsw_rma::panel::FusedPhaseFn`] for the contract.
+    fn panel_kernel(&self) -> Option<dsw_rma::FusedPanel<Self>>
     where
         Self: Sized,
     {

@@ -56,8 +56,8 @@ pub use executor::{
 };
 pub use fault::{ChaosConfig, Fate, FaultInjector};
 pub use panel::{
-    FlushFn, FusedPhaseFn, PanelMsg, PanelPart, PanelPhaseCtx, PanelRank, PANEL_HEADER_BYTES,
-    PANEL_MAX_COLS, PANEL_PART_TAG_BYTES,
+    FlushFn, FusedPanel, FusedPhaseFn, PanelMsg, PanelPart, PanelPhaseCtx, PanelRank,
+    PANEL_HEADER_BYTES, PANEL_MAX_COLS, PANEL_PART_TAG_BYTES,
 };
 pub use pool::{PoolStats, SharedPool};
 pub use redundancy::{CodedMsg, RedundantHost};

@@ -1,5 +1,5 @@
-//! Multi-RHS panel fusion: one wire message per (edge, phase, class)
-//! carrying every column's payload.
+//! Multi-RHS panel fusion: one wire message per (edge, phase) carrying
+//! every column's payload.
 //!
 //! The paper's cost argument is per-message: α dominates β for the small
 //! boundary exchanges of Algorithms 1–3, so `k` independent solves over
@@ -7,7 +7,7 @@
 //! same edges in the same phases. [`PanelRank`] fuses `k` clones of an
 //! inner [`RankAlgorithm`] — one per right-hand-side column — and packs
 //! their per-phase puts edge-by-edge into [`PanelMsg`] envelopes, so each
-//! (target, class) pair costs one message per phase regardless of `k`.
+//! target costs one message per phase regardless of `k`.
 //!
 //! The wire accounting keeps header amortization honest instead of free:
 //! a packed message charges [`PANEL_HEADER_BYTES`] once plus
@@ -16,13 +16,19 @@
 //! solver's message counts exactly and its byte counts up to exactly
 //! `6` bytes per message — the visible price of the framing.
 //!
-//! Correctness leans on an ordering invariant of the fused solvers: under
-//! the panel session preconditions (superstep executor, no chaos, no
-//! redundancy, no solve-message thresholding, recovery audits off) each
-//! column puts **at most one message per (target, class) per phase**, so
-//! grouping parts by class preserves every column's per-origin delivery
-//! order. Unpacking restores, per column, byte-for-byte the envelope
-//! sequence the scalar executor would have delivered.
+//! Correctness leans on two invariants of the fused solvers under the
+//! panel session preconditions (superstep executor, no chaos, no
+//! redundancy, no solve-message thresholding, recovery off): each column
+//! puts **at most one message per target per phase**, and every put of
+//! one phase has **one class** (Block Jacobi puts Solve in phase 0;
+//! Parallel and Distributed Southwell put Solve in phase 0 and Residual
+//! in phase 1). So a target's parts pack into one message of that class
+//! in column order, and unpacking restores, per column, byte-for-byte
+//! the envelope sequence the scalar executor would have delivered.
+//!
+//! Every part addresses its columns by a bitmask ([`PanelPart::mask`]):
+//! the per-column path stages one part per column (`1 << c`), and a
+//! fused phase ([`FusedPanel`]) may stage one shared part for many.
 
 use crate::executor::{Envelope, PhaseCtx, RankAlgorithm};
 use crate::stats::CommClass;
@@ -33,23 +39,19 @@ pub const PANEL_HEADER_BYTES: u64 = 4;
 /// Bytes charged per carried part (column id tag).
 pub const PANEL_PART_TAG_BYTES: u64 = 2;
 
-/// Most columns one panel carries: a shared part addresses its columns
-/// through a `u64` bitmask ([`PanelPart::mask`]).
+/// Most columns one panel carries: a part addresses its columns through
+/// a `u64` bitmask ([`PanelPart::mask`]).
 pub const PANEL_MAX_COLS: usize = 64;
 
 /// One column's payload inside a packed panel message.
 #[derive(Debug, Clone)]
 pub struct PanelPart<M> {
-    /// Panel column this part belongs to.
-    pub col: u16,
-    /// For a shared part ([`PanelPhaseCtx::stage_shared`], the only way a
-    /// fused phase stages): the bitmask of panel columns whose payloads
-    /// it carries (bit `c` = column `c`), set by the stager from the
-    /// column list. `0` marks the per-column fallback's wire format, a
-    /// single-column part addressed by `col`. Self-describing addressing
-    /// lets a receiver unpack a shared part even when a column dropped
-    /// out while the message was in flight, instead of inferring the
-    /// sender's column set from its own (possibly newer) active set.
+    /// The panel columns whose payloads this part carries (bit `c` =
+    /// column `c`): one bit for a per-column part, the staged column list
+    /// for a shared part ([`PanelPhaseCtx::stage_shared`]). Self-describing
+    /// addressing lets a receiver unpack a shared part even when a column
+    /// dropped out while the message was in flight, instead of inferring
+    /// the sender's column set from its own (possibly newer) active set.
     pub mask: u64,
     /// Class of the original (scalar) put, kept for per-column unpacking.
     pub class: CommClass,
@@ -59,8 +61,8 @@ pub struct PanelPart<M> {
     pub msg: M,
 }
 
-/// A packed panel message: every column's payload for one (edge, class)
-/// in one phase.
+/// A packed panel message: every column's payload for one edge in one
+/// phase.
 #[derive(Debug, Clone)]
 pub struct PanelMsg<M> {
     /// Carried parts, grouped by the packer in column order.
@@ -82,11 +84,11 @@ impl<M> PanelMsg<M> {
 /// Staging surface handed to an algorithm-level fused phase
 /// ([`FusedPhaseFn`]): the adapter's per-target part staging plus the
 /// per-column counters, so a fused implementation reports exactly what
-/// the per-column fallback loop would have reported.
+/// the per-column loop would have reported.
 ///
 /// Parts staged here are packed by the adapter after the fused phase
-/// returns — one message per (target, class), targets ascending — with
-/// the same framing and ordering as the fallback path.
+/// returns — one message per target, targets ascending — with the same
+/// framing as the per-column path.
 pub struct PanelPhaseCtx<'a, M> {
     ctx: &'a mut PhaseCtx<PanelMsg<M>>,
     staging: &'a mut [Vec<PanelPart<M>>],
@@ -100,41 +102,46 @@ pub struct PanelPhaseCtx<'a, M> {
     /// Columns whose solve vectors currently live interleaved in
     /// `scratch` instead of in their own rank state (the resident-lane
     /// optimization): a fused phase that keeps lanes resident across
-    /// steps records the column list here and must register a
-    /// [`FlushFn`] so the driver can scatter the lanes back before any
-    /// out-of-band read of per-column state. Empty = nothing resident.
+    /// steps records the column list here; its [`FusedPanel::flush`]
+    /// scatters the lanes back before any out-of-band read of per-column
+    /// state. Empty = nothing resident.
     pub resident: &'a mut Vec<usize>,
 }
 
 impl<M> PanelPhaseCtx<'_, M> {
-    /// The executing rank id.
-    pub fn rank(&self) -> usize {
-        self.ctx.rank()
-    }
-
     /// Stages one part that carries *every* listed column's payload for
     /// `target` — the aggregated form for fused implementations whose
     /// peers understand the shared layout (all ranks run the same
     /// algorithm, so sender and receiver agree). Counts one logical
     /// message per carried column, exactly as if each had been staged
-    /// alone; `part.bytes` must already account for all of them.
-    pub fn stage_shared(&mut self, target: usize, cols: &[usize], mut part: PanelPart<M>) {
-        part.mask = 0;
+    /// alone; `bytes` must already account for all of them.
+    pub fn stage_shared(
+        &mut self,
+        target: usize,
+        cols: &[usize],
+        class: CommClass,
+        bytes: u64,
+        msg: M,
+    ) {
+        let mut mask = 0;
         for &c in cols {
             debug_assert!(
                 c < PANEL_MAX_COLS,
-                "shared parts address at most {PANEL_MAX_COLS} columns"
+                "parts address at most {PANEL_MAX_COLS} columns"
             );
-            part.mask |= 1 << c;
+            mask |= 1 << c;
             self.col_msgs[c] += 1;
         }
         let staged = &mut self.staging[target];
         if staged.is_empty() {
             self.touched.push(target);
-            // One shared part per class is the practical maximum.
-            staged.reserve(CommClass::ALL.len());
         }
-        staged.push(part);
+        staged.push(PanelPart {
+            mask,
+            class,
+            bytes,
+            msg,
+        });
     }
 
     /// Forwards modelled flops to the real phase context.
@@ -143,7 +150,7 @@ impl<M> PanelPhaseCtx<'_, M> {
     }
 
     /// Records `rows` relaxations for column `col` (marks the rank
-    /// active, exactly as the fallback loop does per column).
+    /// active, exactly as the per-column loop does).
     pub fn record_relaxations(&mut self, col: usize, rows: u64) {
         self.col_relax[col] += rows;
         self.ctx.record_relaxations(rows);
@@ -157,9 +164,9 @@ impl<M> PanelPhaseCtx<'_, M> {
 /// floating-point state after the phase, the staged parts (payloads,
 /// classes, modelled bytes, per-target column order), and the reported
 /// counters must be **bit-identical** to running the column alone
-/// through the per-column fallback loop. Implementations may rely on
-/// the panel preconditions: all columns are clones of one rank (same
-/// matrix, topology, and solver), differing only in per-column vectors.
+/// through the per-column loop. Implementations may rely on the panel
+/// preconditions: all columns are clones of one rank (same matrix,
+/// topology, and solver), differing only in per-column vectors.
 /// Parts addressed to inactive columns must be dropped unapplied.
 pub type FusedPhaseFn<A> = fn(
     cols: &mut [A],
@@ -179,6 +186,16 @@ pub type FusedPhaseFn<A> = fn(
 /// every step — flushing is an observability point, not a computation.
 pub type FlushFn<A> = fn(cols: &mut [A], resident: &[usize], scratch: &mut [f64]);
 
+/// An algorithm-level fused panel kernel: the phase that replaces the
+/// per-column loop, installed together with the flush that scatters
+/// whatever lanes it leaves resident ([`PanelRank::set_fused`]).
+pub struct FusedPanel<A: RankAlgorithm> {
+    /// The fused phase ([`FusedPhaseFn`]).
+    pub phase: FusedPhaseFn<A>,
+    /// Its resident-lane scatter-back ([`FlushFn`]).
+    pub flush: FlushFn<A>,
+}
+
 /// `k` clones of an inner rank algorithm — one per right-hand-side
 /// column — fused behind a single [`RankAlgorithm`] whose messages are
 /// packed [`PanelMsg`]s.
@@ -187,10 +204,10 @@ pub type FlushFn<A> = fn(cols: &mut [A], resident: &[usize], scratch: &mut [f64]
 /// inboxes (parts addressed to deactivated columns are dropped — under
 /// the session preconditions they carry only norm estimates), every
 /// active column runs its phase against a capture context, and the
-/// captured puts are re-packed per (target, class) in [`CommClass::ALL`]
-/// order. Flops and relaxations are forwarded to the real context;
-/// per-column message and relaxation counts accumulate in the adapter
-/// over each parallel step for the driver's per-column idle detection.
+/// captured puts are re-packed into one message per target. Flops and
+/// relaxations are forwarded to the real context; per-column message
+/// and relaxation counts accumulate in the adapter over each parallel
+/// step for the driver's per-column idle detection.
 pub struct PanelRank<A: RankAlgorithm> {
     cols: Vec<A>,
     active: Vec<bool>,
@@ -204,16 +221,14 @@ pub struct PanelRank<A: RankAlgorithm> {
     /// Reused capture outbox, threaded through the per-column inner calls
     /// so the hot loop performs no per-phase allocation.
     cap_outbox: Vec<(usize, Envelope<A::Msg>)>,
-    /// Algorithm-level fused phase, replacing the per-column loop when
+    /// Algorithm-level fused kernel, replacing the per-column loop when
     /// the inner algorithm provides one ([`PanelRank::set_fused`]).
-    fused: Option<FusedPhaseFn<A>>,
+    fused: Option<FusedPanel<A>>,
     /// Scratch loaned to the fused phase (interleaved panel layouts).
     scratch: Vec<f64>,
     /// Columns whose lanes are resident in `scratch` (see
     /// [`PanelPhaseCtx::resident`]).
     resident: Vec<usize>,
-    /// Scatter-back hook for resident lanes ([`PanelRank::set_flush`]).
-    flush: Option<FlushFn<A>>,
 }
 
 impl<A: RankAlgorithm> PanelRank<A> {
@@ -234,24 +249,16 @@ impl<A: RankAlgorithm> PanelRank<A> {
             fused: None,
             scratch: Vec::new(),
             resident: Vec::new(),
-            flush: None,
         }
     }
 
-    /// Installs (or clears) an algorithm-level fused phase. When set, the
+    /// Installs (or clears) an algorithm-level fused kernel. When set, the
     /// adapter skips the unpack → per-column capture → restage loop and
-    /// hands the packed inbox straight to `fused`; packing of the staged
-    /// parts is unchanged. See [`FusedPhaseFn`] for the exactness
-    /// contract.
-    pub fn set_fused(&mut self, fused: Option<FusedPhaseFn<A>>) {
+    /// hands the packed inbox straight to its phase; packing of the
+    /// staged parts is unchanged. See [`FusedPhaseFn`] and [`FlushFn`]
+    /// for the exactness contracts.
+    pub fn set_fused(&mut self, fused: Option<FusedPanel<A>>) {
         self.fused = fused;
-    }
-
-    /// Installs (or clears) the resident-lane scatter-back hook. Must be
-    /// set whenever the installed fused phase keeps lanes resident; see
-    /// [`FlushFn`] for the contract.
-    pub fn set_flush(&mut self, flush: Option<FlushFn<A>>) {
-        self.flush = flush;
     }
 
     /// Scatters any resident lanes back into their columns' own state
@@ -262,8 +269,8 @@ impl<A: RankAlgorithm> PanelRank<A> {
         if self.resident.is_empty() {
             return;
         }
-        if let Some(flush) = self.flush {
-            flush(&mut self.cols, &self.resident, &mut self.scratch);
+        if let Some(fused) = &self.fused {
+            (fused.flush)(&mut self.cols, &self.resident, &mut self.scratch);
         }
         self.resident.clear();
     }
@@ -338,7 +345,7 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
             self.col_relax.fill(0);
         }
 
-        if let Some(fused) = self.fused {
+        if let Some(fused) = self.fused.as_ref().map(|f| f.phase) {
             // Algorithm-level path: the fused phase consumes the packed
             // inbox in place (no per-column envelope reconstruction) and
             // stages parts directly.
@@ -373,7 +380,8 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
             }
             for env in inbox {
                 for part in &env.payload.parts {
-                    let c = part.col as usize;
+                    debug_assert_eq!(part.mask.count_ones(), 1, "a per-column part");
+                    let c = part.mask.trailing_zeros() as usize;
                     if !self.active[c] {
                         continue;
                     }
@@ -409,8 +417,7 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
                         self.staging[target].reserve(k);
                     }
                     self.staging[target].push(PanelPart {
-                        col: c as u16,
-                        mask: 0,
+                        mask: 1 << c,
                         class: env.class,
                         bytes: env.bytes,
                         msg: env.payload,
@@ -420,40 +427,20 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
             }
         }
 
-        // Pack: one put per non-empty (target, class), targets ascending,
-        // classes in `CommClass::ALL` order. Grouping by class is a stable
-        // partition of the staged order, so per-column order survives.
+        // Pack: one put per touched target, targets ascending. Every put of
+        // a phase has one class (see the module doc), so the staged parts
+        // move into the message whole, in staged (column) order.
         self.touched.sort_unstable();
         for &target in &self.touched {
-            let staged = &mut self.staging[target];
-            // Fast path: within one phase the fused solvers put a single
-            // class (Solve in the sweep phase, Residual in the broadcast
-            // phase), so a target's staged parts are almost always
-            // class-uniform — the whole batch moves into the message with
-            // no clones and no second pass.
-            if staged.windows(2).all(|w| w[0].class == w[1].class) {
-                let class = staged[0].class;
-                let msg = PanelMsg {
-                    parts: std::mem::take(staged),
-                };
-                let bytes = msg.wire_bytes();
-                ctx.put(target, class, msg, bytes);
-                continue;
-            }
-            let staged = std::mem::take(staged);
-            for class in CommClass::ALL {
-                let parts: Vec<PanelPart<A::Msg>> = staged
-                    .iter()
-                    .filter(|p| p.class == class)
-                    .cloned()
-                    .collect();
-                if parts.is_empty() {
-                    continue;
-                }
-                let msg = PanelMsg { parts };
-                let bytes = msg.wire_bytes();
-                ctx.put(target, class, msg, bytes);
-            }
+            let parts = std::mem::take(&mut self.staging[target]);
+            let class = parts[0].class;
+            debug_assert!(
+                parts.iter().all(|p| p.class == class),
+                "one class per target per phase"
+            );
+            let msg = PanelMsg { parts };
+            let bytes = msg.wire_bytes();
+            ctx.put(target, class, msg, bytes);
         }
         self.touched.clear();
     }
@@ -570,20 +557,77 @@ mod tests {
         }
     }
 
+    /// A two-phase toy with the fused solvers' class pattern: Solve to
+    /// the right neighbor in phase 0, Residual to both neighbors in
+    /// phase 1.
+    struct TwoClass {
+        rank: usize,
+        n: usize,
+    }
+
+    impl RankAlgorithm for TwoClass {
+        type Msg = u64;
+
+        fn phases(&self) -> usize {
+            2
+        }
+
+        fn phase(&mut self, phase: usize, _inbox: &[Envelope<u64>], ctx: &mut PhaseCtx<u64>) {
+            let right = (self.rank + 1) % self.n;
+            let left = (self.rank + self.n - 1) % self.n;
+            if phase == 0 {
+                ctx.put(right, CommClass::Solve, 0, 8);
+            } else {
+                ctx.put(left, CommClass::Residual, 1, 8);
+                ctx.put(right, CommClass::Residual, 1, 8);
+            }
+        }
+
+        fn put_targets(&self) -> Vec<usize> {
+            let mut t = vec![(self.rank + 1) % self.n, (self.rank + self.n - 1) % self.n];
+            t.sort_unstable();
+            t
+        }
+    }
+
+    #[test]
+    fn per_column_parts_carry_their_column_bit_in_class_uniform_messages() {
+        let n = 4;
+        let k = 3;
+        let rank = 1;
+        let mut panel = PanelRank::new((0..k).map(|_| TwoClass { rank, n }).collect(), n);
+        panel.set_active(1, false);
+        for (phase, class, targets) in [
+            (0, CommClass::Solve, vec![2]),
+            (1, CommClass::Residual, vec![0, 2]),
+        ] {
+            let mut ctx = PhaseCtx::capture(rank);
+            panel.phase(phase, &[], &mut ctx);
+            let (out, _) = ctx.into_captured();
+            let got: Vec<usize> = out.iter().map(|(t, _)| *t).collect();
+            assert_eq!(got, targets, "one message per target, ascending");
+            for (_, env) in &out {
+                assert_eq!(env.class, class, "phase {phase}");
+                let masks: Vec<u64> = env.payload.parts.iter().map(|p| p.mask).collect();
+                assert_eq!(masks, [1 << 0, 1 << 2], "active columns, in column order");
+                assert!(env.payload.parts.iter().all(|p| p.class == class));
+                assert_eq!(env.bytes, env.payload.wire_bytes());
+            }
+        }
+    }
+
     #[test]
     fn wire_bytes_charges_header_once_and_tag_per_part() {
         let msg = PanelMsg {
             parts: vec![
                 PanelPart {
-                    col: 0,
-                    mask: 0,
+                    mask: 1,
                     class: CommClass::Solve,
                     bytes: 24,
                     msg: 0.0_f64,
                 },
                 PanelPart {
-                    col: 1,
-                    mask: 0,
+                    mask: 2,
                     class: CommClass::Solve,
                     bytes: 24,
                     msg: 0.0_f64,

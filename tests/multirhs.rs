@@ -233,13 +233,14 @@ fn panel_adoption_warm_starts_next_scalar_solve() {
     assert!(err <= 1e-7, "adopted solution drifted: ‖b − Ax‖ = {err}");
 }
 
-/// The fused Block Jacobi kernels beyond the widths and local solver the
-/// proptests draw: dynamic-width lanes (`k = 12`), the full 64-column
-/// panel, and the column-by-column branch taken by multicolor
-/// Gauss–Seidel and exact local solves. Every column must match its
-/// independent warm-started solve bit for bit. The Gauss–Seidel widths
-/// run under the maintained monitor too, whose boundary norms are the
-/// per-column lane sums the fused kernels fold.
+/// Block Jacobi panels beyond the widths and local solver the proptests
+/// draw: the fused Gauss–Seidel kernel at dynamic-width lanes (`k = 12`)
+/// and the full 64-column panel, and the panel's per-column path, which
+/// multicolor Gauss–Seidel and exact local solves take (they have no
+/// fused kernel). Every column must match its independent warm-started
+/// solve bit for bit. The Gauss–Seidel widths run under the maintained
+/// monitor too, whose boundary norms are the per-column lane sums the
+/// fused kernel folds.
 #[test]
 fn fused_bj_columns_match_independent_solves_at_every_width_and_local_solver() {
     let (a, b, x0, part) = problem(3);
