@@ -16,7 +16,7 @@
 //!
 //! [`TenantSession`]: dsw_core::dist::TenantSession
 
-use crate::harness::{setup_problem, suite_partition, write_csv, ExperimentCtx};
+use crate::harness::{setup_problem, suite_partition, write_csv, ExperimentCtx, Spread};
 use dsw_core::dist::{run_method, DistOptions, ExecBackend, Method};
 use dsw_partition::Partition;
 use dsw_rma::ExecMode;
@@ -168,78 +168,118 @@ pub fn run_serialized(method: Method, tenants: usize) -> f64 {
     solves as f64 / t0.elapsed().as_secs_f64()
 }
 
-/// One row of the serve-throughput sweep.
+/// Runs of every sweep point. Single-run rates swing 2–4× between runs
+/// on a shared 2-vCPU host, so each measured column is the median over
+/// this many runs, written beside its interquartile range.
+pub const REPEATS: usize = 5;
+
+/// One row of the serve-throughput sweep. The counts are deterministic
+/// and equal in every run; every [`Spread`] is over the point's runs.
 pub struct ServeRow {
     /// The solver every tenant runs.
     pub method: Method,
     /// Registered tenants.
     pub tenants: usize,
+    /// Runs behind each [`Spread`].
+    pub repeats: usize,
     /// Solves completed in the timed window.
     pub solves: u64,
     /// Multiplexed sustained throughput, solves/sec.
-    pub serve_solves_per_sec: f64,
+    pub serve_solves_per_sec: Spread,
     /// Serialized-baseline throughput, solves/sec.
-    pub serialized_solves_per_sec: f64,
-    /// `serve / serialized`.
-    pub speedup: f64,
+    pub serialized_solves_per_sec: Spread,
+    /// `serve / serialized`, per run (the two sides of a run are
+    /// measured back to back).
+    pub speedup: Spread,
     /// Median solve latency under multiplexing, ms.
-    pub p50_ms: f64,
+    pub p50_ms: Spread,
     /// 99th-percentile solve latency, ms.
-    pub p99_ms: f64,
+    pub p99_ms: Spread,
     /// Median queue wait (admission to the job's begin), ms.
-    pub queue_wait_p50_ms: f64,
+    pub queue_wait_p50_ms: Spread,
     /// 99th-percentile queue wait, ms.
-    pub queue_wait_p99_ms: f64,
+    pub queue_wait_p99_ms: Spread,
     /// Scheduler rounds of the timed window.
     pub rounds: u64,
     /// Shared-pool busy fraction over the window.
-    pub pool_utilization: f64,
+    pub pool_utilization: Spread,
     /// Peak admitted-job count.
     pub max_queue_depth: usize,
 }
 
-/// Measures one (method, tenant count) point on both sides.
-pub fn run_point(method: Method, tenants: usize) -> ServeRow {
-    let stats = run_multiplexed(method, tenants);
-    let serialized = run_serialized(method, tenants);
+/// Measures one (method, tenant count) point on both sides, `repeats`
+/// times.
+pub fn run_point(method: Method, tenants: usize, repeats: usize) -> ServeRow {
+    assert!(repeats > 0, "a point needs at least one run");
+    let runs: Vec<(ServiceStats, f64)> = (0..repeats)
+        .map(|_| {
+            let stats = run_multiplexed(method, tenants);
+            (stats, run_serialized(method, tenants))
+        })
+        .collect();
+    let first = runs[0].0;
+    for (stats, _) in &runs {
+        assert_eq!(
+            (stats.solves, stats.rounds, stats.max_queue_depth),
+            (first.solves, first.rounds, first.max_queue_depth),
+            "the schedule is a pure function of the seed"
+        );
+    }
+    let spread = |f: fn(&ServiceStats, f64) -> f64| {
+        Spread::of(
+            &runs
+                .iter()
+                .map(|(s, serial)| f(s, *serial))
+                .collect::<Vec<_>>(),
+        )
+    };
     ServeRow {
         method,
         tenants,
-        solves: stats.solves,
-        serve_solves_per_sec: stats.solves_per_sec,
-        serialized_solves_per_sec: serialized,
-        speedup: if serialized > 0.0 {
-            stats.solves_per_sec / serialized
-        } else {
-            f64::INFINITY
-        },
-        p50_ms: stats.p50_ms,
-        p99_ms: stats.p99_ms,
-        queue_wait_p50_ms: stats.queue_wait_p50_ms,
-        queue_wait_p99_ms: stats.queue_wait_p99_ms,
-        rounds: stats.rounds,
-        pool_utilization: stats.pool_utilization,
-        max_queue_depth: stats.max_queue_depth,
+        repeats,
+        solves: first.solves,
+        serve_solves_per_sec: spread(|s, _| s.solves_per_sec),
+        serialized_solves_per_sec: spread(|_, serial| serial),
+        speedup: spread(|s, serial| {
+            if serial > 0.0 {
+                s.solves_per_sec / serial
+            } else {
+                f64::INFINITY
+            }
+        }),
+        p50_ms: spread(|s, _| s.p50_ms),
+        p99_ms: spread(|s, _| s.p99_ms),
+        queue_wait_p50_ms: spread(|s, _| s.queue_wait_p50_ms),
+        queue_wait_p99_ms: spread(|s, _| s.queue_wait_p99_ms),
+        rounds: first.rounds,
+        pool_utilization: spread(|s, _| s.pool_utilization),
+        max_queue_depth: first.max_queue_depth,
     }
 }
 
-/// Runs the sweep and writes `results/serve_throughput.csv`.
+/// Runs the sweep and writes `results/serve_throughput.csv`: every
+/// measured column's median over [`REPEATS`] runs, each followed by an
+/// `_iqr` column.
 pub fn run_serve(ctx: &ExperimentCtx) -> Vec<ServeRow> {
     let counts: Vec<usize> = [16usize, 64, 128]
         .iter()
         .map(|&c| ((c as f64 * ctx.scale).round() as usize).max(2))
         .collect();
-    let mut rows: Vec<ServeRow> = counts.iter().map(|&c| run_point(GATE_METHOD, c)).collect();
+    let mut rows: Vec<ServeRow> = counts
+        .iter()
+        .map(|&c| run_point(GATE_METHOD, c, REPEATS))
+        .collect();
     // One DS point at the middle tenant count for paper fidelity — its
     // input-sensitive convergence tail keeps it off the main sweep.
-    rows.push(run_point(Method::DistributedSouthwell, counts[1]));
+    rows.push(run_point(Method::DistributedSouthwell, counts[1], REPEATS));
 
     println!(
         "\n=== serve — multiplexed tenants over one shared pool vs serialized rebuilds \
-         ({RANKS} ranks, {GRID}×{GRID} Poisson, {JOBS} warm solves/tenant) ==="
+         ({RANKS} ranks, {GRID}×{GRID} Poisson, {JOBS} warm solves/tenant; \
+         medians of {REPEATS} runs, IQR in brackets) ==="
     );
     println!(
-        "{:>6} {:>7} {:>7} {:>12} {:>12} {:>8} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6} {:>7}",
+        "{:>6} {:>7} {:>7} {:>20} {:>16} {:>8} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6} {:>7}",
         "method",
         "tenants",
         "solves",
@@ -257,36 +297,54 @@ pub fn run_serve(ctx: &ExperimentCtx) -> Vec<ServeRow> {
     let mut csv = Vec::new();
     for row in &rows {
         println!(
-            "{:>6} {:>7} {:>7} {:>12.1} {:>12.1} {:>7.2}x {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>6.2} {:>7}",
+            "{:>6} {:>7} {:>7} {:>20} {:>16} {:>7.2}x {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>6.2} {:>7}",
             row.method.label(),
             row.tenants,
             row.solves,
-            row.serve_solves_per_sec,
-            row.serialized_solves_per_sec,
-            row.speedup,
+            format!(
+                "{:.1} [{:.1}]",
+                row.serve_solves_per_sec.median, row.serve_solves_per_sec.iqr
+            ),
+            format!(
+                "{:.1} [{:.1}]",
+                row.serialized_solves_per_sec.median, row.serialized_solves_per_sec.iqr
+            ),
+            row.speedup.median,
+            row.p50_ms.median,
+            row.p99_ms.median,
+            row.queue_wait_p50_ms.median,
+            row.queue_wait_p99_ms.median,
+            row.rounds,
+            row.pool_utilization.median,
+            row.max_queue_depth
+        );
+        let cell = |s: Spread, decimals: usize| {
+            [
+                format!("{:.decimals$}", s.median),
+                format!("{:.decimals$}", s.iqr),
+            ]
+        };
+        let mut line = vec![
+            row.method.label().to_string(),
+            row.tenants.to_string(),
+            row.repeats.to_string(),
+            row.solves.to_string(),
+        ];
+        line.extend(cell(row.serve_solves_per_sec, 2));
+        line.extend(cell(row.serialized_solves_per_sec, 2));
+        line.extend(cell(row.speedup, 3));
+        for s in [
             row.p50_ms,
             row.p99_ms,
             row.queue_wait_p50_ms,
             row.queue_wait_p99_ms,
-            row.rounds,
-            row.pool_utilization,
-            row.max_queue_depth
-        );
-        csv.push(vec![
-            row.method.label().to_string(),
-            row.tenants.to_string(),
-            row.solves.to_string(),
-            format!("{:.2}", row.serve_solves_per_sec),
-            format!("{:.2}", row.serialized_solves_per_sec),
-            format!("{:.3}", row.speedup),
-            format!("{:.4}", row.p50_ms),
-            format!("{:.4}", row.p99_ms),
-            format!("{:.4}", row.queue_wait_p50_ms),
-            format!("{:.4}", row.queue_wait_p99_ms),
-            row.rounds.to_string(),
-            format!("{:.4}", row.pool_utilization),
-            row.max_queue_depth.to_string(),
-        ]);
+        ] {
+            line.extend(cell(s, 4));
+        }
+        line.push(row.rounds.to_string());
+        line.extend(cell(row.pool_utilization, 4));
+        line.push(row.max_queue_depth.to_string());
+        csv.push(line);
     }
     write_csv(
         &ctx.out_dir,
@@ -294,16 +352,25 @@ pub fn run_serve(ctx: &ExperimentCtx) -> Vec<ServeRow> {
         &[
             "method",
             "tenants",
+            "repeats",
             "solves",
             "serve_solves_per_sec",
+            "serve_solves_per_sec_iqr",
             "serialized_solves_per_sec",
+            "serialized_solves_per_sec_iqr",
             "speedup",
+            "speedup_iqr",
             "p50_ms",
+            "p50_ms_iqr",
             "p99_ms",
+            "p99_ms_iqr",
             "queue_wait_p50_ms",
+            "queue_wait_p50_ms_iqr",
             "queue_wait_p99_ms",
+            "queue_wait_p99_ms_iqr",
             "rounds",
             "pool_utilization",
+            "pool_utilization_iqr",
             "max_queue_depth",
         ],
         &csv,

@@ -182,9 +182,55 @@ pub fn fmt_or_dagger(v: Option<f64>, decimals: usize) -> String {
     }
 }
 
+/// The median and interquartile range of repeated measurements of one
+/// quantity; quartiles interpolate linearly between closest ranks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Median of the samples.
+    pub median: f64,
+    /// Third minus first quartile.
+    pub iqr: f64,
+}
+
+impl Spread {
+    /// Summarizes `xs`; `NaN` for both when it is empty.
+    pub fn of(xs: &[f64]) -> Spread {
+        let mut s = xs.to_vec();
+        s.sort_by(f64::total_cmp);
+        let quantile = |q: f64| {
+            let Some(last) = s.len().checked_sub(1) else {
+                return f64::NAN;
+            };
+            let pos = q * last as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
+        };
+        Spread {
+            median: quantile(0.5),
+            iqr: quantile(0.75) - quantile(0.25),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spread_interpolates_quartiles_in_any_order() {
+        let s = Spread::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!((s.median, s.iqr), (3.0, 2.0));
+        let s = Spread::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((s.median, s.iqr), (2.5, 1.5));
+        assert_eq!(
+            Spread::of(&[7.0]),
+            Spread {
+                median: 7.0,
+                iqr: 0.0
+            }
+        );
+        assert!(Spread::of(&[]).median.is_nan());
+    }
 
     #[test]
     fn setup_problem_has_unit_residual() {

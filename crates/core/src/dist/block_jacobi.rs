@@ -480,13 +480,9 @@ impl super::session::WarmStart for BlockJacobiRank {
     }
 
     fn copy_state_from(&mut self, other: &Self) {
-        // The matrix, topology, and solver are identical by the
-        // clone-sibling contract; only the per-solve vectors move.
         // `ghost_dr` is transient — every relax path overwrites it in
         // full before reading — so it carries no cross-solve state.
-        self.ls.b.copy_from_slice(&other.ls.b);
-        self.ls.x.copy_from_slice(&other.ls.x);
-        self.ls.r.copy_from_slice(&other.ls.r);
+        self.ls.copy_solve_state_from(&other.ls);
         self.norm_sq = other.norm_sq;
     }
 }

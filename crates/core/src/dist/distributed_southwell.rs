@@ -119,6 +119,25 @@ pub struct DistributedSouthwellRank {
     /// Cached Σ (parked + in-flight) delta² at the last step boundary.
     undelivered_sq: f64,
     // --- self-healing layer (see `super::recovery`) -------------------
+    /// Sequencing and audit state per neighbor link; `None` unless
+    /// sequencing or the audit is on.
+    link: Option<Box<LinkRecovery>>,
+    /// Parallel steps this rank has executed (audit cadence).
+    steps_done: usize,
+    /// Watchdog flag: force a residual rebroadcast to all neighbors in the
+    /// next phase 1 (set by [`Recoverable::nudge`]).
+    force_rebroadcast: bool,
+    /// Boundary residual rows overwritten by the invariant audit.
+    pub drift_repairs: u64,
+    /// Messages discarded as duplicate / stale / subsumed.
+    pub stale_discards: u64,
+}
+
+/// The recovery layer's per-link state: sequence tracking and the
+/// audit's ghost-solution snapshots. Only sequencing and the audit read
+/// it, so a rank holds it only when one of them is on.
+#[derive(Clone)]
+struct LinkRecovery {
     /// Next outgoing sequence number per neighbor link (sequencing).
     seq_out: Vec<u64>,
     /// Incoming sequence state per neighbor link.
@@ -135,15 +154,37 @@ pub struct DistributedSouthwellRank {
     audit_fresh: Vec<bool>,
     /// Neighbor slot owning each ghost slot (repair coverage check).
     owner_of_slot: Vec<u32>,
-    /// Parallel steps this rank has executed (audit cadence).
-    steps_done: usize,
-    /// Watchdog flag: force a residual rebroadcast to all neighbors in the
-    /// next phase 1 (set by [`Recoverable::nudge`]).
-    force_rebroadcast: bool,
-    /// Boundary residual rows overwritten by the invariant audit.
-    pub drift_repairs: u64,
-    /// Messages discarded as duplicate / stale / subsumed.
-    pub stale_discards: u64,
+}
+
+impl LinkRecovery {
+    fn new(ls: &LocalSystem) -> Self {
+        let nb = ls.neighbors.len();
+        let g = ls.ext_cols.len();
+        let mut owner_of_slot = vec![0u32; g];
+        for (s, slots) in ls.ghosts_of.iter().enumerate() {
+            for &slot in slots {
+                owner_of_slot[slot as usize] = s as u32;
+            }
+        }
+        LinkRecovery {
+            seq_out: vec![0; nb],
+            seq_in: vec![SeqIn::new(); nb],
+            last_audit_seq: vec![0; nb],
+            ghost_x: vec![0.0; g],
+            audit_fresh: vec![false; nb],
+            owner_of_slot,
+        }
+    }
+
+    /// Copies `other`'s per-solve link state in place; `owner_of_slot`
+    /// is topology and stays.
+    fn copy_state_from(&mut self, other: &Self) {
+        self.seq_out.copy_from_slice(&other.seq_out);
+        self.seq_in.clone_from_slice(&other.seq_in);
+        self.last_audit_seq.copy_from_slice(&other.last_audit_seq);
+        self.ghost_x.copy_from_slice(&other.ghost_x);
+        self.audit_fresh.copy_from_slice(&other.audit_fresh);
+    }
 }
 
 impl DistributedSouthwellRank {
@@ -171,12 +212,9 @@ impl DistributedSouthwellRank {
                 let my = norms_sq[ls.rank];
                 let nb = ls.neighbors.len();
                 let g = ls.ext_cols.len();
-                let mut owner_of_slot = vec![0u32; g];
-                for (s, slots) in ls.ghosts_of.iter().enumerate() {
-                    for &slot in slots {
-                        owner_of_slot[slot as usize] = s as u32;
-                    }
-                }
+                let recovery = cfg.recovery;
+                let link = (recovery.sequencing || recovery.audit_every.is_some())
+                    .then(|| Box::new(LinkRecovery::new(&ls)));
                 DistributedSouthwellRank {
                     solver: LocalSolverImpl::new(cfg.local_solver, &ls),
                     ls,
@@ -192,12 +230,7 @@ impl DistributedSouthwellRank {
                     pending_dr: vec![0.0; g],
                     in_flight_flush_sq: 0.0,
                     undelivered_sq: 0.0,
-                    seq_out: vec![0; nb],
-                    seq_in: vec![SeqIn::new(); nb],
-                    last_audit_seq: vec![0; nb],
-                    ghost_x: vec![0.0; g],
-                    audit_fresh: vec![false; nb],
-                    owner_of_slot,
+                    link,
                     steps_done: 0,
                     force_rebroadcast: false,
                     drift_repairs: 0,
@@ -240,11 +273,12 @@ impl DistributedSouthwellRank {
     /// Sequences (when enabled) and puts one protocol message to the
     /// neighbor in slot `s`.
     fn send(&mut self, ctx: &mut PhaseCtx<SeqMsg>, s: usize, class: CommClass, body: DistMsg) {
-        let seq = if self.cfg.recovery.sequencing {
-            self.seq_out[s] += 1;
-            self.seq_out[s]
-        } else {
-            0
+        let seq = match self.link.as_deref_mut() {
+            Some(link) if self.cfg.recovery.sequencing => {
+                link.seq_out[s] += 1;
+                link.seq_out[s]
+            }
+            _ => 0,
         };
         let msg = SeqMsg { seq, body };
         let bytes = msg.wire_bytes();
@@ -267,12 +301,13 @@ impl DistributedSouthwellRank {
         for env in inbox {
             let s = self.ls.neighbor_slot(env.src);
             let seq = env.payload.seq;
-            let verdict = if seq > 0 {
-                self.seq_in[s].judge(seq)
-            } else {
-                SeqVerdict::FreshNewest
+            // Senders sequence (seq > 0) only with sequencing on, which
+            // also gives every receiver its link state.
+            let (verdict, subsumed) = match self.link.as_deref_mut() {
+                Some(link) if seq > 0 => (link.seq_in[s].judge(seq), seq < link.last_audit_seq[s]),
+                _ => (SeqVerdict::FreshNewest, false),
             };
-            if verdict == SeqVerdict::Duplicate || (seq > 0 && seq < self.last_audit_seq[s]) {
+            if verdict == SeqVerdict::Duplicate || subsumed {
                 self.stale_discards += 1;
                 continue;
             }
@@ -291,7 +326,9 @@ impl DistributedSouthwellRank {
                     self.norm_dirty = true;
                     // The sender relaxed after its last audit snapshot, so
                     // the recorded ghost solution no longer matches.
-                    self.audit_fresh[s] = false;
+                    if let Some(link) = self.link.as_deref_mut() {
+                        link.audit_fresh[s] = false;
+                    }
                     if newest {
                         for (&slot, &v) in self.ls.ghosts_of[s].iter().zip(boundary_r) {
                             self.z[slot as usize] = v;
@@ -327,21 +364,25 @@ impl DistributedSouthwellRank {
                     est_of_target_sq,
                 } => {
                     if newest {
-                        for ((&slot, &xv), &rv) in
-                            self.ls.ghosts_of[s].iter().zip(boundary_x).zip(boundary_r)
-                        {
-                            self.ghost_x[slot as usize] = xv;
-                            self.z[slot as usize] = rv;
+                        for (&slot, &v) in self.ls.ghosts_of[s].iter().zip(boundary_r) {
+                            self.z[slot as usize] = v;
                         }
                         self.gamma_sq[s] = *norm_sq;
                         if !self.sent_prev_phase[s] {
                             self.tilde_sq[s] = *est_of_target_sq;
                         }
-                        if seq > 0 {
-                            self.last_audit_seq[s] = seq;
+                        // Only ranks with the audit on send snapshots, and
+                        // the audit gives every rank its link state.
+                        if let Some(link) = self.link.as_deref_mut() {
+                            for (&slot, &v) in self.ls.ghosts_of[s].iter().zip(boundary_x) {
+                                link.ghost_x[slot as usize] = v;
+                            }
+                            if seq > 0 {
+                                link.last_audit_seq[s] = seq;
+                            }
+                            link.audit_fresh[s] = true;
+                            any_audit = true;
                         }
-                        self.audit_fresh[s] = true;
-                        any_audit = true;
                     } else {
                         self.stale_discards += 1;
                     }
@@ -359,6 +400,9 @@ impl DistributedSouthwellRank {
     /// Interior rows never drift (their residuals change only through the
     /// exact local relaxation), so the audit is boundary-only.
     fn audit_repair(&mut self, ctx: &mut PhaseCtx<SeqMsg>) {
+        let Some(link) = self.link.as_deref() else {
+            return;
+        };
         let tol = self.cfg.recovery.audit_tol;
         let mut flops = 0u64;
         for i in 0..self.ls.nrows() {
@@ -367,7 +411,7 @@ impl DistributedSouthwellRank {
                 continue;
             }
             let covered = (k0..k1).all(|k| {
-                self.audit_fresh[self.owner_of_slot[self.ls.a_ext_idx[k] as usize] as usize]
+                link.audit_fresh[link.owner_of_slot[self.ls.a_ext_idx[k] as usize] as usize]
             });
             if !covered {
                 continue;
@@ -377,7 +421,7 @@ impl DistributedSouthwellRank {
                 r_new -= aij * self.ls.x[j];
             }
             for k in k0..k1 {
-                r_new -= self.ls.a_ext_val[k] * self.ghost_x[self.ls.a_ext_idx[k] as usize];
+                r_new -= self.ls.a_ext_val[k] * link.ghost_x[self.ls.a_ext_idx[k] as usize];
             }
             flops += 2 * (self.ls.a_int.row_cols(i).len() + (k1 - k0)) as u64;
             if (r_new - self.ls.r[i]).abs() > tol * (1.0 + r_new.abs()) {
@@ -680,6 +724,32 @@ impl super::session::WarmStart for DistributedSouthwellRank {
         }
         self.relaxed_last_step = false;
         self.force_rebroadcast = false;
+    }
+
+    fn copy_state_from(&mut self, other: &Self) {
+        // `cfg` and the solver are configuration, equal by the
+        // clone-sibling contract; `ghost_dr` is transient scratch.
+        self.ls.copy_solve_state_from(&other.ls);
+        self.gamma_sq.copy_from_slice(&other.gamma_sq);
+        self.tilde_sq.copy_from_slice(&other.tilde_sq);
+        self.z.copy_from_slice(&other.z);
+        self.my_norm_sq = other.my_norm_sq;
+        self.norm_dirty = other.norm_dirty;
+        self.sent_prev_phase.copy_from_slice(&other.sent_prev_phase);
+        self.relaxed_last_step = other.relaxed_last_step;
+        self.pending_dr.copy_from_slice(&other.pending_dr);
+        self.in_flight_flush_sq = other.in_flight_flush_sq;
+        self.undelivered_sq = other.undelivered_sq;
+        // Clone-siblings share one recovery configuration, so both or
+        // neither hold link state; the clone covers a mismatch.
+        match (self.link.as_deref_mut(), other.link.as_deref()) {
+            (Some(link), Some(src)) => link.copy_state_from(src),
+            _ => self.link.clone_from(&other.link),
+        }
+        self.steps_done = other.steps_done;
+        self.force_rebroadcast = other.force_rebroadcast;
+        self.drift_repairs = other.drift_repairs;
+        self.stale_discards = other.stale_discards;
     }
 }
 
@@ -993,6 +1063,45 @@ mod tests {
             }
         }
         panic!("did not converge with recovery on");
+    }
+
+    #[test]
+    fn link_state_is_allocated_only_for_sequencing_or_the_audit() {
+        let with = |recovery| DsConfig {
+            recovery,
+            ..DsConfig::default()
+        };
+        let cases = [
+            (RecoveryConfig::off(), false),
+            (
+                RecoveryConfig {
+                    watchdog: true,
+                    ..RecoveryConfig::off()
+                },
+                false,
+            ),
+            (
+                RecoveryConfig {
+                    sequencing: true,
+                    ..RecoveryConfig::off()
+                },
+                true,
+            ),
+            (
+                RecoveryConfig {
+                    audit_every: Some(4),
+                    ..RecoveryConfig::off()
+                },
+                true,
+            ),
+            (RecoveryConfig::standard(), true),
+        ];
+        for (recovery, expected) in cases {
+            let (_, _, ex) = build_ds(8, 8, 4, with(recovery));
+            for r in ex.ranks() {
+                assert_eq!(r.link.is_some(), expected, "{recovery:?}");
+            }
+        }
     }
 
     #[test]

@@ -165,6 +165,15 @@ impl LocalSystem {
             .expect("message from a non-neighbor rank")
     }
 
+    /// Overwrites the per-solve vectors `b`, `x` and `r` with `other`'s, in
+    /// place. `other` must hold the same rows (a clone of this system);
+    /// the matrix and topology are shared structure and are not touched.
+    pub(crate) fn copy_solve_state_from(&mut self, other: &LocalSystem) {
+        self.b.copy_from_slice(&other.b);
+        self.x.copy_from_slice(&other.x);
+        self.r.copy_from_slice(&other.r);
+    }
+
     /// Squared 2-norm of the local residual (4-lane kernel; the chunked
     /// accumulation folds in index order, bit-identical to the naive sum).
     pub fn residual_norm_sq(&self) -> f64 {

@@ -151,7 +151,8 @@ impl<R: WarmStart + Clone> PanelRun<R> {
     /// rank's matrix and topology and rebuilding the executor's routing
     /// index. Bit-identical to [`PanelRun::new`] from the same session
     /// state: a clone and a [`WarmStart::copy_state_from`] leave the
-    /// column in the same state, and the per-column Δb reseed + estimate
+    /// column in the same per-solve state (the copy moves only that,
+    /// allocating nothing), and the per-column Δb reseed + estimate
     /// exchange below is the constructor's own.
     pub(crate) fn reseed(&mut self, session: &mut SolveSession<R>, bs: &[Vec<f64>]) {
         let run = &mut self.run;

@@ -151,6 +151,16 @@ impl super::session::WarmStart for ParallelSouthwellRank {
         self.last_sent_norm_sq = self.my_norm_sq;
         self.relaxed_last_step = false;
     }
+
+    fn copy_state_from(&mut self, other: &Self) {
+        // `explicit_updates` and the solver are configuration, equal by
+        // the clone-sibling contract; `ghost_dr` is transient scratch.
+        self.ls.copy_solve_state_from(&other.ls);
+        self.gamma_sq.copy_from_slice(&other.gamma_sq);
+        self.my_norm_sq = other.my_norm_sq;
+        self.last_sent_norm_sq = other.last_sent_norm_sq;
+        self.relaxed_last_step = other.relaxed_last_step;
+    }
 }
 
 impl RankAlgorithm for ParallelSouthwellRank {

@@ -105,20 +105,29 @@ pub trait WarmStart: RankAlgorithm + Recoverable {
         None
     }
 
-    /// Overwrites this rank's solver state with `other`'s. `other` is a
-    /// clone-sibling: same rank id, matrix, topology, and local solver —
-    /// only the per-solve vectors (`b`, `x`, `r`, norms, estimate state)
-    /// may differ. A cached panel column uses this to re-adopt the
-    /// session's current state without re-cloning the shared immutable
-    /// structure. The default full clone is always correct; overrides
-    /// must leave `self` equal to `other` in every field a subsequent
-    /// solve can observe.
+    /// Overwrites this rank's per-solve state with `other`'s, in place.
+    ///
+    /// `other` is a clone-sibling: same rank id, matrix, topology, local
+    /// solver and configuration. A cached panel run calls this for every
+    /// column clone at the start of each batch — in a serving layer, on
+    /// the dispatcher thread while the pool waits — so it copies in place
+    /// and reallocates no shared structure.
+    ///
+    /// * **Per-solve state** is everything a later solve can observe that
+    ///   the algorithm mutates: the `b`, `x` and `r` vectors, the norm
+    ///   cache and its flags, cross-rank estimates (`Γ`, `Γ̃`, the ghost
+    ///   layer `z`), pending and in-flight deltas, and counters. It must
+    ///   end equal to `other`'s, bit for bit.
+    /// * **Shared structure** — the matrix, the topology, the local
+    ///   solver and the configuration — is equal by the contract and is
+    ///   neither copied nor reallocated. Scratch that every phase
+    ///   overwrites before reading (`ghost_dr`) is skipped too.
+    ///
+    /// The `multirhs` test of two same-width panels on one session pins
+    /// this against scalar solves.
     fn copy_state_from(&mut self, other: &Self)
     where
-        Self: Clone + Sized,
-    {
-        self.clone_from(other);
-    }
+        Self: Sized;
 }
 
 /// The changed-`b` warm-start reseed over one executor's ranks: shifts

@@ -287,3 +287,84 @@ fn fused_bj_columns_match_independent_solves_at_every_width_and_local_solver() {
         }
     }
 }
+
+/// A second panel of the same width on one session takes the cached
+/// path: the finished run re-adopts the session's state into its column
+/// clones through `WarmStart::copy_state_from` instead of cloning the
+/// ranks afresh. Each column of that second panel must match, bit for
+/// bit, a session that ran the same first panel job and then solved the
+/// column's rhs alone: boundary norms, solution, verdict, and the step
+/// index of every record. Record counters are the panel's, so every
+/// record's relaxations must equal the sum over the scalar solves, each
+/// held at its own last record once it has reached its verdict.
+///
+/// The first panel runs to its verdicts, and also stops after a few
+/// steps: a column clone that converged holds ghost residuals within the
+/// target of the session's, too close for a stale copy to change a
+/// decision, while a stopped one still holds its own far-off ghost layer
+/// (`z`), which a copy that skipped it would carry into the next batch.
+#[test]
+fn cached_panel_columns_match_scalar_solves_after_the_same_first_panel() {
+    let (a, b, x0, _) = problem(5);
+    let n = a.nrows();
+    // 4×4-point blocks: up to four neighbors a rank, so the Γ refinement
+    // that reads the ghost layer drives DS's decisions.
+    let part = Partition::new(16, (0..n).map(|i| (i / 64) * 4 + (i % 16) / 4).collect());
+    let k = 3;
+    let p1: Vec<Vec<f64>> = (0..k).map(|c| perturbed_rhs(n, 5, c)).collect();
+    let p2: Vec<Vec<f64>> = (0..k).map(|c| perturbed_rhs(n, 5, k + c)).collect();
+    for (c, b2) in p2.iter().enumerate() {
+        assert!(
+            !p1.contains(b2),
+            "rhs {c} of the second panel repeats the first"
+        );
+    }
+    let first_panel = |s: &mut TenantSession, steps: Option<usize>| match steps {
+        None => {
+            s.solve_panel(&p1);
+        }
+        Some(q) => {
+            s.begin(&p1);
+            assert!(!s.step(q), "the first panel stops before its verdicts");
+            s.finish();
+        }
+    };
+    for method in METHODS {
+        for mode in [ExecMode::Sequential, ExecMode::Threaded(3)] {
+            for first_steps in [None, Some(4)] {
+                let o = opts(mode, 400, Some(1e-3));
+                let mut cached = warmed_session(method, &a, &b, &x0, &part, &o);
+                first_panel(&mut cached, first_steps);
+                let frs = cached.solve_panel(&p2);
+                assert_eq!(frs.len(), k);
+
+                let scalar: Vec<DistReport> = p2
+                    .iter()
+                    .map(|b2| {
+                        let mut s = warmed_session(method, &a, &b, &x0, &part, &o);
+                        first_panel(&mut s, first_steps);
+                        s.solve(b2)
+                    })
+                    .collect();
+                for (c, (fr, sr)) in frs.iter().zip(&scalar).enumerate() {
+                    let case = format!("{method:?} {mode:?} first {first_steps:?} col {c}");
+                    assert!(sr.converged_at.is_some(), "{case}: converged");
+                    assert_eq!(norm_bits(sr), norm_bits(fr), "{case}: boundary norms");
+                    assert_eq!(x_bits(&sr.x), x_bits(&fr.x), "{case}: solution");
+                    assert_eq!(sr.converged_at, fr.converged_at, "{case}: converged_at");
+                    assert_eq!(sr.deadlocked, fr.deadlocked, "{case}: deadlocked");
+                    assert_eq!(sr.diverged, fr.diverged, "{case}: diverged");
+                    assert_eq!(sr.watchdog_nudges, fr.watchdog_nudges, "{case}: nudges");
+                    for (t, rec) in fr.records.iter().enumerate() {
+                        assert_eq!(rec.step, sr.records[t].step, "{case}: step index");
+                        let relax: u64 = scalar
+                            .iter()
+                            .map(|s| s.records[t.min(s.records.len() - 1)].relaxations)
+                            .sum();
+                        assert_eq!(rec.relaxations, relax, "{case} step {t}: relaxations");
+                    }
+                }
+            }
+        }
+    }
+}
