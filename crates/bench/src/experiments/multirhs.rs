@@ -21,14 +21,16 @@
 //! `fused_msgs_per_rank` is the panel's shared count, and the gate
 //! requires the ratio ≥ [`GATE_MSG_REDUCTION`] at `k =` [`GATE_K`]. The
 //! message counts are deterministic; the solves/sec speedup is printed
-//! but not gated.
+//! but not gated. Each point runs [`REPEATS`] times: the CSV carries the
+//! median and interquartile range of every rate, and the counts, which
+//! every run must reproduce exactly.
 //!
 //! [`serve_problem`]: super::serve::serve_problem
 //! [`solve_many`]: dsw_core::dist::SolveSession::solve_many
 //! [`solve_panel`]: dsw_core::dist::SolveSession::solve_panel
 
 use super::serve::{serve_opts, serve_problem, tenant_rhs, RANKS};
-use crate::harness::{write_csv, ExperimentCtx};
+use crate::harness::{write_csv, ExperimentCtx, Spread};
 use dsw_core::dist::{Method, TenantSession};
 use std::time::Instant;
 
@@ -54,7 +56,12 @@ pub const WINDOWS: usize = 3;
 /// recorded alongside, ungated.
 pub const GATE_METHOD: Method = Method::BlockJacobi;
 
-/// One (method, k) point of the multi-RHS sweep.
+/// Runs of every sweep point. One run takes tens of milliseconds, and
+/// single-run rates swung by a quarter between back-to-back runs of one
+/// binary, so each rate is the median over this many runs.
+pub const REPEATS: usize = 15;
+
+/// One run of a (method, k) point of the multi-RHS sweep.
 pub struct MultiRhsRow {
     /// The solver both sides run.
     pub method: Method,
@@ -168,22 +175,76 @@ pub fn run_point(method: Method, k: usize, windows: usize) -> MultiRhsRow {
     }
 }
 
+/// A (method, k) point over `repeats` runs: the first run, whose
+/// deterministic counts every run reproduces, and the spread of each
+/// measured rate.
+pub struct MultiRhsPoint {
+    /// The first run (its counts are every run's).
+    pub first: MultiRhsRow,
+    /// Runs behind each [`Spread`].
+    pub repeats: usize,
+    /// Fused-panel throughput, solves/sec.
+    pub fused_solves_per_sec: Spread,
+    /// Sequential warm-started throughput, solves/sec.
+    pub seq_solves_per_sec: Spread,
+    /// `fused / seq`, per run (the two sides of a run alternate window
+    /// by window).
+    pub speedup: Spread,
+}
+
+/// Measures one (method, k) point `repeats` times over [`WINDOWS`]
+/// windows each.
+pub fn run_repeated(method: Method, k: usize, repeats: usize) -> MultiRhsPoint {
+    assert!(repeats > 0, "a point needs at least one run");
+    let runs: Vec<MultiRhsRow> = (0..repeats)
+        .map(|_| run_point(method, k, WINDOWS))
+        .collect();
+    let counts = |r: &MultiRhsRow| {
+        (
+            r.fused_msgs_per_rank.to_bits(),
+            r.seq_msgs_per_rank.to_bits(),
+            r.fused_bytes_per_rank.to_bits(),
+            r.seq_bytes_per_rank.to_bits(),
+            r.fused_steps,
+            r.seq_steps,
+            r.converged,
+        )
+    };
+    for r in &runs {
+        assert_eq!(counts(r), counts(&runs[0]), "the counts are deterministic");
+    }
+    let spread = |f: fn(&MultiRhsRow) -> f64| Spread::of(&runs.iter().map(f).collect::<Vec<_>>());
+    let (fused_solves_per_sec, seq_solves_per_sec, speedup) = (
+        spread(|r| r.fused_solves_per_sec),
+        spread(|r| r.seq_solves_per_sec),
+        spread(|r| r.speedup),
+    );
+    MultiRhsPoint {
+        first: runs.into_iter().next().expect("at least one run"),
+        repeats,
+        fused_solves_per_sec,
+        seq_solves_per_sec,
+        speedup,
+    }
+}
+
 /// Runs the sweep and writes `results/multirhs.csv`: the gate method at
 /// every `k` in [`KS`], plus one Distributed Southwell point at
-/// [`GATE_K`] for paper fidelity.
-pub fn run_multirhs(ctx: &ExperimentCtx) -> Vec<MultiRhsRow> {
-    let mut rows: Vec<MultiRhsRow> = KS
+/// [`GATE_K`] for paper fidelity. Each rate is the median over
+/// [`REPEATS`] runs, followed by an `_iqr` column.
+pub fn run_multirhs(ctx: &ExperimentCtx) -> Vec<MultiRhsPoint> {
+    let mut points: Vec<MultiRhsPoint> = KS
         .iter()
-        .map(|&k| run_point(GATE_METHOD, k, WINDOWS))
+        .map(|&k| run_repeated(GATE_METHOD, k, REPEATS))
         .collect();
-    rows.push(run_point(Method::DistributedSouthwell, GATE_K, WINDOWS));
+    points.push(run_repeated(Method::DistributedSouthwell, GATE_K, REPEATS));
 
     println!(
         "\n=== multirhs — fused k-column panels vs k sequential warm solves \
-         ({RANKS} ranks, {WINDOWS} windows) ==="
+         ({RANKS} ranks, {WINDOWS} windows; medians of {REPEATS} runs, IQR in brackets) ==="
     );
     println!(
-        "{:>6} {:>4} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8} {:>10} {:>10}",
+        "{:>6} {:>4} {:>16} {:>16} {:>15} {:>11} {:>11} {:>8} {:>10} {:>10}",
         "method",
         "k",
         "fused s/s",
@@ -196,26 +257,41 @@ pub fn run_multirhs(ctx: &ExperimentCtx) -> Vec<MultiRhsRow> {
         "seq st"
     );
     let mut csv = Vec::new();
-    for row in &rows {
+    for point in &points {
+        let row = &point.first;
+        let (fused, seq, speedup) = (
+            point.fused_solves_per_sec,
+            point.seq_solves_per_sec,
+            point.speedup,
+        );
         println!(
-            "{:>6} {:>4} {:>11.1} {:>11.1} {:>7.2}x {:>11.1} {:>11.1} {:>7.2}x {:>10} {:>10}",
+            "{:>6} {:>4} {:>16} {:>16} {:>15} {:>11.1} {:>11.1} {:>7.2}x {:>10} {:>10}",
             row.method.label(),
             row.k,
-            row.fused_solves_per_sec,
-            row.seq_solves_per_sec,
-            row.speedup,
+            format!("{:.1} [{:.1}]", fused.median, fused.iqr),
+            format!("{:.1} [{:.1}]", seq.median, seq.iqr),
+            format!("{:.2}x [{:.2}]", speedup.median, speedup.iqr),
             row.fused_msgs_per_rank,
             row.seq_msgs_per_rank,
             row.msg_reduction,
             row.fused_steps,
             row.seq_steps
         );
-        csv.push(vec![
+        let cell = |s: Spread, decimals: usize| {
+            [
+                format!("{:.decimals$}", s.median),
+                format!("{:.decimals$}", s.iqr),
+            ]
+        };
+        let mut line = vec![
             row.method.label().to_string(),
             row.k.to_string(),
-            format!("{:.2}", row.fused_solves_per_sec),
-            format!("{:.2}", row.seq_solves_per_sec),
-            format!("{:.3}", row.speedup),
+            point.repeats.to_string(),
+        ];
+        line.extend(cell(fused, 2));
+        line.extend(cell(seq, 2));
+        line.extend(cell(speedup, 3));
+        line.extend([
             format!("{:.1}", row.fused_msgs_per_rank),
             format!("{:.1}", row.seq_msgs_per_rank),
             format!("{:.3}", row.msg_reduction),
@@ -224,6 +300,7 @@ pub fn run_multirhs(ctx: &ExperimentCtx) -> Vec<MultiRhsRow> {
             row.fused_steps.to_string(),
             row.seq_steps.to_string(),
         ]);
+        csv.push(line);
     }
     write_csv(
         &ctx.out_dir,
@@ -231,9 +308,13 @@ pub fn run_multirhs(ctx: &ExperimentCtx) -> Vec<MultiRhsRow> {
         &[
             "method",
             "k",
+            "repeats",
             "fused_solves_per_sec",
+            "fused_solves_per_sec_iqr",
             "seq_solves_per_sec",
+            "seq_solves_per_sec_iqr",
             "speedup",
+            "speedup_iqr",
             "fused_msgs_per_rank",
             "seq_msgs_per_rank",
             "msg_reduction",
@@ -244,7 +325,7 @@ pub fn run_multirhs(ctx: &ExperimentCtx) -> Vec<MultiRhsRow> {
         ],
         &csv,
     );
-    rows
+    points
 }
 
 #[cfg(test)]

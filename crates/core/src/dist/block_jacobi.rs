@@ -1,6 +1,6 @@
 //! Block Jacobi (Algorithm 1 of the paper).
 
-use super::layout::LocalSystem;
+use super::layout::{LocalShape, LocalSystem};
 use super::local_solver::{LocalSolver, LocalSolverImpl};
 use super::msg::SlabVec;
 use dsw_rma::{CommClass, Envelope, FusedPanel, PanelMsg, PanelPhaseCtx, PhaseCtx, RankAlgorithm};
@@ -58,9 +58,10 @@ impl BlockJacobiRank {
 
     /// Applies incoming neighbor deltas to the maintained residual.
     fn apply_inbox(&mut self, inbox: &[Envelope<BjMsg>]) {
+        let sh = &*self.ls.shape;
         for env in inbox {
-            let s = self.ls.neighbor_slot(env.src);
-            for (&li, &d) in self.ls.boundary_rows_to[s].iter().zip(&env.payload.dr) {
+            let s = sh.neighbor_slot(env.src);
+            for (&li, &d) in sh.boundary_rows_to[s].iter().zip(&env.payload.dr) {
                 self.ls.r[li as usize] += d;
             }
         }
@@ -134,10 +135,10 @@ fn apply_packed_resident(
     kk: usize,
     r_panel: &mut [f64],
 ) {
+    let sh = &*cols[0].ls.shape;
     for env in inbox {
-        let ls0 = &cols[0].ls;
-        let s = ls0.neighbor_slot(env.src);
-        let rows = &ls0.boundary_rows_to[s];
+        let s = sh.neighbor_slot(env.src);
+        let rows = &sh.boundary_rows_to[s];
         for part in &env.payload.parts {
             let dr = &part.msg.dr;
             debug_assert_eq!(part.mask.count_ones() as usize, kk);
@@ -226,16 +227,16 @@ fn flush_panel_lanes(cols: &mut [BlockJacobiRank], resident: &[usize], scratch: 
 /// dynamic loop's ([`gs_sweep_rows_dyn`]), element for element.
 #[inline(always)]
 fn gs_sweep_rows<const K: usize>(
-    ls0: &LocalSystem,
+    sh: &LocalShape,
     r_panel: &mut [f64],
     x_panel: &mut [f64],
     ghost_panel: &mut [f64],
 ) -> u64 {
-    let m = ls0.nrows();
+    let m = sh.nrows();
     let mut delta = [0.0_f64; K];
     let mut row_flops = 0u64;
     for i in 0..m {
-        let invd = ls0.inv_diag[i];
+        let invd = sh.inv_diag[i];
         let r = &r_panel[i * K..i * K + K];
         for j in 0..K {
             delta[j] = r[j] * invd;
@@ -244,16 +245,16 @@ fn gs_sweep_rows<const K: usize>(
         for j in 0..K {
             x[j] += delta[j];
         }
-        let row_cols = ls0.a_int.row_cols(i);
-        for (&jc, &aij) in row_cols.iter().zip(ls0.a_int.row_values(i)) {
+        let row_cols = sh.a_int.row_cols(i);
+        for (&jc, &aij) in row_cols.iter().zip(sh.a_int.row_values(i)) {
             let lane = &mut r_panel[jc * K..jc * K + K];
             for j in 0..K {
                 lane[j] -= aij * delta[j];
             }
         }
-        let ext = ls0.a_ext_ptr[i]..ls0.a_ext_ptr[i + 1];
+        let ext = sh.a_ext_ptr[i]..sh.a_ext_ptr[i + 1];
         let ext_n = ext.len() as u64;
-        for (&slot, &v) in ls0.a_ext_idx[ext.clone()].iter().zip(&ls0.a_ext_val[ext]) {
+        for (&slot, &v) in sh.a_ext_idx[ext.clone()].iter().zip(&sh.a_ext_val[ext]) {
             let lane = &mut ghost_panel[slot as usize * K..slot as usize * K + K];
             for j in 0..K {
                 lane[j] -= v * delta[j];
@@ -268,32 +269,32 @@ fn gs_sweep_rows<const K: usize>(
 /// e.g. a partially converged 16-wide panel).
 fn gs_sweep_rows_dyn(
     kk: usize,
-    ls0: &LocalSystem,
+    sh: &LocalShape,
     r_panel: &mut [f64],
     x_panel: &mut [f64],
     ghost_panel: &mut [f64],
     delta: &mut [f64],
 ) -> u64 {
-    let m = ls0.nrows();
+    let m = sh.nrows();
     let mut row_flops = 0u64;
     for i in 0..m {
-        let invd = ls0.inv_diag[i];
+        let invd = sh.inv_diag[i];
         for (d, r) in delta.iter_mut().zip(&r_panel[i * kk..i * kk + kk]) {
             *d = r * invd;
         }
         for (x, &d) in x_panel[i * kk..i * kk + kk].iter_mut().zip(&*delta) {
             *x += d;
         }
-        let row_cols = ls0.a_int.row_cols(i);
-        for (&jc, &aij) in row_cols.iter().zip(ls0.a_int.row_values(i)) {
+        let row_cols = sh.a_int.row_cols(i);
+        for (&jc, &aij) in row_cols.iter().zip(sh.a_int.row_values(i)) {
             let base = jc * kk;
             for (r, &d) in r_panel[base..base + kk].iter_mut().zip(&*delta) {
                 *r -= aij * d;
             }
         }
-        let ext = ls0.a_ext_ptr[i]..ls0.a_ext_ptr[i + 1];
+        let ext = sh.a_ext_ptr[i]..sh.a_ext_ptr[i + 1];
         let ext_n = ext.len() as u64;
-        for (&slot, &v) in ls0.a_ext_idx[ext.clone()].iter().zip(&ls0.a_ext_val[ext]) {
+        for (&slot, &v) in sh.a_ext_idx[ext.clone()].iter().zip(&sh.a_ext_val[ext]) {
             let base = slot as usize * kk;
             for (gd, &d) in ghost_panel[base..base + kk].iter_mut().zip(&*delta) {
                 *gd -= v * d;
@@ -356,9 +357,9 @@ fn fused_gs_sweep(cols: &mut [BlockJacobiRank], sel: &[usize], out: &mut PanelPh
     let (x_panel, rest) = rest.split_at_mut(m * kk);
     let (ghost_panel, delta) = rest.split_at_mut(g * kk);
 
-    let ls0 = &cols[sel[0]].ls;
-    let row_flops = dispatch_lanes!(kk, gs_sweep_rows, (ls0, r_panel, x_panel, ghost_panel), {
-        gs_sweep_rows_dyn(kk, ls0, r_panel, x_panel, ghost_panel, delta)
+    let sh = &*cols[sel[0]].ls.shape;
+    let row_flops = dispatch_lanes!(kk, gs_sweep_rows, (sh, r_panel, x_panel, ghost_panel), {
+        gs_sweep_rows_dyn(kk, sh, r_panel, x_panel, ghost_panel, delta)
     });
     out.add_flops(row_flops * kk as u64);
 
@@ -375,10 +376,9 @@ fn fused_gs_sweep(cols: &mut [BlockJacobiRank], sel: &[usize], out: &mut PanelPh
     // message — payload plus the per-message fixed cost — so the panel's
     // savings stay in the header/tag framing the fusion actually
     // eliminates, and k = 1 remains byte-identical to the scalar solve.
-    let ls0 = &cols[sel[0]].ls;
     let gp = &ghost_panel[..];
-    for s in 0..ls0.nneighbors() {
-        let ghosts = &ls0.ghosts_of[s];
+    for s in 0..sh.nneighbors() {
+        let ghosts = &sh.ghosts_of[s];
         // The scratch is already slot-major, so each ghost row's `kk`
         // lanes copy out contiguously.
         let mut lanes = Vec::with_capacity(kk * ghosts.len());
@@ -390,7 +390,7 @@ fn fused_gs_sweep(cols: &mut [BlockJacobiRank], sel: &[usize], out: &mut PanelPh
             dr: SlabVec::from(lanes),
         };
         let bytes = msg.wire_bytes() + (kk as u64 - 1) * EMPTY_SOLVE_BYTES;
-        out.stage_shared(ls0.neighbors[s], sel, CommClass::Solve, bytes, msg);
+        out.stage_shared(sh.neighbors[s], sel, CommClass::Solve, bytes, msg);
     }
     *out.scratch = buf;
 }
@@ -457,7 +457,7 @@ impl super::session::WarmStart for BlockJacobiRank {
     fn reseed_rhs(&mut self, delta_b: &[f64]) -> f64 {
         // r = b − Ax: a change in b shifts the residual by the same amount,
         // purely locally — x is untouched, so Ax is untouched.
-        for (li, &g) in self.ls.rows.iter().enumerate() {
+        for (li, &g) in self.ls.shape.rows.iter().enumerate() {
             self.ls.b[li] += delta_b[g];
             self.ls.r[li] += delta_b[g];
         }
@@ -671,7 +671,7 @@ mod tests {
             );
         }
         for k in [1usize, 3] {
-            let mut panel = PanelRank::new(vec![ranks[id].clone(); k], ranks.len());
+            let mut panel = PanelRank::new(vec![ranks[id].clone(); k]);
             panel.set_fused(ranks[id].panel_kernel());
             let mut ctx = PhaseCtx::capture(id);
             panel.phase(0, &[], &mut ctx);

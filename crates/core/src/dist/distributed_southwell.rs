@@ -320,7 +320,7 @@ impl DistributedSouthwellRank {
                     est_of_target_sq,
                 } => {
                     // Additive deltas apply exactly once whatever the order.
-                    for (&li, &d) in self.ls.boundary_rows_to[s].iter().zip(dr) {
+                    for (&li, &d) in self.ls.shape.boundary_rows_to[s].iter().zip(dr) {
                         self.ls.r[li as usize] += d;
                     }
                     self.norm_dirty = true;
@@ -685,7 +685,7 @@ impl super::session::WarmStart for DistributedSouthwellRank {
         // r = b − Ax shifts purely locally under a b change; the ghost
         // layer `z` mirrors the neighbors' residuals at the boundary rows,
         // which shift by the same per-row deltas on the owning ranks.
-        for (li, &g) in self.ls.rows.iter().enumerate() {
+        for (li, &g) in self.ls.shape.rows.iter().enumerate() {
             self.ls.b[li] += delta_b[g];
             self.ls.r[li] += delta_b[g];
         }
@@ -727,8 +727,8 @@ impl super::session::WarmStart for DistributedSouthwellRank {
     }
 
     fn copy_state_from(&mut self, other: &Self) {
-        // `cfg` and the solver are configuration, equal by the
-        // clone-sibling contract; `ghost_dr` is transient scratch.
+        // `cfg` is configuration and the solver is shared with the
+        // clone-sibling; `ghost_dr` is transient scratch.
         self.ls.copy_solve_state_from(&other.ls);
         self.gamma_sq.copy_from_slice(&other.gamma_sq);
         self.tilde_sq.copy_from_slice(&other.tilde_sq);

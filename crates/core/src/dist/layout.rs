@@ -8,7 +8,12 @@
 //! because the matrix is symmetric: the process owning row `i` effectively
 //! owns column `i` too).
 //!
-//! Index conventions inside one [`LocalSystem`]:
+//! Each rank's piece is a [`LocalSystem`]: an immutable [`LocalShape`] —
+//! rows, matrix entries, ghost layer and topology, built once and shared
+//! behind an `Arc` by every copy of the rank — plus the per-solve vectors
+//! `b`, `x` and `r`, which each copy owns.
+//!
+//! Index conventions inside one [`LocalShape`]:
 //! * *local row* `0..m` — the process's own rows, sorted by global id;
 //! * *ghost slot* `0..g` — off-process columns touched by local rows,
 //!   sorted by global id;
@@ -27,6 +32,7 @@
 
 use dsw_partition::Partition;
 use dsw_sparse::{CsrMatrix, SparseError};
+use std::sync::Arc;
 
 /// A struct-of-arrays arena of per-neighbor index lists.
 ///
@@ -107,9 +113,17 @@ impl std::ops::Index<usize> for SlotArena {
     }
 }
 
-/// The per-rank piece of a distributed system.
-#[derive(Debug, Clone)]
-pub struct LocalSystem {
+/// The immutable per-rank structure of a distributed system: owned rows,
+/// the local and off-process matrix entries, the ghost layer and the
+/// neighbor topology.
+///
+/// Built once by [`distribute`] and never changed afterwards. Every copy
+/// of a rank — a session's rank, each fused-panel column clone, a cached
+/// panel — shares one `LocalShape` through the [`Arc`] in
+/// [`LocalSystem::shape`], as each process of the paper stores its block
+/// rows and ghost layer once.
+#[derive(Debug)]
+pub struct LocalShape {
     /// This rank's id.
     pub rank: usize,
     /// Owned global rows, sorted.
@@ -139,15 +153,27 @@ pub struct LocalSystem {
     /// (validated nonzero and finite at [`distribute`] time so the sweeps
     /// never binary-search the diagonal or divide by zero mid-iteration).
     pub inv_diag: Vec<f64>,
-    /// Local right-hand side.
-    pub b: Vec<f64>,
-    /// Local solution piece.
-    pub x: Vec<f64>,
-    /// Local residual piece (kept exact at parallel-step boundaries).
-    pub r: Vec<f64>,
 }
 
-impl LocalSystem {
+impl LocalShape {
+    /// A shape with no rows, which [`distribute`] overwrites in place.
+    fn unbuilt() -> Self {
+        LocalShape {
+            rank: 0,
+            rows: Vec::new(),
+            a_int: CsrMatrix::from_parts(0, 0, vec![0], Vec::new(), Vec::new())
+                .expect("the 0 × 0 matrix is valid CSR"),
+            a_ext_ptr: Vec::new(),
+            a_ext_idx: Vec::new(),
+            a_ext_val: Vec::new(),
+            ext_cols: Vec::new(),
+            neighbors: Vec::new(),
+            ghosts_of: SlotArena::default(),
+            boundary_rows_to: SlotArena::default(),
+            inv_diag: Vec::new(),
+        }
+    }
+
     /// Number of owned rows.
     pub fn nrows(&self) -> usize {
         self.rows.len()
@@ -164,11 +190,44 @@ impl LocalSystem {
             .binary_search(&q)
             .expect("message from a non-neighbor rank")
     }
+}
 
+/// The per-rank piece of a distributed system: the shared [`LocalShape`]
+/// plus the per-solve vectors `b`, `x` and `r`.
+///
+/// Cloning costs one reference-count bump and the three vectors. The
+/// structure reads as fields of the system itself (`ls.a_int`,
+/// `ls.neighbors`) through `Deref<Target = LocalShape>`; code that writes
+/// `x` or `r` while it reads the structure borrows `ls.shape` directly.
+#[derive(Debug, Clone)]
+pub struct LocalSystem {
+    /// The immutable structure, shared by every copy of this rank.
+    pub shape: Arc<LocalShape>,
+    /// Local right-hand side.
+    pub b: Vec<f64>,
+    /// Local solution piece.
+    pub x: Vec<f64>,
+    /// Local residual piece (kept exact at parallel-step boundaries).
+    pub r: Vec<f64>,
+}
+
+impl std::ops::Deref for LocalSystem {
+    type Target = LocalShape;
+    #[inline]
+    fn deref(&self) -> &LocalShape {
+        &self.shape
+    }
+}
+
+impl LocalSystem {
     /// Overwrites the per-solve vectors `b`, `x` and `r` with `other`'s, in
-    /// place. `other` must hold the same rows (a clone of this system);
-    /// the matrix and topology are shared structure and are not touched.
+    /// place. `other` must be a copy of this rank — both share one
+    /// [`LocalShape`] — so only the per-solve vectors can differ.
     pub(crate) fn copy_solve_state_from(&mut self, other: &LocalSystem) {
+        debug_assert!(
+            Arc::ptr_eq(&self.shape, &other.shape),
+            "copy_solve_state_from between systems of different shapes"
+        );
         self.b.copy_from_slice(&other.b);
         self.x.copy_from_slice(&other.x);
         self.r.copy_from_slice(&other.r);
@@ -187,28 +246,8 @@ impl LocalSystem {
     ///
     /// `ghost_dr` must be zeroed by the caller before the first sweep.
     pub fn gs_sweep(&mut self, ghost_dr: &mut [f64]) -> u64 {
-        debug_assert_eq!(ghost_dr.len(), self.ext_cols.len());
         let m = self.nrows();
-        let mut flops = 0u64;
-        for i in 0..m {
-            let delta = self.r[i] * self.inv_diag[i];
-            self.x[i] += delta;
-            // In-block residual updates through the symmetric local row.
-            // Column indices within a row are distinct, so the scatter is
-            // order-free; the zipped slices drop per-element bounds checks.
-            let cols = self.a_int.row_cols(i);
-            for (&j, &aij) in cols.iter().zip(self.a_int.row_values(i)) {
-                self.r[j] -= aij * delta;
-            }
-            // Off-block contributions: a_{ji} = a_{ij}.
-            let ext = self.a_ext_ptr[i]..self.a_ext_ptr[i + 1];
-            let ext_n = ext.len() as u64;
-            for (&slot, &v) in self.a_ext_idx[ext.clone()].iter().zip(&self.a_ext_val[ext]) {
-                ghost_dr[slot as usize] -= v * delta;
-            }
-            flops += 2 * (cols.len() as u64 + ext_n) + 1;
-        }
-        flops
+        gs_rows(&self.shape, 0..m, &mut self.x, &mut self.r, ghost_dr)
     }
 
     /// A Gauss–Seidel sweep visiting the owned rows in `order` (each local
@@ -216,23 +255,8 @@ impl LocalSystem {
     /// otherwise identical to [`LocalSystem::gs_sweep`].
     pub fn gs_sweep_ordered(&mut self, order: &[u32], ghost_dr: &mut [f64]) -> u64 {
         debug_assert_eq!(order.len(), self.nrows());
-        let mut flops = 0u64;
-        for &iu in order {
-            let i = iu as usize;
-            let delta = self.r[i] * self.inv_diag[i];
-            self.x[i] += delta;
-            let cols = self.a_int.row_cols(i);
-            for (&j, &aij) in cols.iter().zip(self.a_int.row_values(i)) {
-                self.r[j] -= aij * delta;
-            }
-            let ext = self.a_ext_ptr[i]..self.a_ext_ptr[i + 1];
-            let ext_n = ext.len() as u64;
-            for (&slot, &v) in self.a_ext_idx[ext.clone()].iter().zip(&self.a_ext_val[ext]) {
-                ghost_dr[slot as usize] -= v * delta;
-            }
-            flops += 2 * (cols.len() as u64 + ext_n) + 1;
-        }
-        flops
+        let rows = order.iter().map(|&i| i as usize);
+        gs_rows(&self.shape, rows, &mut self.x, &mut self.r, ghost_dr)
     }
 
     /// The residual values at the boundary rows facing neighbor slot `s`,
@@ -244,6 +268,40 @@ impl LocalSystem {
             .map(|&i| self.r[i as usize])
             .collect()
     }
+}
+
+/// The Gauss–Seidel row loop of both sweeps, over `rows` in order. The
+/// shape and the solve vectors come in as separate references, so the
+/// compiler knows the sweep's writes leave the structure untouched and
+/// keeps its loads out of the row loop.
+fn gs_rows(
+    sh: &LocalShape,
+    rows: impl Iterator<Item = usize>,
+    x: &mut [f64],
+    r: &mut [f64],
+    ghost_dr: &mut [f64],
+) -> u64 {
+    debug_assert_eq!(ghost_dr.len(), sh.ext_cols.len());
+    let mut flops = 0u64;
+    for i in rows {
+        let delta = r[i] * sh.inv_diag[i];
+        x[i] += delta;
+        // In-block residual updates through the symmetric local row.
+        // Column indices within a row are distinct, so the scatter is
+        // order-free; the zipped slices drop per-element bounds checks.
+        let cols = sh.a_int.row_cols(i);
+        for (&j, &aij) in cols.iter().zip(sh.a_int.row_values(i)) {
+            r[j] -= aij * delta;
+        }
+        // Off-block contributions: a_{ji} = a_{ij}.
+        let ext = sh.a_ext_ptr[i]..sh.a_ext_ptr[i + 1];
+        let ext_n = ext.len() as u64;
+        for (&slot, &v) in sh.a_ext_idx[ext.clone()].iter().zip(&sh.a_ext_val[ext]) {
+            ghost_dr[slot as usize] -= v * delta;
+        }
+        flops += 2 * (cols.len() as u64 + ext_n) + 1;
+    }
+    flops
 }
 
 /// Stamp value of an index not (yet) assigned a slot.
@@ -307,8 +365,17 @@ pub fn distribute(
     // (neighbor part, local row) once per adjacent pair, rows ascending.
     let mut boundary: Vec<(usize, u32)> = Vec::new();
 
+    // Every shape's `Arc` is allocated before any part is built and then
+    // filled in place, so the shapes lie back to back in rank order and a
+    // sweep over the ranks streams through them. Allocated as each part
+    // is built, a shape lies among its part's arrays and every rank phase
+    // pays a cache miss to reach it; building the shapes first and moving
+    // them into `Arc`s afterwards copies every shape twice.
+    let shapes: Vec<Arc<LocalShape>> = (0..nparts)
+        .map(|_| Arc::new(LocalShape::unbuilt()))
+        .collect();
     let mut out = Vec::with_capacity(nparts);
-    for (p, rows) in part_rows.into_iter().enumerate() {
+    for ((p, rows), mut shape) in part_rows.into_iter().enumerate().zip(shapes) {
         if rows.is_empty() {
             return Err(SparseError::Shape(format!(
                 "distribute: part {p} owns no rows"
@@ -401,21 +468,31 @@ pub fn distribute(
             neighbor_slot[q] = NONE;
         }
 
+        // Gathered before `rows` moves into the shape.
+        let (b_local, x_local, r_local) = (
+            rows.iter().map(|&g| b[g]).collect(),
+            rows.iter().map(|&g| x0[g]).collect(),
+            rows.iter().map(|&g| r_global[g]).collect(),
+        );
+        *Arc::get_mut(&mut shape).expect("a shape is not shared before distribute returns") =
+            LocalShape {
+                rank: p,
+                a_int: CsrMatrix::from_parts(m, m, row_ptr, int_cols.to_vec(), int_vals.to_vec())?,
+                a_ext_ptr,
+                a_ext_idx,
+                a_ext_val,
+                ext_cols,
+                neighbors,
+                ghosts_of,
+                boundary_rows_to,
+                inv_diag,
+                rows,
+            };
         out.push(LocalSystem {
-            rank: p,
-            a_int: CsrMatrix::from_parts(m, m, row_ptr, int_cols.to_vec(), int_vals.to_vec())?,
-            a_ext_ptr,
-            a_ext_idx,
-            a_ext_val,
-            ext_cols,
-            neighbors,
-            ghosts_of,
-            boundary_rows_to,
-            inv_diag,
-            b: rows.iter().map(|&g| b[g]).collect(),
-            x: rows.iter().map(|&g| x0[g]).collect(),
-            r: rows.iter().map(|&g| r_global[g]).collect(),
-            rows,
+            shape,
+            b: b_local,
+            x: x_local,
+            r: r_local,
         });
     }
     Ok(out)

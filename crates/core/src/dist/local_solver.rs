@@ -13,6 +13,7 @@
 use super::layout::LocalSystem;
 use dsw_partition::{greedy_coloring_bfs, Graph};
 use dsw_sparse::dense::Cholesky;
+use std::sync::Arc;
 
 /// Which local solver to use when a rank relaxes its subdomain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,15 +33,19 @@ pub enum LocalSolver {
 }
 
 /// The instantiated solver held by each rank.
+///
+/// Its setup is immutable, so copies of a rank (fused-panel column
+/// clones) share it: cloning bumps a reference count and copies no
+/// order or factor.
 #[derive(Clone)]
 pub enum LocalSolverImpl {
     /// Sweep; stateless.
     GaussSeidel,
     /// Sweep in color order; holds the local row order (colors
     /// concatenated) computed once at setup.
-    Multicolor(Vec<u32>),
+    Multicolor(Arc<[u32]>),
     /// Direct solve with a prefactored local block.
-    Exact(Box<Cholesky>),
+    Exact(Arc<Cholesky>),
 }
 
 impl LocalSolverImpl {
@@ -50,7 +55,7 @@ impl LocalSolverImpl {
             LocalSolver::GaussSeidel => LocalSolverImpl::GaussSeidel,
             LocalSolver::MulticolorGaussSeidel => {
                 let coloring = greedy_coloring_bfs(&Graph::from_matrix(&ls.a_int));
-                let order: Vec<u32> = coloring
+                let order: Arc<[u32]> = coloring
                     .classes()
                     .into_iter()
                     .flatten()
@@ -58,7 +63,7 @@ impl LocalSolverImpl {
                     .collect();
                 LocalSolverImpl::Multicolor(order)
             }
-            LocalSolver::Exact => LocalSolverImpl::Exact(Box::new(
+            LocalSolver::Exact => LocalSolverImpl::Exact(Arc::new(
                 Cholesky::factor_csr(&ls.a_int)
                     .expect("local diagonal blocks of an SPD matrix are SPD"),
             )),
@@ -178,7 +183,7 @@ mod tests {
         for ls in locals.iter_mut() {
             let solver = LocalSolverImpl::new(LocalSolver::MulticolorGaussSeidel, ls);
             if let LocalSolverImpl::Multicolor(order) = &solver {
-                let mut sorted: Vec<u32> = order.clone();
+                let mut sorted: Vec<u32> = order.to_vec();
                 sorted.sort_unstable();
                 assert_eq!(sorted, (0..ls.nrows() as u32).collect::<Vec<_>>());
             } else {

@@ -36,7 +36,7 @@ pub use distributed_southwell::{DistributedSouthwellRank, DsConfig};
 pub use driver::{
     drive, run_method, DistOptions, DistReport, ExecBackend, Method, MonitorMode, StepRecord,
 };
-pub use layout::{distribute, gather_r, gather_x, LocalSystem};
+pub use layout::{distribute, gather_r, gather_x, LocalShape, LocalSystem};
 pub use local_solver::{LocalSolver, LocalSolverImpl};
 pub use msg::{DistMsg, SeqMsg};
 pub use panel::PanelRun;

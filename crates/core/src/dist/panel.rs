@@ -3,8 +3,10 @@
 //!
 //! A [`PanelRun`] fuses `k` warm-started solves of `A x = b_c` into one
 //! executor of [`PanelRank`]s: every rank hosts `k` clones of its solver
-//! state — one per column — and the rma-layer adapter packs each phase's
-//! per-column puts edge-by-edge, so message counts amortize `k`-fold
+//! state — one per column, each sharing the session rank's
+//! [`LocalShape`](super::layout::LocalShape) and local-solver setup and
+//! owning only per-solve vectors — and the rma-layer adapter packs each
+//! phase's per-column puts edge-by-edge, so message counts amortize `k`-fold
 //! while every column's floating-point trajectory stays bit-identical to
 //! the scalar session path (the `multirhs` proptests pin `k = 1`
 //! end-to-end and `k > 1` column-for-column against independent solves).
@@ -121,11 +123,13 @@ impl<R: WarmStart + Clone> PanelRun<R> {
             bs.len() <= PANEL_MAX_COLS,
             "panel width is capped at {PANEL_MAX_COLS} columns (shared-part column masks)"
         );
-        let base_ranks = session.run.ex.ranks();
-        let ranks: Vec<PanelRank<R>> = base_ranks
+        let ranks: Vec<PanelRank<R>> = session
+            .run
+            .ex
+            .ranks()
             .iter()
             .map(|r| {
-                let mut panel = PanelRank::new(vec![r.clone(); bs.len()], base_ranks.len());
+                let mut panel = PanelRank::new(vec![r.clone(); bs.len()]);
                 // Algorithm-level fusion, when the rank provides it
                 // (bit-identical per column to the per-column path — the
                 // `multirhs` proptests pin both paths).
@@ -148,7 +152,7 @@ impl<R: WarmStart + Clone> PanelRun<R> {
     /// Re-arms the panel for a fresh batch of `k` right-hand sides,
     /// re-adopting `session`'s current state into every column clone —
     /// the warm path a cached run takes instead of re-cloning every
-    /// rank's matrix and topology and rebuilding the executor's routing
+    /// rank's per-solve state and rebuilding the executor's routing
     /// index. Bit-identical to [`PanelRun::new`] from the same session
     /// state: a clone and a [`WarmStart::copy_state_from`] leave the
     /// column in the same per-solve state (the copy moves only that,

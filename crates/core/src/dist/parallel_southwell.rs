@@ -103,7 +103,7 @@ impl ParallelSouthwellRank {
         let s = self.ls.neighbor_slot(src);
         match msg {
             DistMsg::Solve { dr, norm_sq, .. } => {
-                for (&li, &d) in self.ls.boundary_rows_to[s].iter().zip(dr) {
+                for (&li, &d) in self.ls.shape.boundary_rows_to[s].iter().zip(dr) {
                     self.ls.r[li as usize] += d;
                 }
                 self.gamma_sq[s] = *norm_sq;
@@ -132,7 +132,7 @@ impl super::session::WarmStart for ParallelSouthwellRank {
 
     fn reseed_rhs(&mut self, delta_b: &[f64]) -> f64 {
         // r = b − Ax: the b change shifts r purely locally (x untouched).
-        for (li, &g) in self.ls.rows.iter().enumerate() {
+        for (li, &g) in self.ls.shape.rows.iter().enumerate() {
             self.ls.b[li] += delta_b[g];
             self.ls.r[li] += delta_b[g];
         }
@@ -153,8 +153,8 @@ impl super::session::WarmStart for ParallelSouthwellRank {
     }
 
     fn copy_state_from(&mut self, other: &Self) {
-        // `explicit_updates` and the solver are configuration, equal by
-        // the clone-sibling contract; `ghost_dr` is transient scratch.
+        // `explicit_updates` is configuration and the solver is shared
+        // with the clone-sibling; `ghost_dr` is transient scratch.
         self.ls.copy_solve_state_from(&other.ls);
         self.gamma_sq.copy_from_slice(&other.gamma_sq);
         self.my_norm_sq = other.my_norm_sq;

@@ -64,7 +64,7 @@ use super::panel::PanelRun;
 use super::parallel_southwell::ParallelSouthwellRank;
 use super::recovery::Recoverable;
 use dsw_partition::Partition;
-use dsw_rma::{Executor, RankAlgorithm};
+use dsw_rma::{Executor, PanelRank, RankAlgorithm};
 use dsw_sparse::CsrMatrix;
 
 /// A rank algorithm whose state can be warm-started in place when the
@@ -107,20 +107,23 @@ pub trait WarmStart: RankAlgorithm + Recoverable {
 
     /// Overwrites this rank's per-solve state with `other`'s, in place.
     ///
-    /// `other` is a clone-sibling: same rank id, matrix, topology, local
-    /// solver and configuration. A cached panel run calls this for every
-    /// column clone at the start of each batch — in a serving layer, on
-    /// the dispatcher thread while the pool waits — so it copies in place
-    /// and reallocates no shared structure.
+    /// `other` is a clone-sibling: a copy of the same rank, so both share
+    /// one [`LocalShape`](super::layout::LocalShape) (checked in debug
+    /// builds) and one local-solver setup, and hold the same
+    /// configuration. A cached panel run calls this for every column
+    /// clone at the start of each batch — in a serving layer, on the
+    /// dispatcher thread while the pool waits — so it copies in place and
+    /// reallocates nothing.
     ///
     /// * **Per-solve state** is everything a later solve can observe that
     ///   the algorithm mutates: the `b`, `x` and `r` vectors, the norm
     ///   cache and its flags, cross-rank estimates (`Γ`, `Γ̃`, the ghost
     ///   layer `z`), pending and in-flight deltas, and counters. It must
     ///   end equal to `other`'s, bit for bit.
-    /// * **Shared structure** — the matrix, the topology, the local
-    ///   solver and the configuration — is equal by the contract and is
-    ///   neither copied nor reallocated. Scratch that every phase
+    /// * **Shared structure** — the matrix and topology (one `Arc`'d
+    ///   `LocalShape`) and the local solver's order or factor (also behind
+    ///   an `Arc`) — is shared by construction, and the configuration is
+    ///   equal; neither is copied or reallocated. Scratch that every phase
     ///   overwrites before reading (`ghost_dr`) is skipped too.
     ///
     /// The `multirhs` test of two same-width panels on one session pins
@@ -207,6 +210,14 @@ impl<R: WarmStart + Clone> SolveSession<R> {
     /// cache invalidation hooks).
     pub fn ranks_mut(&mut self) -> &mut [R] {
         self.run.ex.ranks_mut()
+    }
+
+    /// Read access to the fused panel's per-rank state: the active panel
+    /// job's, else the run cached from the last one; `None` before any
+    /// panel job (tests audit column sharing through this).
+    pub fn panel_ranks(&self) -> Option<&[PanelRank<R>]> {
+        let run = self.panel.as_ref().or(self.panel_cache.as_ref())?;
+        Some(run.run.ex.ranks())
     }
 
     /// Begins a job solving `A x = b` for every `b` in `bs`, each

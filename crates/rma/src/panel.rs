@@ -91,6 +91,7 @@ impl<M> PanelMsg<M> {
 /// framing as the per-column path.
 pub struct PanelPhaseCtx<'a, M> {
     ctx: &'a mut PhaseCtx<PanelMsg<M>>,
+    targets: &'a [usize],
     staging: &'a mut [Vec<PanelPart<M>>],
     touched: &'a mut Vec<usize>,
     col_msgs: &'a mut [u64],
@@ -115,6 +116,9 @@ impl<M> PanelPhaseCtx<'_, M> {
     /// algorithm, so sender and receiver agree). Counts one logical
     /// message per carried column, exactly as if each had been staged
     /// alone; `bytes` must already account for all of them.
+    ///
+    /// # Panics
+    /// If `target` is not among the rank's declared put targets.
     pub fn stage_shared(
         &mut self,
         target: usize,
@@ -132,9 +136,10 @@ impl<M> PanelPhaseCtx<'_, M> {
             mask |= 1 << c;
             self.col_msgs[c] += 1;
         }
-        let staged = &mut self.staging[target];
+        let slot = target_slot(self.targets, target);
+        let staged = &mut self.staging[slot];
         if staged.is_empty() {
-            self.touched.push(target);
+            self.touched.push(slot);
         }
         staged.push(PanelPart {
             mask,
@@ -216,7 +221,12 @@ pub struct PanelRank<A: RankAlgorithm> {
     /// Per-column undelivered slack frozen at deactivation time, so a
     /// dropped-out column's monitor view stays consistent.
     inboxes: Vec<Vec<Envelope<A::Msg>>>,
+    /// The declared put targets, sorted and deduplicated.
+    targets: Vec<usize>,
+    /// Parts staged this phase, one list per declared target (indexed
+    /// like `targets`).
     staging: Vec<Vec<PanelPart<A::Msg>>>,
+    /// Target slots staged to this phase.
     touched: Vec<usize>,
     /// Reused capture outbox, threaded through the per-column inner calls
     /// so the hot loop performs no per-phase allocation.
@@ -233,17 +243,23 @@ pub struct PanelRank<A: RankAlgorithm> {
 
 impl<A: RankAlgorithm> PanelRank<A> {
     /// Fuses `cols` (one pre-seeded inner rank per column, all for the
-    /// same rank id) into a panel rank on an `nranks`-wide executor.
-    pub fn new(cols: Vec<A>, nranks: usize) -> Self {
+    /// same rank id) into a panel rank. Staging is sized by the columns'
+    /// declared put targets, so a panel rank costs O(neighbors), not
+    /// O(executor ranks).
+    pub fn new(cols: Vec<A>) -> Self {
         assert!(!cols.is_empty(), "a panel needs at least one column");
         let k = cols.len();
+        let mut targets = cols[0].put_targets();
+        targets.sort_unstable();
+        targets.dedup();
         PanelRank {
             cols,
             active: vec![true; k],
             col_msgs: vec![0; k],
             col_relax: vec![0; k],
             inboxes: (0..k).map(|_| Vec::new()).collect(),
-            staging: (0..nranks).map(|_| Vec::new()).collect(),
+            staging: targets.iter().map(|_| Vec::new()).collect(),
+            targets,
             touched: Vec::new(),
             cap_outbox: Vec::new(),
             fused: None,
@@ -321,6 +337,13 @@ impl<A: RankAlgorithm> PanelRank<A> {
     }
 }
 
+/// The staging slot of `target` in the sorted declared-target list.
+fn target_slot(targets: &[usize], target: usize) -> usize {
+    targets.binary_search(&target).unwrap_or_else(|_| {
+        panic!("panel put to rank {target}, which is not a declared put target")
+    })
+}
+
 impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
     type Msg = PanelMsg<A::Msg>;
 
@@ -329,7 +352,7 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
     }
 
     fn put_targets(&self) -> Vec<usize> {
-        self.cols[0].put_targets()
+        self.targets.clone()
     }
 
     fn phase(
@@ -354,6 +377,7 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
                 active,
                 col_msgs,
                 col_relax,
+                targets,
                 staging,
                 touched,
                 scratch,
@@ -362,6 +386,7 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
             } = self;
             let mut out = PanelPhaseCtx {
                 ctx,
+                targets,
                 staging,
                 touched,
                 col_msgs,
@@ -412,11 +437,12 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
                     ctx.record_relaxations(totals.relaxations);
                 }
                 for (target, env) in outbox.drain(..) {
-                    if self.staging[target].is_empty() {
-                        self.touched.push(target);
-                        self.staging[target].reserve(k);
+                    let slot = target_slot(&self.targets, target);
+                    if self.staging[slot].is_empty() {
+                        self.touched.push(slot);
+                        self.staging[slot].reserve(k);
                     }
-                    self.staging[target].push(PanelPart {
+                    self.staging[slot].push(PanelPart {
                         mask: 1 << c,
                         class: env.class,
                         bytes: env.bytes,
@@ -427,12 +453,14 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
             }
         }
 
-        // Pack: one put per touched target, targets ascending. Every put of
-        // a phase has one class (see the module doc), so the staged parts
-        // move into the message whole, in staged (column) order.
+        // Pack: one put per touched target, targets ascending (slots follow
+        // the sorted targets). Every put of a phase has one class (see the
+        // module doc), so the staged parts move into the message whole, in
+        // staged (column) order.
         self.touched.sort_unstable();
-        for &target in &self.touched {
-            let parts = std::mem::take(&mut self.staging[target]);
+        for &slot in &self.touched {
+            let target = self.targets[slot];
+            let parts = std::mem::take(&mut self.staging[slot]);
             let class = parts[0].class;
             debug_assert!(
                 parts.iter().all(|p| p.class == class),
@@ -512,7 +540,7 @@ mod tests {
 
         // Fused panel run.
         let panels: Vec<PanelRank<Ring>> = (0..n)
-            .map(|rank| PanelRank::new((0..k).map(|c| ring(n, c).remove(rank)).collect(), n))
+            .map(|rank| PanelRank::new((0..k).map(|c| ring(n, c).remove(rank)).collect()))
             .collect();
         let mut ex = Executor::new(panels, CostModel::default(), ExecMode::Sequential);
         let mut fused_msgs = 0u64;
@@ -540,7 +568,7 @@ mod tests {
         let n = 3;
         let k = 2;
         let panels: Vec<PanelRank<Ring>> = (0..n)
-            .map(|rank| PanelRank::new((0..k).map(|c| ring(n, c).remove(rank)).collect(), n))
+            .map(|rank| PanelRank::new((0..k).map(|c| ring(n, c).remove(rank)).collect()))
             .collect();
         let mut ex = Executor::new(panels, CostModel::default(), ExecMode::Sequential);
         ex.step();
@@ -595,7 +623,7 @@ mod tests {
         let n = 4;
         let k = 3;
         let rank = 1;
-        let mut panel = PanelRank::new((0..k).map(|_| TwoClass { rank, n }).collect(), n);
+        let mut panel = PanelRank::new((0..k).map(|_| TwoClass { rank, n }).collect());
         panel.set_active(1, false);
         for (phase, class, targets) in [
             (0, CommClass::Solve, vec![2]),
@@ -614,6 +642,31 @@ mod tests {
                 assert_eq!(env.bytes, env.payload.wire_bytes());
             }
         }
+    }
+
+    #[test]
+    fn staging_holds_one_list_per_declared_target() {
+        // On a wide executor a rank with two declared targets stages into
+        // two lists, not one per rank.
+        let n = 1000;
+        let panel = PanelRank::new((0..4).map(|_| TwoClass { rank: 7, n }).collect());
+        assert_eq!(panel.targets, [6, 8]);
+        assert_eq!(panel.staging.len(), panel.targets.len());
+        assert_eq!(panel.put_targets(), [6, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a declared put target")]
+    fn staging_to_an_undeclared_target_panics() {
+        let mut panel = PanelRank::new(vec![Ring {
+            rank: 0,
+            n: 3,
+            value: 0.0,
+        }]);
+        panel.targets.clear();
+        panel.staging.clear();
+        let mut ctx = PhaseCtx::capture(0);
+        panel.phase(0, &[], &mut ctx);
     }
 
     #[test]
