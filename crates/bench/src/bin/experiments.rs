@@ -10,7 +10,7 @@ use dsw_bench::experiments::fig2::{run_fig2, run_fig5};
 use dsw_bench::experiments::fig6::run_fig6;
 use dsw_bench::experiments::fig6_dist::run_fig6_dist;
 use dsw_bench::experiments::fig7::{self, FIG7_MATRICES};
-use dsw_bench::experiments::scaling::{run_fig8, run_fig9, scaling_points};
+use dsw_bench::experiments::scaling::run_scaling;
 use dsw_bench::experiments::suite_tables::{suite_runs, table2, table3, table4};
 use dsw_bench::experiments::{ablation, table1};
 use dsw_bench::harness::ExperimentCtx;
@@ -82,6 +82,7 @@ fn main() {
         std::process::exit(2);
     }
 
+    let mut scaling_written = false;
     for id in ids {
         match id.as_str() {
             "fig1" | "fig3" => {
@@ -116,17 +117,14 @@ fn main() {
                 }
             }
             "fig7" => {
-                let runs: Vec<_> = suite_runs(&ctx)
-                    .into_iter()
-                    .filter(|r| FIG7_MATRICES.contains(&r.name))
-                    .collect();
-                fig7::emit(&ctx, &runs);
+                fig7::run_fig7(&ctx);
             }
-            "fig8" => {
-                run_fig8(&ctx);
-            }
-            "fig9" => {
-                run_fig9(&ctx);
+            // One sweep writes both figures' CSVs.
+            "fig8" | "fig9" => {
+                if !scaling_written {
+                    run_scaling(&ctx);
+                    scaling_written = true;
+                }
             }
             "ablation" => {
                 ablation::run_ablation(&ctx);
@@ -168,50 +166,7 @@ fn main() {
                     .filter(|r| FIG7_MATRICES.contains(&r.name))
                     .collect();
                 fig7::emit(&ctx, &panels);
-                // Figures 8 and 9 share one sweep.
-                let pts = scaling_points(&ctx);
-                {
-                    use dsw_bench::harness::write_csv;
-                    let rows: Vec<Vec<String>> = pts
-                        .iter()
-                        .map(|pt| {
-                            vec![
-                                pt.matrix.to_string(),
-                                pt.ranks.to_string(),
-                                pt.method.label().to_string(),
-                                pt.time_to_target
-                                    .map(|t| format!("{t:.6}"))
-                                    .unwrap_or("†".into()),
-                                format!("{:.6e}", pt.residual_after_50),
-                            ]
-                        })
-                        .collect();
-                    write_csv(
-                        &ctx.out_dir,
-                        "fig8",
-                        &[
-                            "matrix",
-                            "ranks",
-                            "method",
-                            "time_to_target_s",
-                            "residual_after_50",
-                        ],
-                        &rows,
-                    );
-                    write_csv(
-                        &ctx.out_dir,
-                        "fig9",
-                        &[
-                            "matrix",
-                            "ranks",
-                            "method",
-                            "time_to_target_s",
-                            "residual_after_50",
-                        ],
-                        &rows,
-                    );
-                    println!("\n(fig8/fig9 sweep written to CSV; see results/)");
-                }
+                run_scaling(&ctx);
                 ablation::run_ablation(&ctx);
                 dsw_bench::experiments::threshold::run_threshold(&ctx);
                 dsw_bench::experiments::comm_pattern::run_comm_pattern(&ctx);

@@ -37,5 +37,5 @@ pub mod suite_tables;
 pub mod table1;
 pub mod threshold;
 
-pub use scaling::{run_fig8, run_fig9};
+pub use scaling::run_scaling;
 pub use suite_tables::{run_table2, run_table3, run_table4};

@@ -34,11 +34,6 @@ pub struct ScalingPoint {
     pub time_to_target: Option<f64>,
     /// Residual norm after the full 50 steps.
     pub residual_after_50: f64,
-    /// Mean per-step load imbalance (slowest rank / mean measured compute
-    /// time): the paper's few-winners regime made visible.
-    pub mean_imbalance: f64,
-    /// Executor worker utilization (busy / ((span + route) × workers)).
-    pub worker_utilization: f64,
 }
 
 /// Rank counts for the sweep at a given context scale.
@@ -52,7 +47,7 @@ pub fn rank_sweep(ctx: &ExperimentCtx) -> Vec<usize> {
 }
 
 /// Runs the sweep shared by Figures 8 and 9.
-pub fn scaling_points(ctx: &ExperimentCtx) -> Vec<ScalingPoint> {
+fn scaling_points(ctx: &ExperimentCtx) -> Vec<ScalingPoint> {
     let mut points = Vec::new();
     for name in SCALING_MATRICES {
         let e = by_name(name).expect("matrix in suite");
@@ -81,8 +76,6 @@ pub fn scaling_points(ctx: &ExperimentCtx) -> Vec<ScalingPoint> {
                     method: m,
                     time_to_target: rep.time_to_reach(0.1),
                     residual_after_50: rep.final_residual(),
-                    mean_imbalance: rep.mean_imbalance(),
-                    worker_utilization: rep.worker_utilization(),
                 });
             }
         }
@@ -90,54 +83,15 @@ pub fn scaling_points(ctx: &ExperimentCtx) -> Vec<ScalingPoint> {
     points
 }
 
-/// Figure 8 entry point.
-pub fn run_fig8(ctx: &ExperimentCtx) -> Vec<ScalingPoint> {
+/// Figures 8 and 9 entry point: runs the shared sweep once, prints both
+/// grids and writes `fig8.csv` and `fig9.csv` (the same rows).
+pub fn run_scaling(ctx: &ExperimentCtx) {
     let points = scaling_points(ctx);
     println!("\n=== fig8 — modelled time (ms) to ‖r‖₂ = 0.1 vs ranks ===");
     print_grid(&points, |pt| pt.time_to_target.map(|t| t * 1e3), 2);
-    let rows = csv_rows(&points);
-    write_csv(
-        &ctx.out_dir,
-        "fig8",
-        &[
-            "matrix",
-            "ranks",
-            "method",
-            "time_to_target_s",
-            "residual_after_50",
-            "mean_imbalance",
-            "worker_utilization",
-        ],
-        &rows,
-    );
-    points
-}
-
-/// Figure 9 entry point.
-pub fn run_fig9(ctx: &ExperimentCtx) -> Vec<ScalingPoint> {
-    let points = scaling_points(ctx);
     println!("\n=== fig9 — residual norm after 50 parallel steps vs ranks ===");
     print_grid(&points, |pt| Some(pt.residual_after_50), 4);
-    let rows = csv_rows(&points);
-    write_csv(
-        &ctx.out_dir,
-        "fig9",
-        &[
-            "matrix",
-            "ranks",
-            "method",
-            "time_to_target_s",
-            "residual_after_50",
-            "mean_imbalance",
-            "worker_utilization",
-        ],
-        &rows,
-    );
-    points
-}
-
-fn csv_rows(points: &[ScalingPoint]) -> Vec<Vec<String>> {
-    points
+    let rows: Vec<Vec<String>> = points
         .iter()
         .map(|pt| {
             vec![
@@ -146,11 +100,18 @@ fn csv_rows(points: &[ScalingPoint]) -> Vec<Vec<String>> {
                 pt.method.label().to_string(),
                 fmt_or_dagger(pt.time_to_target, 6),
                 format!("{:.6e}", pt.residual_after_50),
-                format!("{:.3}", pt.mean_imbalance),
-                format!("{:.3}", pt.worker_utilization),
             ]
         })
-        .collect()
+        .collect();
+    let header = [
+        "matrix",
+        "ranks",
+        "method",
+        "time_to_target_s",
+        "residual_after_50",
+    ];
+    write_csv(&ctx.out_dir, "fig8", &header, &rows);
+    write_csv(&ctx.out_dir, "fig9", &header, &rows);
 }
 
 fn print_grid(points: &[ScalingPoint], f: impl Fn(&ScalingPoint) -> Option<f64>, decimals: usize) {
@@ -203,21 +164,6 @@ mod tests {
                 pt.matrix,
                 pt.ranks,
                 pt.residual_after_50
-            );
-        }
-        // The load-imbalance observables populate for every point.
-        for pt in &pts {
-            assert!(
-                pt.mean_imbalance >= 1.0,
-                "{}: {}",
-                pt.matrix,
-                pt.mean_imbalance
-            );
-            assert!(
-                pt.worker_utilization > 0.0 && pt.worker_utilization <= 1.0,
-                "{}: {}",
-                pt.matrix,
-                pt.worker_utilization
             );
         }
     }

@@ -648,17 +648,6 @@ impl DistReport {
         self.last_record().msgs as f64 / self.nranks as f64
     }
 
-    /// Modelled payload volume per rank, bytes (all classes).
-    pub fn byte_cost(&self) -> f64 {
-        self.last_record().bytes as f64 / self.nranks as f64
-    }
-
-    /// Redundancy payload volume per rank, bytes (replica fan-out copies;
-    /// zero on uncoded runs).
-    pub fn byte_cost_redundancy(&self) -> f64 {
-        self.last_record().bytes_redundancy as f64 / self.nranks as f64
-    }
-
     /// Mean fraction of active ranks per executed step.
     pub fn active_fraction(&self) -> f64 {
         let steps = self.records.len() - 1;
@@ -1476,7 +1465,6 @@ mod tests {
             "uncoded runs have no redundancy traffic"
         );
         assert!(last.bytes > 0, "messages carry payload bytes");
-        assert!((rep.byte_cost() - last.bytes as f64 / rep.nranks as f64).abs() < 1e-12);
         assert!((rep.stats.total_time() - last.time).abs() < 1e-12);
         assert!(rep.active_fraction() > 0.0 && rep.active_fraction() <= 1.0);
         // Crossing metrics are monotone sensible.
@@ -1737,7 +1725,6 @@ mod tests {
                     + last.bytes_recovery
                     + last.bytes_redundancy
             );
-            assert!(rep.byte_cost_redundancy() > 0.0);
             assert!(
                 rep.stale_discards > 0,
                 "first-arrival reconciliation must discard replica copies"

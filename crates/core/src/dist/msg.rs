@@ -202,11 +202,6 @@ pub struct SeqMsg {
 }
 
 impl SeqMsg {
-    /// Wraps `body` without a sequence number (sequencing disabled).
-    pub fn unsequenced(body: DistMsg) -> Self {
-        SeqMsg { seq: 0, body }
-    }
-
     /// Modelled wire size: the body plus 8 bytes when sequenced.
     pub fn wire_bytes(&self) -> u64 {
         self.body.wire_bytes() + if self.seq > 0 { 8 } else { 0 }
@@ -271,7 +266,11 @@ mod tests {
             norm_sq: 1.0,
             est_of_target_sq: 0.0,
         };
-        assert_eq!(SeqMsg::unsequenced(body.clone()).wire_bytes(), 16);
+        let unsequenced = SeqMsg {
+            seq: 0,
+            body: body.clone(),
+        };
+        assert_eq!(unsequenced.wire_bytes(), 16);
         assert_eq!(SeqMsg { seq: 7, body }.wire_bytes(), 24);
     }
 }

@@ -32,15 +32,6 @@ impl ScalarHistory {
         self.step_boundaries.len()
     }
 
-    /// The first sample at which the residual norm fell to `target` or
-    /// below, as `(relaxations, norm)`, if any.
-    pub fn first_below(&self, target: f64) -> Option<ScalarSample> {
-        self.samples
-            .iter()
-            .copied()
-            .find(|s| s.residual_norm <= target)
-    }
-
     /// Relaxations needed to reach `target`, by linear interpolation on
     /// `log10` of the residual norm between the bracketing samples —
     /// the extraction rule the paper uses for Table 2.
@@ -95,7 +86,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn first_below_and_steps() {
+    fn parallel_steps_counts_step_boundaries() {
         let h = ScalarHistory {
             samples: vec![
                 ScalarSample {
@@ -116,8 +107,6 @@ mod tests {
             final_residual: 0.05,
         };
         assert_eq!(h.parallel_steps(), 2);
-        assert_eq!(h.first_below(0.5).unwrap().relaxations, 10);
-        assert!(h.first_below(0.01).is_none());
     }
 
     #[test]

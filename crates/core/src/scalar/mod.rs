@@ -197,6 +197,18 @@ pub(crate) mod test_support {
             .sum::<f64>()
             .sqrt()
     }
+
+    /// Index of the entry with the largest magnitude, ties toward the
+    /// smallest index: the row a greedy Southwell step must relax.
+    pub fn argmax_abs(x: &[f64]) -> usize {
+        let mut best = 0;
+        for (i, v) in x.iter().enumerate() {
+            if v.abs() > x[best].abs() {
+                best = i;
+            }
+        }
+        best
+    }
 }
 
 #[cfg(test)]

@@ -419,7 +419,7 @@ mod tests {
 
     #[test]
     fn one_isolated_row_system() {
-        let a = CsrMatrix::identity(1);
+        let a = CsrMatrix::from_parts(1, 1, vec![0, 1], vec![0], vec![1.0]).unwrap();
         let opts = ScalarOptions {
             max_relaxations: 10,
             target_residual: None,

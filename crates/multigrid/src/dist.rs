@@ -1,4 +1,4 @@
-//! Distributed multigrid: V/W-cycles where every level lives on the
+//! Distributed multigrid: V-cycles where every level lives on the
 //! distributed substrate.
 //!
 //! The scalar [`crate::Multigrid`] smooths, restricts, and prolongs with
@@ -26,7 +26,7 @@
 //! [`ExecMode`].
 
 use crate::dsmooth::{contiguous_ranges, DsLevelSmoother};
-use crate::{level_dims, CycleType, MultigridError, Smoother};
+use crate::{level_dims, MultigridError, Smoother};
 use dsw_partition::{agglomerate_coarse, partition_strip, Partition};
 use dsw_rma::{CommClass, CostModel, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm};
 use dsw_sparse::dense::Cholesky;
@@ -417,8 +417,6 @@ pub struct DistMultigridConfig {
     pub sweeps: f64,
     /// Seed for the DS final-step subset choice.
     pub seed: u64,
-    /// Cycle shape (V by default).
-    pub cycle_type: CycleType,
     /// Superstep scheduling of every executor in the hierarchy. DS needs
     /// lock-step supersteps: the exact budget is coordinated between them.
     pub mode: ExecMode,
@@ -436,7 +434,6 @@ impl Default for DistMultigridConfig {
         DistMultigridConfig {
             sweeps: 1.0,
             seed: 0,
-            cycle_type: CycleType::V,
             mode: ExecMode::Sequential,
             nparts: 4,
             min_rows_per_part: 64,
@@ -526,7 +523,6 @@ pub struct DistMultigrid {
     /// Levels, finest first.
     pub levels: Vec<DistLevel>,
     coarse_solver: Cholesky,
-    cycle_type: CycleType,
     sweeps: f64,
     seed: u64,
 }
@@ -586,18 +582,12 @@ impl DistMultigrid {
         Ok(DistMultigrid {
             levels,
             coarse_solver,
-            cycle_type: cfg.cycle_type,
             sweeps: cfg.sweeps,
             seed: cfg.seed,
         })
     }
 
-    /// Number of levels.
-    pub fn nlevels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// One cycle for `A x = b` on the finest level, updating `x`.
+    /// One V-cycle for `A x = b` on the finest level, updating `x`.
     /// Returns the per-level accounting and the relative residual
     /// afterwards.
     pub fn vcycle(&mut self, b: &[f64], x: &mut [f64]) -> CycleReport {
@@ -628,8 +618,7 @@ impl DistMultigrid {
     }
 
     fn cycle(&mut self, l: usize, stats: &mut Vec<LevelCycleStats>) {
-        let nlev = self.levels.len();
-        if l == nlev - 1 {
+        if l == self.levels.len() - 1 {
             // Exact coarse solve — same host path as the scalar solver.
             let lev = &mut self.levels[l];
             let r = lev.a.residual(&lev.rhs, &lev.sol);
@@ -652,11 +641,7 @@ impl DistMultigrid {
             coarse.rhs.copy_from_slice(&rc);
             coarse.sol.iter_mut().for_each(|v| *v = 0.0);
         }
-        // Recurse (twice for W-cycles, unless the child is the coarsest).
         self.cycle(l + 1, stats);
-        if self.cycle_type == CycleType::W && l + 2 < nlev {
-            self.cycle(l + 1, stats);
-        }
         // Prolong and correct on the substrate.
         let csol = self.levels[l + 1].sol.clone();
         let e = self.run_transfer(l, TransferMode::Prolong, &csol, stats);
@@ -828,28 +813,6 @@ mod tests {
         let (x_thr, hist_thr, _) = run(ExecMode::Threaded(3));
         assert_eq!(x_seq, x_thr);
         assert_eq!(hist_seq, hist_thr);
-    }
-
-    #[test]
-    fn w_cycles_match_scalar_too() {
-        let dim = 15;
-        let n = dim * dim;
-        let b = gen::random_rhs(n, 44);
-        let (x_ref, hist_ref) = Multigrid::new(dim, Smoother::distributed_southwell(1.0, 3))
-            .with_cycle_type(CycleType::W)
-            .solve(&b, 3);
-        let cfg = DistMultigridConfig {
-            seed: 3,
-            cycle_type: CycleType::W,
-            nparts: 3,
-            min_rows_per_part: 16,
-            ..DistMultigridConfig::default()
-        };
-        let (x, hist, _) = DistMultigrid::try_new(dim, cfg)
-            .expect("valid hierarchy")
-            .solve(&b, 3);
-        assert_eq!(x, x_ref);
-        assert_eq!(hist, hist_ref);
     }
 
     #[test]

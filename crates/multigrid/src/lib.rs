@@ -71,17 +71,6 @@ impl std::fmt::Display for MultigridError {
 
 impl std::error::Error for MultigridError {}
 
-/// Multigrid cycle shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CycleType {
-    /// One coarse-grid visit per level (the paper's setting).
-    #[default]
-    V,
-    /// Two coarse-grid visits per level: more robust per cycle,
-    /// more expensive.
-    W,
-}
-
 /// One level of the grid hierarchy.
 pub struct Level {
     /// Interior grid dimension (the grid is `dim × dim`).
@@ -100,7 +89,6 @@ pub struct Multigrid {
     pub levels: Vec<Level>,
     coarse_solver: Cholesky,
     smoother: Smoother,
-    cycle_type: CycleType,
 }
 
 impl Multigrid {
@@ -139,19 +127,7 @@ impl Multigrid {
             levels,
             coarse_solver,
             smoother,
-            cycle_type: CycleType::V,
         })
-    }
-
-    /// Switches the cycle shape (V by default).
-    pub fn with_cycle_type(mut self, cycle_type: CycleType) -> Self {
-        self.cycle_type = cycle_type;
-        self
-    }
-
-    /// Number of levels.
-    pub fn nlevels(&self) -> usize {
-        self.levels.len()
     }
 
     /// One V(1,1)-cycle for `A x = b` on the finest level, updating `x`.
@@ -197,11 +173,7 @@ impl Multigrid {
             coarse.rhs.copy_from_slice(&rc);
             coarse.sol.iter_mut().for_each(|v| *v = 0.0);
         }
-        // Recurse (twice for W-cycles, unless the child is the coarsest).
         self.cycle(l + 1);
-        if self.cycle_type == CycleType::W && l + 2 < self.levels.len() {
-            self.cycle(l + 1);
-        }
         // Prolong and correct.
         let e = transfer::prolong(&self.levels[l + 1].sol, coarse_dim, fine_dim);
         {
@@ -259,7 +231,7 @@ mod tests {
         let dims: Vec<usize> = mg.levels.iter().map(|l| l.dim).collect();
         assert_eq!(dims, vec![15, 7, 3]);
         let mg = Multigrid::new(63, Smoother::gauss_seidel(1.0));
-        assert_eq!(mg.nlevels(), 5);
+        assert_eq!(mg.levels.len(), 5);
     }
 
     #[test]
@@ -354,24 +326,6 @@ mod tests {
             ds_hist[8],
             gs_hist[8]
         );
-    }
-
-    #[test]
-    fn wcycle_converges_at_least_as_fast_as_vcycle() {
-        let dim = 31;
-        let n = dim * dim;
-        let b = gen::random_rhs(n, 8);
-        let (_, v_hist) = Multigrid::new(dim, Smoother::gauss_seidel(1.0)).solve(&b, 6);
-        let (_, w_hist) = Multigrid::new(dim, Smoother::gauss_seidel(1.0))
-            .with_cycle_type(CycleType::W)
-            .solve(&b, 6);
-        assert!(
-            w_hist[5] <= v_hist[5] * 1.5,
-            "W-cycle {} should be at least as good as V-cycle {}",
-            w_hist[5],
-            v_hist[5]
-        );
-        assert!(w_hist[5] < 1e-5);
     }
 
     #[test]

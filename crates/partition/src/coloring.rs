@@ -26,24 +26,6 @@ impl Coloring {
         }
         out
     }
-
-    /// Sizes of the color classes.
-    pub fn class_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.ncolors];
-        for &c in &self.color_of {
-            sizes[c] += 1;
-        }
-        sizes
-    }
-
-    /// Checks the coloring is proper on `g`.
-    pub fn is_proper(&self, g: &Graph) -> bool {
-        (0..g.nvertices()).all(|v| {
-            g.neighbors(v)
-                .iter()
-                .all(|&w| w == v || self.color_of[w] != self.color_of[v])
-        })
-    }
 }
 
 /// Greedy coloring in breadth-first traversal order: each vertex takes the
@@ -85,14 +67,32 @@ mod tests {
     use dsw_sparse::gen::fe::{fe_poisson, FeMeshOptions};
     use dsw_sparse::gen::grid2d_poisson;
 
+    /// Whether no edge of `g` joins two vertices of one color.
+    fn is_proper(c: &Coloring, g: &Graph) -> bool {
+        (0..g.nvertices()).all(|v| {
+            g.neighbors(v)
+                .iter()
+                .all(|&w| w == v || c.color_of[w] != c.color_of[v])
+        })
+    }
+
+    /// Vertices per color.
+    fn class_sizes(c: &Coloring) -> Vec<usize> {
+        let mut sizes = vec![0usize; c.ncolors];
+        for &k in &c.color_of {
+            sizes[k] += 1;
+        }
+        sizes
+    }
+
     #[test]
     fn poisson_grid_needs_two_colors() {
         let a = grid2d_poisson(8, 8);
         let g = Graph::from_matrix(&a);
         let c = greedy_coloring_bfs(&g);
-        assert!(c.is_proper(&g));
+        assert!(is_proper(&c, &g));
         assert_eq!(c.ncolors, 2, "5-point stencil is bipartite");
-        assert_eq!(c.class_sizes().iter().sum::<usize>(), 64);
+        assert_eq!(class_sizes(&c).iter().sum::<usize>(), 64);
     }
 
     #[test]
@@ -107,9 +107,9 @@ mod tests {
         });
         let g = Graph::from_matrix(&a);
         let c = greedy_coloring_bfs(&g);
-        assert!(c.is_proper(&g));
+        assert!(is_proper(&c, &g));
         assert!(c.ncolors >= 4, "got {} colors", c.ncolors);
-        let sizes = c.class_sizes();
+        let sizes = class_sizes(&c);
         assert!(sizes.iter().max() > sizes.iter().min());
     }
 
@@ -128,10 +128,10 @@ mod tests {
 
     #[test]
     fn singleton_graph() {
-        let a = dsw_sparse::CsrMatrix::identity(1);
+        let a = dsw_sparse::CsrMatrix::from_parts(1, 1, vec![0, 1], vec![0], vec![1.0]).unwrap();
         let g = Graph::from_matrix(&a);
         let c = greedy_coloring_bfs(&g);
         assert_eq!(c.ncolors, 1);
-        assert!(c.is_proper(&g));
+        assert!(is_proper(&c, &g));
     }
 }

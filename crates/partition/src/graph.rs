@@ -146,31 +146,6 @@ impl Graph {
             }
         }
     }
-
-    /// Connected components: returns `(ncomponents, component id per vertex)`.
-    pub fn connected_components(&self) -> (usize, Vec<usize>) {
-        let n = self.nvertices();
-        let mut comp = vec![usize::MAX; n];
-        let mut ncomp = 0;
-        let mut stack = Vec::new();
-        for s in 0..n {
-            if comp[s] != usize::MAX {
-                continue;
-            }
-            comp[s] = ncomp;
-            stack.push(s);
-            while let Some(v) = stack.pop() {
-                for &w in self.neighbors(v) {
-                    if comp[w] == usize::MAX {
-                        comp[w] = ncomp;
-                        stack.push(w);
-                    }
-                }
-            }
-            ncomp += 1;
-        }
-        (ncomp, comp)
-    }
 }
 
 #[cfg(test)]
@@ -226,11 +201,6 @@ mod tests {
         b.push_sym(2, 3, -1.0);
         let a = b.build().unwrap();
         let g = Graph::from_matrix(&a);
-        let (nc, comp) = g.connected_components();
-        assert_eq!(nc, 2);
-        assert_eq!(comp[0], comp[1]);
-        assert_eq!(comp[2], comp[3]);
-        assert_ne!(comp[0], comp[2]);
         assert_eq!(g.bfs_order_all(), vec![0, 1, 2, 3]);
         // The first component is the one asked for; the rest follow.
         assert_eq!(g.bfs_order_from(3), vec![3, 2, 0, 1]);

@@ -145,8 +145,8 @@ impl Partition {
         Ok(Partition { nparts, assignment })
     }
 
-    /// Errs with the first zero-row part, if any — the recoverable form of
-    /// asserting [`Partition::all_parts_nonempty`] before distribution.
+    /// Errs with the first zero-row part, if any: the check to make before
+    /// distribution.
     pub fn validate_nonempty(&self) -> Result<(), PartitionError> {
         match self.sizes().iter().position(|&s| s == 0) {
             Some(part) => Err(PartitionError::EmptyPart { part }),
@@ -231,11 +231,6 @@ impl Partition {
             });
         }
         Ok(max / (total as f64 / self.nparts as f64))
-    }
-
-    /// Whether every part has at least one row.
-    pub fn all_parts_nonempty(&self) -> bool {
-        self.sizes().iter().all(|&s| s > 0)
     }
 }
 
@@ -594,7 +589,7 @@ mod tests {
     fn strip_partition_balanced() {
         let p = partition_strip(10, 3);
         assert_eq!(p.sizes(), vec![4, 3, 3]);
-        assert!(p.all_parts_nonempty());
+        assert!(!p.sizes().contains(&0));
         assert_eq!(p.part_of(0), 0);
         assert_eq!(p.part_of(9), 2);
     }
@@ -604,7 +599,7 @@ mod tests {
         let a = grid2d_poisson(20, 20);
         let g = Graph::from_matrix(&a);
         let p = sweep_growing(&g, 8, 1);
-        assert!(p.all_parts_nonempty());
+        assert!(!p.sizes().contains(&0));
         let imb = p.imbalance(&g).unwrap();
         assert!(imb < 1.5, "imbalance {imb}");
     }
@@ -684,12 +679,12 @@ mod tests {
         for nparts in 2..=n {
             for seed in 0..8 {
                 let grown = sweep_growing(&g, nparts, seed);
-                emptied += usize::from(!grown.all_parts_nonempty());
+                emptied += usize::from(grown.sizes().contains(&0));
                 let (mut fixed, mut oracle) = (grown.clone(), grown);
                 fix_empty_parts(&g, &mut fixed);
                 fix_empty_parts_oracle(&g, &mut oracle);
                 assert_eq!(fixed, oracle, "nparts {nparts}, seed {seed}");
-                assert!(fixed.all_parts_nonempty());
+                assert!(!fixed.sizes().contains(&0));
             }
         }
         assert!(emptied > 0, "no case left a part empty");
@@ -755,7 +750,7 @@ mod tests {
 
             let mut fixed = p;
             fix_empty_parts(&g, &mut fixed);
-            prop_assert!(fixed.all_parts_nonempty());
+            prop_assert!(!fixed.sizes().contains(&0));
         }
     }
 
@@ -765,7 +760,7 @@ mod tests {
         let g = Graph::from_matrix(&a);
         let strip = partition_strip(g.nvertices(), 16);
         let ml = partition_multilevel(&g, 16, MultilevelOptions::default());
-        assert!(ml.all_parts_nonempty());
+        assert!(!ml.sizes().contains(&0));
         let imb = ml.imbalance(&g).unwrap();
         assert!(imb <= 1.25, "imbalance {imb}");
         assert!(
@@ -781,7 +776,7 @@ mod tests {
         let a = grid3d_poisson(10, 10, 10);
         let g = Graph::from_matrix(&a);
         let p = partition_multilevel(&g, 8, MultilevelOptions::default());
-        assert!(p.all_parts_nonempty());
+        assert!(!p.sizes().contains(&0));
         let imb = p.imbalance(&g).unwrap();
         assert!(imb <= 1.3, "imbalance {imb}");
         // A decent 8-way cut of a 10^3 grid is well under the worst case.
@@ -802,7 +797,7 @@ mod tests {
         let a = grid2d_poisson(3, 3);
         let g = Graph::from_matrix(&a);
         let p = partition_multilevel(&g, 9, MultilevelOptions::default());
-        assert!(p.all_parts_nonempty());
+        assert!(!p.sizes().contains(&0));
         assert_eq!(p.sizes(), vec![1; 9]);
     }
 

@@ -510,20 +510,6 @@ impl RunStats {
         let busy: u64 = self.worker_busy_ns.iter().sum();
         (busy as f64 / (window as f64 * nworkers as f64)).min(1.0)
     }
-
-    /// Mean fraction of ranks active per step (the paper's
-    /// "active processes").
-    pub fn mean_active_fraction(&self) -> f64 {
-        if self.steps.is_empty() {
-            return 0.0;
-        }
-        let p = self.msgs_per_rank.len() as f64;
-        self.steps
-            .iter()
-            .map(|s| s.active_ranks as f64 / p)
-            .sum::<f64>()
-            / self.steps.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -584,7 +570,6 @@ mod tests {
         assert!((rs.comm_cost() - 3.0).abs() < 1e-15);
         assert!((rs.total_time() - 0.75).abs() < 1e-15);
         assert_eq!(rs.total_relaxations(), 60);
-        assert!((rs.mean_active_fraction() - 0.75).abs() < 1e-15);
         assert_eq!(rs.total_msgs_recovery(), 1);
         assert!((rs.comm_cost_recovery() - 0.25).abs() < 1e-15);
         assert_eq!(rs.total_bytes(), 140);
@@ -600,7 +585,6 @@ mod tests {
     fn empty_run_stats() {
         let rs = RunStats::new(2);
         assert_eq!(rs.total_msgs(), 0);
-        assert_eq!(rs.mean_active_fraction(), 0.0);
         assert_eq!(rs.total_time(), 0.0);
         assert_eq!(rs.mean_imbalance(), 1.0);
         assert_eq!(rs.worker_utilization(), 0.0);

@@ -69,7 +69,7 @@ pub fn matrix_stats(a: &CsrMatrix) -> MatrixStats {
         nnz: a.nnz(),
         avg_row_nnz: a.nnz() as f64 / n as f64,
         max_row_nnz,
-        bandwidth: crate::reorder::bandwidth(a),
+        bandwidth: bandwidth(a),
         diag_dominant_fraction: dominant as f64 / n as f64,
         min_dominance_margin: min_margin,
         positive_offdiag_fraction: if off_total == 0 {
@@ -78,6 +78,17 @@ pub fn matrix_stats(a: &CsrMatrix) -> MatrixStats {
             pos_off as f64 / off_total as f64
         },
     }
+}
+
+/// Matrix bandwidth: `max |i − j|` over stored entries.
+fn bandwidth(a: &CsrMatrix) -> usize {
+    let mut bw = 0usize;
+    for i in 0..a.nrows() {
+        for &j in a.row_cols(i) {
+            bw = bw.max(i.abs_diff(j));
+        }
+    }
+    bw
 }
 
 /// Estimates the spectral radius of the point-Jacobi iteration matrix
@@ -100,29 +111,6 @@ pub fn jacobi_spectral_radius(a: &CsrMatrix, iters: usize) -> f64 {
         for i in 0..n {
             av[i] = v[i] - av[i] / diag[i];
         }
-        lambda = vecops::norm2(&av);
-        if lambda == 0.0 {
-            return 0.0;
-        }
-        for i in 0..n {
-            v[i] = av[i] / lambda;
-        }
-    }
-    lambda
-}
-
-/// Estimates the largest eigenvalue of a symmetric matrix by power
-/// iteration (used in tests to bound condition numbers).
-pub fn largest_eigenvalue(a: &CsrMatrix, iters: usize) -> f64 {
-    let n = a.nrows();
-    let mut v: Vec<f64> = (0..n)
-        .map(|i| (((i * 31 + 7) % 101) as f64) / 101.0 - 0.5)
-        .collect();
-    vecops::normalize(&mut v);
-    let mut lambda = 0.0;
-    let mut av = vec![0.0; n];
-    for _ in 0..iters {
-        a.spmv(&v, &mut av);
         lambda = vecops::norm2(&av);
         if lambda == 0.0 {
             return 0.0;
@@ -183,15 +171,6 @@ mod tests {
         w.scale_unit_diagonal().unwrap();
         let rw = jacobi_spectral_radius(&w, 200);
         assert!(rw < 1.0, "weak clique radius {rw}");
-    }
-
-    #[test]
-    fn largest_eigenvalue_of_poisson_grid() {
-        // 1D chain of length k has eigenvalues 2 - 2cos(pi j/(k+1)); the 2D
-        // 6x6 grid's largest is their sum, just below 8.
-        let a = gen::grid2d_poisson(6, 6);
-        let l = largest_eigenvalue(&a, 500);
-        assert!(l < 8.0 && l > 7.0, "lambda_max {l}");
     }
 
     #[test]

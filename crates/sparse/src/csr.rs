@@ -75,17 +75,6 @@ impl CsrMatrix {
         })
     }
 
-    /// An `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        CsrMatrix {
-            nrows: n,
-            ncols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n).collect(),
-            values: vec![1.0; n],
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -299,37 +288,6 @@ impl CsrMatrix {
             }
         }
         Ok(dinv_sqrt)
-    }
-
-    /// Extracts the principal submatrix on `rows` (which must be sorted and
-    /// unique), relabelling indices to `0..rows.len()`.
-    pub fn principal_submatrix(&self, rows: &[usize]) -> CsrMatrix {
-        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
-        let mut global_to_local = vec![usize::MAX; self.ncols];
-        for (local, &g) in rows.iter().enumerate() {
-            global_to_local[g] = local;
-        }
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0);
-        for &g in rows {
-            for k in self.row_ptr[g]..self.row_ptr[g + 1] {
-                let lc = global_to_local[self.col_idx[k]];
-                if lc != usize::MAX {
-                    col_idx.push(lc);
-                    values.push(self.values[k]);
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix {
-            nrows: rows.len(),
-            ncols: rows.len(),
-            row_ptr,
-            col_idx,
-            values,
-        }
     }
 
     /// Converts to a dense row-major buffer (tests and small solves only).
@@ -551,25 +509,6 @@ mod tests {
             a.scale_unit_diagonal(),
             Err(SparseError::Numeric(_))
         ));
-    }
-
-    #[test]
-    fn principal_submatrix_extracts_block() {
-        let a = small();
-        let s = a.principal_submatrix(&[0, 2]);
-        assert_eq!(s.nrows(), 2);
-        assert_eq!(s.get(0, 0), 2.0);
-        assert_eq!(s.get(1, 1), 2.0);
-        assert_eq!(s.get(0, 1), 0.0);
-        let s2 = a.principal_submatrix(&[1, 2]);
-        assert_eq!(s2.get(0, 1), -1.0);
-    }
-
-    #[test]
-    fn identity_acts_as_identity() {
-        let i = CsrMatrix::identity(4);
-        let x = vec![3.0, -1.0, 0.5, 2.0];
-        assert_eq!(i.mul_vec(&x), x);
     }
 
     #[test]

@@ -14,15 +14,6 @@ pub struct DenseMatrix {
 }
 
 impl DenseMatrix {
-    /// An `nrows × ncols` zero matrix.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        DenseMatrix {
-            nrows,
-            ncols,
-            data: vec![0.0; nrows * ncols],
-        }
-    }
-
     /// Builds from a row-major buffer.
     pub fn from_row_major(nrows: usize, ncols: usize, data: Vec<f64>) -> Result<Self> {
         if data.len() != nrows * ncols {
@@ -197,7 +188,7 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_non_square() {
-        let a = DenseMatrix::zeros(2, 3);
+        let a = DenseMatrix::from_row_major(2, 3, vec![0.0; 6]).unwrap();
         assert!(matches!(Cholesky::factor(&a), Err(SparseError::Shape(_))));
     }
 

@@ -38,22 +38,6 @@ pub fn random_rhs(n: usize, seed: u64) -> Vec<f64> {
     b
 }
 
-/// A row-major `n × k` panel of right-hand sides, each column drawn and
-/// unit-normalized exactly like [`random_rhs`] with seed `seed + c` for
-/// column `c` — so column `c` of the panel is bit-identical to
-/// `random_rhs(n, seed + c)`. One call replaces `k` ad-hoc seed
-/// derivations in benches and tests.
-pub fn random_rhs_panel(n: usize, k: usize, seed: u64) -> Vec<f64> {
-    let mut panel = vec![0.0; n * k];
-    for c in 0..k {
-        let col = random_rhs(n, seed + c as u64);
-        for (i, v) in col.into_iter().enumerate() {
-            panel[i * k + c] = v;
-        }
-    }
-    panel
-}
-
 /// A random initial guess with entries uniform in `[-1, 1]` (unscaled).
 /// The experiment harness rescales it so the *initial residual* has unit
 /// norm, matching §4.2 ("scaled all initial guesses such that ‖r⁰‖₂ = 1").
@@ -74,15 +58,6 @@ mod tests {
         assert!((crate::vecops::norm2(&b1) - 1.0).abs() < 1e-12);
         let b3 = random_rhs(100, 8);
         assert_ne!(b1, b3);
-    }
-
-    #[test]
-    fn random_rhs_panel_columns_match_scalar_draws() {
-        let panel = random_rhs_panel(50, 3, 11);
-        for c in 0..3u64 {
-            let col: Vec<f64> = (0..50).map(|i| panel[i * 3 + c as usize]).collect();
-            assert_eq!(col, random_rhs(50, 11 + c), "column {c}");
-        }
     }
 
     #[test]

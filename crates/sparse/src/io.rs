@@ -151,12 +151,6 @@ pub fn write_matrix_market<W: Write>(a: &CsrMatrix, writer: W) -> Result<()> {
     Ok(())
 }
 
-/// Writes a matrix to a file in Matrix Market format.
-pub fn write_matrix_market_file<P: AsRef<Path>>(a: &CsrMatrix, path: P) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    write_matrix_market(a, file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,7 +232,7 @@ mod tests {
     fn file_roundtrip() {
         let a = grid2d_poisson(3, 3);
         let dir = std::env::temp_dir().join("dsw_io_test.mtx");
-        write_matrix_market_file(&a, &dir).unwrap();
+        write_matrix_market(&a, std::fs::File::create(&dir).unwrap()).unwrap();
         let b = read_matrix_market_file(&dir).unwrap();
         assert_eq!(a, b);
         let _ = std::fs::remove_file(&dir);

@@ -243,7 +243,7 @@ mod tests {
         let binp = dir.join("dsw_auto_test.mtx.bin");
         let mtxp = dir.join("dsw_auto_test.mtx");
         write_bin_file(&a, &binp).unwrap();
-        crate::io::write_matrix_market_file(&a, &mtxp).unwrap();
+        crate::io::write_matrix_market(&a, std::fs::File::create(&mtxp).unwrap()).unwrap();
         assert_eq!(read_matrix_auto(&binp).unwrap(), a);
         assert_eq!(read_matrix_auto(&mtxp).unwrap(), a);
         let _ = std::fs::remove_file(binp);

@@ -28,7 +28,6 @@ pub mod gen;
 pub mod io;
 pub mod io_bin;
 pub mod krylov;
-pub mod reorder;
 pub mod suite;
 pub mod vecops;
 

@@ -24,12 +24,6 @@ pub fn norm2_sq(x: &[f64]) -> f64 {
     dot(x, x)
 }
 
-/// Maximum absolute entry `‖x‖_∞`.
-#[inline]
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-}
-
 /// Inner product, accumulated in index order (bit-identical to the
 /// scalar loop).
 #[inline]
@@ -191,20 +185,6 @@ pub fn gather_dot_k(vals: &[f64], idx: &[usize], panel: &[f64], k: usize, out: &
     }
 }
 
-/// Blocked axpy over a row-major `k`-column panel (`k = alphas.len()`):
-/// `panel[i·k + c] += alphas[c] · x[i]`. Elementwise and order-free, like
-/// [`axpy`]; each column is bit-identical to `axpy(alphas[c], x, column_c)`.
-#[inline]
-pub fn axpy_k(alphas: &[f64], x: &[f64], panel: &mut [f64]) {
-    let k = alphas.len();
-    debug_assert_eq!(panel.len(), x.len() * k);
-    for (row, &xi) in panel.chunks_exact_mut(k.max(1)).zip(x) {
-        for (pi, &a) in row.iter_mut().zip(alphas) {
-            *pi += a * xi;
-        }
-    }
-}
-
 /// Per-column squared Euclidean norms of a row-major `k`-column panel:
 /// `out[c] = Σ_i panel[i·k + c]²`, folded in row order through the same
 /// 4-lane chunk structure as [`dot`], so `out[c]` is bit-identical to
@@ -244,20 +224,6 @@ pub fn normalize(x: &mut [f64]) -> f64 {
     n
 }
 
-/// Index and value of the entry with the largest magnitude.
-/// Ties are broken toward the smallest index. Empty slices return `None`.
-pub fn argmax_abs(x: &[f64]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in x.iter().enumerate() {
-        let a = v.abs();
-        match best {
-            Some((_, m)) if a <= m => {}
-            _ => best = Some((i, a)),
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +233,6 @@ mod tests {
         let x = [3.0, -4.0];
         assert_eq!(norm2(&x), 5.0);
         assert_eq!(norm2_sq(&x), 25.0);
-        assert_eq!(norm_inf(&x), 4.0);
     }
 
     #[test]
@@ -340,17 +305,6 @@ mod tests {
                 for (c, &o) in sq.iter().enumerate() {
                     assert_eq!(o, norm2_sq(&col(c)), "norm n={n} k={k} c={c}");
                 }
-
-                let x: Vec<f64> = (0..n).map(|i| 0.3 * (i as f64) - 0.7).collect();
-                let alphas: Vec<f64> = (0..k).map(|c| 0.37 + 0.11 * c as f64).collect();
-                let mut pa = panel.clone();
-                axpy_k(&alphas, &x, &mut pa);
-                for c in 0..k {
-                    let mut yc = col(c);
-                    axpy(alphas[c], &x, &mut yc);
-                    let got: Vec<f64> = (0..n).map(|i| pa[i * k + c]).collect();
-                    assert_eq!(got, yc, "axpy n={n} k={k} c={c}");
-                }
             }
         }
     }
@@ -364,12 +318,5 @@ mod tests {
         let mut z = vec![0.0, 0.0];
         assert_eq!(normalize(&mut z), 0.0);
         assert_eq!(z, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn argmax_abs_breaks_ties_low() {
-        assert_eq!(argmax_abs(&[1.0, -3.0, 3.0]), Some((1, 3.0)));
-        assert_eq!(argmax_abs(&[]), None);
-        assert_eq!(argmax_abs(&[0.0]), Some((0, 0.0)));
     }
 }

@@ -185,3 +185,50 @@ fn deadlock_free_property_across_seeds() {
         assert!(rep.converged_at.is_some(), "seed {seed} did not converge");
     }
 }
+
+#[test]
+fn each_southwell_step_removes_the_greedy_energy() {
+    // Frommer–Szyld's greedy contraction: on a unit-diagonal SPD `A`,
+    // relaxing row `i` lowers ‖e‖²_A by exactly `r_i²`, so the greedy
+    // (Southwell) step lowers it by `max_i r_i²`, at least ‖r‖²/n. An
+    // independent oracle: `x*` comes from the dense Cholesky solve, and
+    // `x_k` is sequential Southwell stopped after `k` relaxations, so its
+    // heap runs across steps.
+    const STEPS: u64 = 64;
+    for e in suite::suite() {
+        let a = e.build_small(0.1);
+        let n = a.nrows();
+        let b = gen::random_rhs(n, 7);
+        let x_star = Cholesky::factor_csr(&a).unwrap().solve(&b);
+        let energy = |x: &[f64]| {
+            let err: Vec<f64> = x.iter().zip(&x_star).map(|(xi, si)| xi - si).collect();
+            vecops::dot(&err, &a.mul_vec(&err))
+        };
+        let mut x = vec![0.0; n];
+        for k in 1..=STEPS {
+            let r = a.residual(&b, &x);
+            let max_r2 = r.iter().fold(0.0f64, |m, ri| m.max(ri * ri));
+            let mean_r2 = vecops::norm2_sq(&r) / n as f64;
+            let opts = ScalarOptions {
+                max_relaxations: k,
+                target_residual: None,
+                record_stride: STEPS,
+                seed: 0,
+            };
+            let (next, _) = scalar::sequential_southwell(&a, &b, &vec![0.0; n], &opts);
+            let (before, after) = (energy(&x), energy(&next));
+            let drop = before - after;
+            assert!(
+                (drop - max_r2).abs() <= 1e-12 * before,
+                "{} step {k}: ‖e‖²_A fell by {drop:e}, max r_i² is {max_r2:e}",
+                e.name
+            );
+            assert!(
+                drop >= mean_r2 - 1e-12 * before,
+                "{} step {k}: drop {drop:e} below ‖r‖²/n = {mean_r2:e}",
+                e.name
+            );
+            x = next;
+        }
+    }
+}

@@ -13,9 +13,7 @@
 //!   grid-size-independently on the threaded backend, at one sweep and at
 //!   half a sweep.
 
-use distributed_southwell::multigrid::{
-    CycleType, DistMultigrid, DistMultigridConfig, Multigrid, Smoother,
-};
+use distributed_southwell::multigrid::{DistMultigrid, DistMultigridConfig, Multigrid, Smoother};
 use distributed_southwell::rma::ExecMode;
 use distributed_southwell::sparse::gen;
 use proptest::prelude::*;
@@ -120,19 +118,17 @@ fn fig6_grid_independence_on_the_threaded_backend() {
 }
 
 #[test]
-fn w_cycles_and_agglomeration_floors_stay_bit_identical() {
-    // The equivalence is independent of the cycle shape and of how hard
-    // the coarse levels agglomerate.
+fn agglomeration_floors_stay_bit_identical() {
+    // The equivalence is independent of how hard the coarse levels
+    // agglomerate.
     let dim = 31;
     let b = gen::random_rhs(dim * dim, 77);
     let (x_ref, hist_ref) = Multigrid::try_new(dim, Smoother::distributed_southwell(1.0, 4))
         .expect("admissible dimension")
-        .with_cycle_type(CycleType::W)
         .solve(&b, 3);
     for min_rows in [1usize, 16, 256] {
         let cfg = DistMultigridConfig {
             seed: 4,
-            cycle_type: CycleType::W,
             nparts: 6,
             min_rows_per_part: min_rows,
             ..DistMultigridConfig::default()

@@ -1,5 +1,5 @@
 //! Property-based tests on the multigrid transfer operators and the
-//! reordering/IO layers — the pieces whose correctness is a precise
+//! binary IO layer — the pieces whose correctness is a precise
 //! algebraic statement.
 
 use distributed_southwell::multigrid::transfer::{prolong, restrict};
@@ -7,7 +7,6 @@ use distributed_southwell::multigrid::TransferExchange;
 use distributed_southwell::partition::partition_strip;
 use distributed_southwell::rma::{CostModel, ExecMode};
 use distributed_southwell::sparse::io_bin;
-use distributed_southwell::sparse::reorder::{reverse_cuthill_mckee, Permutation};
 use distributed_southwell::sparse::{gen, vecops};
 use proptest::prelude::*;
 
@@ -110,40 +109,5 @@ proptest! {
         let mut buf = Vec::new();
         io_bin::write_bin(&a, &mut buf).unwrap();
         prop_assert_eq!(io_bin::read_bin(&buf[..]).unwrap(), a);
-    }
-
-    #[test]
-    fn rcm_is_a_permutation_that_preserves_symmetry(
-        nx in 3usize..9,
-        ny in 3usize..9,
-    ) {
-        let a = gen::grid2d_poisson(nx, ny);
-        let p = reverse_cuthill_mckee(&a);
-        prop_assert_eq!(p.len(), a.nrows());
-        // new_of and old_of are inverse.
-        for i in 0..p.len() {
-            prop_assert_eq!(p.new_of(p.old_of(i)), i);
-        }
-        let b = p.apply_symmetric(&a).unwrap();
-        prop_assert!(b.is_symmetric(1e-12));
-        prop_assert_eq!(b.nnz(), a.nnz());
-    }
-
-    #[test]
-    fn permutation_vec_roundtrip(perm_seed in 0u64..500, n in 2usize..40) {
-        // Build a pseudo-random permutation from the seed.
-        let mut idx: Vec<usize> = (0..n).collect();
-        let mut state = perm_seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        for i in (1..n).rev() {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            let j = (state as usize) % (i + 1);
-            idx.swap(i, j);
-        }
-        let p = Permutation::from_new_to_old(idx).unwrap();
-        let x = gen::random_guess(n, perm_seed);
-        let back = p.apply_vec_inverse(&p.apply_vec(&x));
-        prop_assert_eq!(back, x);
     }
 }
