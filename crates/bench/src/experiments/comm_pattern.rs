@@ -9,7 +9,7 @@ use dsw_core::dist::{
     distribute, BlockJacobiRank, DistributedSouthwellRank, ParallelSouthwellRank,
 };
 use dsw_rma::{
-    ClassCounts, CommClass, CostModel, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm,
+    ClassCounts, CommClass, CostModel, ExecMode, Executor, Inbox, PhaseCtx, RankAlgorithm,
 };
 use dsw_sparse::suite::by_name;
 
@@ -56,7 +56,7 @@ impl<R: RankAlgorithm> RankAlgorithm for Tap<R> {
         self.inner.phases()
     }
 
-    fn phase(&mut self, phase: usize, inbox: &[Envelope<R::Msg>], ctx: &mut PhaseCtx<R::Msg>) {
+    fn phase(&mut self, phase: usize, inbox: Inbox<'_, R::Msg>, ctx: &mut PhaseCtx<R::Msg>) {
         let mut cap = PhaseCtx::capture(ctx.rank());
         self.inner.phase(phase, inbox, &mut cap);
         let (outbox, totals) = cap.into_captured();

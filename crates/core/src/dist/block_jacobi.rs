@@ -3,7 +3,7 @@
 use super::layout::{LocalShape, LocalSystem};
 use super::local_solver::{LocalSolver, LocalSolverImpl};
 use super::msg::SlabVec;
-use dsw_rma::{CommClass, Envelope, FusedPanel, PanelMsg, PanelPhaseCtx, PhaseCtx, RankAlgorithm};
+use dsw_rma::{CommClass, FusedPanel, Inbox, PanelMsg, PanelPhaseCtx, PhaseCtx, RankAlgorithm};
 
 /// One rank of the Block Jacobi iteration: every parallel step, relax the
 /// local subdomain with one Gauss–Seidel sweep (the paper's "Hybrid
@@ -56,13 +56,15 @@ impl BlockJacobiRank {
             .collect()
     }
 
-    /// Applies incoming neighbor deltas to the maintained residual.
-    fn apply_inbox(&mut self, inbox: &[Envelope<BjMsg>]) {
-        let sh = &*self.ls.shape;
+    /// Applies incoming neighbor deltas to the maintained residual. The
+    /// shape and `r` are borrowed apart once, as in `gs_rows`, so the
+    /// stores into `r` leave the loaded slice headers in registers.
+    fn apply_inbox(&mut self, inbox: Inbox<'_, BjMsg>) {
+        let (sh, r) = (&*self.ls.shape, &mut self.ls.r[..]);
         for env in inbox {
             let s = sh.neighbor_slot(env.src);
             for (&li, &d) in sh.boundary_rows_to[s].iter().zip(&env.payload.dr) {
-                self.ls.r[li as usize] += d;
+                r[li as usize] += d;
             }
         }
     }
@@ -131,7 +133,7 @@ macro_rules! dispatch_lanes {
 /// active-set change is preceded by a driver flush.
 fn apply_packed_resident(
     cols: &[BlockJacobiRank],
-    inbox: &[Envelope<PanelMsg<BjMsg>>],
+    inbox: Inbox<'_, PanelMsg<BjMsg>>,
     kk: usize,
     r_panel: &mut [f64],
 ) {
@@ -410,7 +412,7 @@ fn fused_panel_phase(
     cols: &mut [BlockJacobiRank],
     active: &[bool],
     phase: usize,
-    inbox: &[Envelope<PanelMsg<BjMsg>>],
+    inbox: Inbox<'_, PanelMsg<BjMsg>>,
     out: &mut PanelPhaseCtx<'_, BjMsg>,
 ) {
     match phase {
@@ -499,7 +501,7 @@ impl RankAlgorithm for BlockJacobiRank {
         self.ls.neighbors.clone()
     }
 
-    fn phase(&mut self, phase: usize, inbox: &[Envelope<BjMsg>], ctx: &mut PhaseCtx<BjMsg>) {
+    fn phase(&mut self, phase: usize, inbox: Inbox<'_, BjMsg>, ctx: &mut PhaseCtx<BjMsg>) {
         match phase {
             0 => {
                 // Empty on a reliable link (all deltas were applied in the
@@ -640,7 +642,7 @@ mod tests {
         // edges per step on 8192 ranks. A field added to `BjMsg` or
         // `Envelope` must fail here rather than silently in the benchmark.
         // (The `DistMsg` envelope Block Jacobi used to send is 192 bytes.)
-        assert!(std::mem::size_of::<Envelope<BjMsg>>() <= 96);
+        assert!(std::mem::size_of::<dsw_rma::Envelope<BjMsg>>() <= 96);
     }
 
     #[test]
@@ -659,7 +661,7 @@ mod tests {
         let id = 1;
         let mut scalar = ranks[id].clone();
         let mut ctx = PhaseCtx::capture(id);
-        scalar.phase(0, &[], &mut ctx);
+        scalar.phase(0, Inbox::from(&[][..]), &mut ctx);
         let (scalar_out, _) = ctx.into_captured();
         assert_eq!(scalar_out.len(), 2, "a middle strip has two neighbors");
         for (_, env) in &scalar_out {
@@ -673,7 +675,7 @@ mod tests {
             let mut panel = PanelRank::new(vec![ranks[id].clone(); k]);
             panel.set_fused(ranks[id].panel_kernel());
             let mut ctx = PhaseCtx::capture(id);
-            panel.phase(0, &[], &mut ctx);
+            panel.phase(0, Inbox::from(&[][..]), &mut ctx);
             let (fused_out, _) = ctx.into_captured();
             assert_eq!(fused_out.len(), scalar_out.len());
             for ((t, env), (st, senv)) in fused_out.iter().zip(&scalar_out) {

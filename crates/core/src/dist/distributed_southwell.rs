@@ -37,7 +37,7 @@ use super::msg::{DistMsg, SeqMsg, SlabVec};
 use super::recovery::{Recoverable, RecoveryConfig};
 use super::seq::{SeqIn, SeqVerdict};
 use crate::scalar::beats;
-use dsw_rma::{CommClass, Envelope, PhaseCtx, RankAlgorithm};
+use dsw_rma::{CommClass, Inbox, PhaseCtx, RankAlgorithm};
 
 /// Toggles for the ablation studies (see DESIGN.md).
 #[derive(Debug, Clone, Copy)]
@@ -245,11 +245,11 @@ impl DistributedSouthwellRank {
         if self.my_norm_sq == 0.0 {
             return false;
         }
-        self.ls
-            .neighbors
+        let sh = &*self.ls.shape;
+        sh.neighbors
             .iter()
             .zip(&self.gamma_sq)
-            .all(|(&q, &g)| beats(self.my_norm_sq, self.ls.rank, g, q))
+            .all(|(&q, &g)| beats(self.my_norm_sq, sh.rank, g, q))
     }
 
     /// Recomputes `my_norm_sq` only if `ls.r` changed since the last
@@ -296,10 +296,15 @@ impl DistributedSouthwellRank {
     /// redelivery), reordered stale messages contribute only their additive
     /// deltas, and messages older than an applied audit snapshot are
     /// discarded entirely (the snapshot subsumes their effect).
-    fn apply_inbox(&mut self, inbox: &[Envelope<SeqMsg>], ctx: &mut PhaseCtx<SeqMsg>) {
+    ///
+    /// The shape, `r` and `z` are borrowed apart once, as in `gs_rows`, so
+    /// the stores into `r` and `z` leave the loaded slice headers in
+    /// registers.
+    fn apply_inbox(&mut self, inbox: Inbox<'_, SeqMsg>, ctx: &mut PhaseCtx<SeqMsg>) {
+        let (sh, r, z) = (&*self.ls.shape, &mut self.ls.r[..], &mut self.z[..]);
         let mut any_audit = false;
         for env in inbox {
-            let s = self.ls.neighbor_slot(env.src);
+            let s = sh.neighbor_slot(env.src);
             let seq = env.payload.seq;
             // Senders sequence (seq > 0) only with sequencing on, which
             // also gives every receiver its link state.
@@ -320,8 +325,8 @@ impl DistributedSouthwellRank {
                     est_of_target_sq,
                 } => {
                     // Additive deltas apply exactly once whatever the order.
-                    for (&li, &d) in self.ls.shape.boundary_rows_to[s].iter().zip(dr) {
-                        self.ls.r[li as usize] += d;
+                    for (&li, &d) in sh.boundary_rows_to[s].iter().zip(dr) {
+                        r[li as usize] += d;
                     }
                     self.norm_dirty = true;
                     // The sender relaxed after its last audit snapshot, so
@@ -330,8 +335,8 @@ impl DistributedSouthwellRank {
                         link.audit_fresh[s] = false;
                     }
                     if newest {
-                        for (&slot, &v) in self.ls.ghosts_of[s].iter().zip(boundary_r) {
-                            self.z[slot as usize] = v;
+                        for (&slot, &v) in sh.ghosts_of[s].iter().zip(boundary_r) {
+                            z[slot as usize] = v;
                         }
                         self.gamma_sq[s] = *norm_sq;
                         if !self.sent_prev_phase[s] {
@@ -345,8 +350,8 @@ impl DistributedSouthwellRank {
                     est_of_target_sq,
                 } => {
                     if newest {
-                        for (&slot, &v) in self.ls.ghosts_of[s].iter().zip(boundary_r) {
-                            self.z[slot as usize] = v;
+                        for (&slot, &v) in sh.ghosts_of[s].iter().zip(boundary_r) {
+                            z[slot as usize] = v;
                         }
                         self.gamma_sq[s] = *norm_sq;
                         if !self.sent_prev_phase[s] {
@@ -364,8 +369,8 @@ impl DistributedSouthwellRank {
                     est_of_target_sq,
                 } => {
                     if newest {
-                        for (&slot, &v) in self.ls.ghosts_of[s].iter().zip(boundary_r) {
-                            self.z[slot as usize] = v;
+                        for (&slot, &v) in sh.ghosts_of[s].iter().zip(boundary_r) {
+                            z[slot as usize] = v;
                         }
                         self.gamma_sq[s] = *norm_sq;
                         if !self.sent_prev_phase[s] {
@@ -374,7 +379,7 @@ impl DistributedSouthwellRank {
                         // Only ranks with the audit on send snapshots, and
                         // the audit gives every rank its link state.
                         if let Some(link) = self.link.as_deref_mut() {
-                            for (&slot, &v) in self.ls.ghosts_of[s].iter().zip(boundary_x) {
+                            for (&slot, &v) in sh.ghosts_of[s].iter().zip(boundary_x) {
                                 link.ghost_x[slot as usize] = v;
                             }
                             if seq > 0 {
@@ -461,7 +466,7 @@ impl RankAlgorithm for DistributedSouthwellRank {
         self.ls.neighbors.clone()
     }
 
-    fn phase(&mut self, phase: usize, inbox: &[Envelope<SeqMsg>], ctx: &mut PhaseCtx<SeqMsg>) {
+    fn phase(&mut self, phase: usize, inbox: Inbox<'_, SeqMsg>, ctx: &mut PhaseCtx<SeqMsg>) {
         match phase {
             0 => {
                 // The previous step's phase-1 flushes are delivered during

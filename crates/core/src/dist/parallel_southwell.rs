@@ -4,7 +4,7 @@ use super::layout::LocalSystem;
 use super::local_solver::{LocalSolver, LocalSolverImpl};
 use super::msg::{DistMsg, SlabVec};
 use crate::scalar::beats;
-use dsw_rma::{CommClass, Envelope, PhaseCtx, RankAlgorithm};
+use dsw_rma::{CommClass, Inbox, PhaseCtx, RankAlgorithm};
 
 /// One rank of block Parallel Southwell.
 ///
@@ -176,7 +176,7 @@ impl RankAlgorithm for ParallelSouthwellRank {
         self.ls.neighbors.clone()
     }
 
-    fn phase(&mut self, phase: usize, inbox: &[Envelope<DistMsg>], ctx: &mut PhaseCtx<DistMsg>) {
+    fn phase(&mut self, phase: usize, inbox: Inbox<'_, DistMsg>, ctx: &mut PhaseCtx<DistMsg>) {
         match phase {
             0 => {
                 // Read explicit residual updates from the previous step

@@ -28,7 +28,7 @@
 use crate::dsmooth::{contiguous_ranges, DsLevelSmoother};
 use crate::{level_dims, MultigridError, Smoother};
 use dsw_partition::{agglomerate_coarse, partition_strip, Partition};
-use dsw_rma::{CommClass, CostModel, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm};
+use dsw_rma::{CommClass, CostModel, ExecMode, Executor, Inbox, PhaseCtx, RankAlgorithm};
 use dsw_sparse::dense::Cholesky;
 use dsw_sparse::gen::grid2d_poisson;
 use dsw_sparse::{vecops, CsrMatrix};
@@ -76,7 +76,7 @@ pub struct TransferRank {
     sends: Vec<(usize, Vec<u32>)>,
     /// Received `row → value` map (scratch).
     vals: HashMap<u32, f64>,
-    /// Static put-target set (enables bucketed target-major routing).
+    /// Static put-target set (sizes the executor's window slots).
     targets: Vec<usize>,
 }
 
@@ -162,12 +162,7 @@ impl RankAlgorithm for TransferRank {
         2
     }
 
-    fn phase(
-        &mut self,
-        phase: usize,
-        inbox: &[Envelope<Self::Msg>],
-        ctx: &mut PhaseCtx<Self::Msg>,
-    ) {
+    fn phase(&mut self, phase: usize, inbox: Inbox<'_, Self::Msg>, ctx: &mut PhaseCtx<Self::Msg>) {
         match phase {
             0 => {
                 if self.is_source() {

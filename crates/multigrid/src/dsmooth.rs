@@ -49,7 +49,7 @@
 //! routine's `EdgeState::new` and the driver's `distribute`.
 
 use dsw_partition::Partition;
-use dsw_rma::{CommClass, CostModel, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm};
+use dsw_rma::{CommClass, CostModel, ExecMode, Executor, Inbox, PhaseCtx, RankAlgorithm};
 use dsw_sparse::{vecops, CsrMatrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -269,7 +269,7 @@ impl DsSmootherRank {
 
     /// `SELECT`: apply the previous step's explicit residual updates,
     /// then select owned rows against the local estimates.
-    fn run_select(&mut self, inbox: &[Envelope<DsSmootherMsg>]) {
+    fn run_select(&mut self, inbox: Inbox<'_, DsSmootherMsg>) {
         for env in inbox {
             if let DsSmootherMsg::Res(recs) = &env.payload {
                 for rec in recs {
@@ -386,11 +386,7 @@ impl DsSmootherRank {
     /// `DELIVER`: merge staged + inbox relaxation records in origin order
     /// and apply them, then run the phase-B deadlock scan against the
     /// post-phase-A state.
-    fn run_deliver(
-        &mut self,
-        inbox: &[Envelope<DsSmootherMsg>],
-        ctx: &mut PhaseCtx<DsSmootherMsg>,
-    ) {
+    fn run_deliver(&mut self, inbox: Inbox<'_, DsSmootherMsg>, ctx: &mut PhaseCtx<DsSmootherMsg>) {
         self.merge.clear();
         self.merge.append(&mut self.staged);
         for env in inbox {
@@ -487,7 +483,7 @@ impl RankAlgorithm for DsSmootherRank {
     fn phase(
         &mut self,
         _phase: usize,
-        inbox: &[Envelope<DsSmootherMsg>],
+        inbox: Inbox<'_, DsSmootherMsg>,
         ctx: &mut PhaseCtx<DsSmootherMsg>,
     ) {
         match self.stage {

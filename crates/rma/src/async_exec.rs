@@ -182,7 +182,7 @@ impl<A: RankAlgorithm> Executor<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{Envelope, ExecMode, PhaseCtx};
+    use crate::executor::{ExecMode, Inbox, PhaseCtx};
     use crate::fault::ChaosConfig;
     use crate::stats::{CommClass, CostModel};
 
@@ -206,7 +206,7 @@ mod tests {
         fn phases(&self) -> usize {
             1
         }
-        fn phase(&mut self, _phase: usize, inbox: &[Envelope<u64>], ctx: &mut PhaseCtx<u64>) {
+        fn phase(&mut self, _phase: usize, inbox: Inbox<'_, u64>, ctx: &mut PhaseCtx<u64>) {
             for e in inbox {
                 self.value += e.payload;
             }
@@ -297,7 +297,7 @@ mod tests {
     }
 
     /// A rank that counts every message it absorbs: conservation proves the
-    /// inbox buffer delivers each pending put exactly once.
+    /// window slots and held inboxes deliver each pending put exactly once.
     struct Counter {
         id: usize,
         n: usize,
@@ -310,7 +310,7 @@ mod tests {
         fn phases(&self) -> usize {
             1
         }
-        fn phase(&mut self, _phase: usize, inbox: &[Envelope<u64>], ctx: &mut PhaseCtx<u64>) {
+        fn phase(&mut self, _phase: usize, inbox: Inbox<'_, u64>, ctx: &mut PhaseCtx<u64>) {
             self.received += inbox.len() as u64;
             ctx.put((self.id + 1) % self.n, CommClass::Solve, 1, 8);
             self.sent += 1;

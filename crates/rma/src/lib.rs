@@ -11,10 +11,12 @@
 //! This crate reproduces those semantics exactly, without real MPI:
 //!
 //! * a [`RankAlgorithm`] implements the per-process program as a sequence of
-//!   *phases* per parallel step; puts issued during phase `k` are delivered
-//!   into target inboxes *after* phase `k` completes (the epoch close), and
-//!   are read by targets in phase `k + 1` — never earlier, which is the
-//!   one-sided visibility rule;
+//!   *phases* per parallel step; puts issued during phase `k` land in the
+//!   target's window slots (one per `(origin, target)` edge, in one of two
+//!   generations), and targets read them there, as an [`Inbox`], in phase
+//!   `k + 1` — never earlier, which is the one-sided visibility rule. The
+//!   epoch close between the two moves no message unless a fault or a
+//!   skipped target needs it to;
 //! * the [`Executor`] runs all ranks phase-by-phase, either sequentially or
 //!   on its persistent `WorkerPool` ([`ExecMode`]); both modes produce
 //!   bit-identical results because ranks only interact through the epoch
@@ -52,7 +54,7 @@ pub mod stats;
 
 pub use async_exec::AsyncOptions;
 pub use executor::{
-    CaptureTotals, CloseMode, Envelope, ExecMode, Executor, PhaseCtx, RankAlgorithm,
+    CaptureTotals, CloseMode, Envelope, ExecMode, Executor, Inbox, PhaseCtx, RankAlgorithm,
 };
 pub use fault::{ChaosConfig, Fate, FaultInjector};
 pub use panel::{

@@ -30,7 +30,7 @@
 //! the per-column path stages one part per column (`1 << c`), and a
 //! fused phase ([`FusedPanel`]) may stage one shared part for many.
 
-use crate::executor::{Envelope, PhaseCtx, RankAlgorithm};
+use crate::executor::{Envelope, Inbox, PhaseCtx, RankAlgorithm};
 use crate::stats::CommClass;
 
 /// Bytes charged once per packed panel message (column count + framing).
@@ -177,7 +177,7 @@ pub type FusedPhaseFn<A> = fn(
     cols: &mut [A],
     active: &[bool],
     phase: usize,
-    inbox: &[Envelope<PanelMsg<<A as RankAlgorithm>::Msg>>],
+    inbox: Inbox<'_, PanelMsg<<A as RankAlgorithm>::Msg>>,
     out: &mut PanelPhaseCtx<'_, <A as RankAlgorithm>::Msg>,
 );
 
@@ -355,12 +355,7 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
         self.targets.clone()
     }
 
-    fn phase(
-        &mut self,
-        phase: usize,
-        inbox: &[Envelope<Self::Msg>],
-        ctx: &mut PhaseCtx<Self::Msg>,
-    ) {
+    fn phase(&mut self, phase: usize, inbox: Inbox<'_, Self::Msg>, ctx: &mut PhaseCtx<Self::Msg>) {
         debug_assert!(self.touched.iter().all(|&t| self.staging[t].is_empty()));
         self.touched.clear();
         if phase == 0 {
@@ -428,7 +423,7 @@ impl<A: RankAlgorithm> RankAlgorithm for PanelRank<A> {
                 }
                 let mut cap =
                     PhaseCtx::capture_reusing(ctx.rank(), std::mem::take(&mut self.cap_outbox));
-                col.phase(phase, &self.inboxes[c], &mut cap);
+                col.phase(phase, Inbox::from(&self.inboxes[c][..]), &mut cap);
                 let (mut outbox, totals) = cap.into_captured();
                 self.col_msgs[c] += totals.msgs;
                 self.col_relax[c] += totals.relaxations;
@@ -495,7 +490,7 @@ mod tests {
             1
         }
 
-        fn phase(&mut self, _p: usize, inbox: &[Envelope<f64>], ctx: &mut PhaseCtx<f64>) {
+        fn phase(&mut self, _p: usize, inbox: Inbox<'_, f64>, ctx: &mut PhaseCtx<f64>) {
             for env in inbox {
                 self.value += env.payload;
             }
@@ -600,7 +595,7 @@ mod tests {
             2
         }
 
-        fn phase(&mut self, phase: usize, _inbox: &[Envelope<u64>], ctx: &mut PhaseCtx<u64>) {
+        fn phase(&mut self, phase: usize, _inbox: Inbox<'_, u64>, ctx: &mut PhaseCtx<u64>) {
             let right = (self.rank + 1) % self.n;
             let left = (self.rank + self.n - 1) % self.n;
             if phase == 0 {
@@ -630,7 +625,7 @@ mod tests {
             (1, CommClass::Residual, vec![0, 2]),
         ] {
             let mut ctx = PhaseCtx::capture(rank);
-            panel.phase(phase, &[], &mut ctx);
+            panel.phase(phase, Inbox::from(&[][..]), &mut ctx);
             let (out, _) = ctx.into_captured();
             let got: Vec<usize> = out.iter().map(|(t, _)| *t).collect();
             assert_eq!(got, targets, "one message per target, ascending");
@@ -666,7 +661,7 @@ mod tests {
         panel.targets.clear();
         panel.staging.clear();
         let mut ctx = PhaseCtx::capture(0);
-        panel.phase(0, &[], &mut ctx);
+        panel.phase(0, Inbox::from(&[][..]), &mut ctx);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! sequencing layer, while the wrapper's slot reconciliation absorbs it —
 //! which is why the driver dispatches `r = 1` to the uncoded path.)
 
-use crate::executor::{Envelope, PhaseCtx, RankAlgorithm};
+use crate::executor::{Envelope, Inbox, PhaseCtx, RankAlgorithm};
 use crate::stats::CommClass;
 
 /// A logical message on the coded wire: the inner solver's payload plus
@@ -246,12 +246,7 @@ impl<A: RankAlgorithm> RankAlgorithm for RedundantHost<A> {
         self.blocks[0].solver.phases()
     }
 
-    fn phase(
-        &mut self,
-        phase: usize,
-        inbox: &[Envelope<Self::Msg>],
-        ctx: &mut PhaseCtx<Self::Msg>,
-    ) {
+    fn phase(&mut self, phase: usize, inbox: Inbox<'_, Self::Msg>, ctx: &mut PhaseCtx<Self::Msg>) {
         // Copies this host addressed to itself last phase become visible
         // now — the same boundary an executor delivery would have.
         let self_in = std::mem::take(&mut self.self_next);
@@ -272,7 +267,8 @@ impl<A: RankAlgorithm> RankAlgorithm for RedundantHost<A> {
         for i in 0..self.blocks.len() {
             let hb = &mut self.blocks[i];
             let mut ictx = PhaseCtx::capture(hb.block);
-            hb.solver.phase(phase, &hb.inbox, &mut ictx);
+            hb.solver
+                .phase(phase, Inbox::from(&hb.inbox[..]), &mut ictx);
             hb.inbox.clear();
             let (outbox, totals) = ictx.into_outbox_and_totals();
             ctx.add_flops(totals.flops);
@@ -363,7 +359,7 @@ mod tests {
         fn phases(&self) -> usize {
             1
         }
-        fn phase(&mut self, _phase: usize, inbox: &[Envelope<u64>], ctx: &mut PhaseCtx<u64>) {
+        fn phase(&mut self, _phase: usize, inbox: Inbox<'_, u64>, ctx: &mut PhaseCtx<u64>) {
             for e in inbox {
                 self.value += e.payload;
                 self.received += 1;
@@ -501,7 +497,7 @@ mod tests {
     }
 
     /// The wrapper advertises the physical fan-out topology, so the
-    /// bucketed (reverse-neighbor-indexed) close accepts every put.
+    /// executor's window slots accept every put.
     #[test]
     fn put_targets_cover_replica_fanout() {
         let n = 5;

@@ -226,10 +226,9 @@ pub struct StepStats {
     /// windows (all phases, as seen by the executor's driving thread).
     pub span_ns: u64,
     /// Measured: wall-clock nanoseconds the executor spent closing this
-    /// step's epochs — fate draws, message routing into inboxes, delayed
-    /// expiry, and the stats fold. `span_ns + route_ns` is essentially the
-    /// whole step; their ratio is the routing share the parallel close
-    /// attacks.
+    /// step's epochs — the stats fold and, for skipped targets or under
+    /// message faults, fate draws, moves into held inboxes and delayed
+    /// expiry. `span_ns + route_ns` is essentially the whole step.
     pub route_ns: u64,
     /// Workers that executed rank phases this step (1 = sequential).
     pub workers: u32,

@@ -6,10 +6,11 @@
 //! fault counters all match exactly, step by step.
 //!
 //! Why this holds by construction: rank phases are pure with respect to
-//! each other (puts land in per-(origin, target) buckets of the routing
-//! index), the epoch close that makes them visible routes each target's
-//! buckets in origin order over disjoint per-target state — serially or
-//! chunked across the worker pool ([`CloseMode`]) — and the fault injector
+//! each other (puts land in per-(origin, target) window slots of one
+//! generation while every rank reads its in-edge slots of the other, in
+//! origin order), the epoch close materialises a skipped or faulted
+//! target's inbox over disjoint per-target state — serially or chunked
+//! across the worker pool ([`CloseMode`]) — and the fault injector
 //! computes each message's fate as a pure function of its
 //! `(epoch, origin, target, index, class)` key, so no steal order, worker
 //! count, grain, or close chunking can reorder anything observable. See

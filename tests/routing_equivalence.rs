@@ -11,7 +11,7 @@
 
 use distributed_southwell::rma::{
     AsyncOptions, ChaosConfig, CloseMode, CommClass, CostModel, Envelope, ExecMode, Executor,
-    FaultInjector, PhaseCtx, RankAlgorithm, RedundantHost, RunStats, StepStats,
+    FaultInjector, Inbox, PhaseCtx, RankAlgorithm, RedundantHost, RunStats, StepStats,
 };
 use proptest::prelude::*;
 
@@ -62,7 +62,7 @@ impl RankAlgorithm for Gossip {
         self.neighbors()
     }
 
-    fn phase(&mut self, phase: usize, inbox: &[Envelope<u64>], ctx: &mut PhaseCtx<u64>) {
+    fn phase(&mut self, phase: usize, inbox: Inbox<'_, u64>, ctx: &mut PhaseCtx<u64>) {
         self.log.push((
             phase,
             inbox
@@ -141,7 +141,7 @@ fn reference<A: RankAlgorithm>(
                     continue;
                 }
                 let mut ctx = PhaseCtx::capture(i);
-                rank.phase(phase, &inboxes[i], &mut ctx);
+                rank.phase(phase, Inbox::from(&inboxes[i][..]), &mut ctx);
                 let (outbox, totals) = ctx.into_captured();
                 msgs += totals.msgs;
                 bytes += totals.bytes;
@@ -543,7 +543,7 @@ fn scheduled_reference<A: RankAlgorithm>(
                 continue;
             }
             let mut ctx = PhaseCtx::capture(i);
-            rank.phase(clock[i] % nphases, &inboxes[i], &mut ctx);
+            rank.phase(clock[i] % nphases, Inbox::from(&inboxes[i][..]), &mut ctx);
             clock[i] += 1;
             let (outbox, totals) = ctx.into_captured();
             msgs += totals.msgs;
