@@ -4,7 +4,12 @@
 //! experiments [--scale F] [--ranks N] [--steps K] [--out DIR] <ids...>
 //!   ids: fig1 fig2 fig5 fig6 fig6_dist table1 table2 table3 table4 fig7 fig8 fig9
 //!        ablation threshold comm chaos async redundancy serve multirhs all smoke
+//! experiments check DIR
 //! ```
+//!
+//! `check DIR` compares every CSV in `DIR` with its namesake in
+//! `results/`, skipping only the columns its experiment declares measured
+//! ([`dsw_bench::check`]), and names the first differing cell.
 
 use dsw_bench::experiments::fig2::{run_fig2, run_fig5};
 use dsw_bench::experiments::fig6::run_fig6;
@@ -73,11 +78,25 @@ fn smoke_ctx(out: Option<&Path>) -> ExperimentCtx {
 
 fn main() {
     let Cli { ctx, out, ids } = Cli::parse(std::env::args().skip(1));
+    if let [check, dir] = &ids[..] {
+        if check == "check" {
+            let reference = ExperimentCtx::default().out_dir;
+            match dsw_bench::check::check_dir(Path::new(dir), &reference) {
+                Ok(n) => println!("compared {n} CSVs with {}", reference.display()),
+                Err(e) => {
+                    eprintln!("{e}");
+                    std::process::exit(1);
+                }
+            }
+            return;
+        }
+    }
     if ids.is_empty() {
         eprintln!(
             "usage: experiments [--scale F] [--ranks N] [--steps K] [--out DIR] <ids...>\n\
              ids: fig1 fig2 fig5 fig6 fig6_dist table1 table2 table3 table4 fig7 fig8 fig9\n\
-                  ablation threshold comm chaos async redundancy serve multirhs all smoke"
+                  ablation threshold comm chaos async redundancy serve multirhs all smoke\n\
+             experiments check DIR"
         );
         std::process::exit(2);
     }

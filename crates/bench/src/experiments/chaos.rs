@@ -11,6 +11,10 @@ use dsw_core::dist::{run_method, DistOptions, DsConfig, Method, RecoveryConfig};
 use dsw_rma::ChaosConfig;
 use dsw_sparse::gen;
 
+/// The columns of `chaos.csv` that are measured wall-time observables, not
+/// modelled: `experiments check` skips them.
+pub const MEASURED: &[&str] = &["mean_imbalance", "worker_utilization"];
+
 /// One fault scenario of the sweep.
 struct Scenario {
     name: &'static str,

@@ -34,6 +34,17 @@ use crate::harness::{write_csv, ExperimentCtx, Spread};
 use dsw_core::dist::{Method, TenantSession};
 use std::time::Instant;
 
+/// The measured columns of `multirhs.csv` (rates, their IQRs and their
+/// ratio): `experiments check` skips them.
+pub const MEASURED: &[&str] = &[
+    "fused_solves_per_sec",
+    "fused_solves_per_sec_iqr",
+    "seq_solves_per_sec",
+    "seq_solves_per_sec_iqr",
+    "speedup",
+    "speedup_iqr",
+];
+
 /// Panel widths swept by the study.
 pub const KS: [usize; 3] = [4, 8, 16];
 

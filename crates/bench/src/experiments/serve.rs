@@ -24,6 +24,27 @@ use dsw_serve::{ServeConfig, ServiceStats, SolveService, TenantId};
 use dsw_sparse::{gen, CsrMatrix};
 use std::time::Instant;
 
+/// The measured columns of `serve_throughput.csv` (rates, latencies,
+/// utilization and their IQRs): `experiments check` skips them.
+pub const MEASURED: &[&str] = &[
+    "serve_solves_per_sec",
+    "serve_solves_per_sec_iqr",
+    "serialized_solves_per_sec",
+    "serialized_solves_per_sec_iqr",
+    "speedup",
+    "speedup_iqr",
+    "p50_ms",
+    "p50_ms_iqr",
+    "p99_ms",
+    "p99_ms_iqr",
+    "queue_wait_p50_ms",
+    "queue_wait_p50_ms_iqr",
+    "queue_wait_p99_ms",
+    "queue_wait_p99_ms_iqr",
+    "pool_utilization",
+    "pool_utilization_iqr",
+];
+
 /// Rank count of the serve problem (the paper's §4.2 scale).
 pub const RANKS: usize = 64;
 

@@ -9,6 +9,7 @@
 //! under `results/`.
 
 pub mod chart;
+pub mod check;
 pub mod experiments;
 pub mod harness;
 

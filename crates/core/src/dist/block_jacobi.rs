@@ -1,6 +1,6 @@
 //! Block Jacobi (Algorithm 1 of the paper).
 
-use super::layout::{LocalShape, LocalSystem};
+use super::layout::{LocalShape, LocalSystem, SlotCursor};
 use super::local_solver::{LocalSolver, LocalSolverImpl};
 use super::msg::SlabVec;
 use dsw_rma::{CommClass, FusedPanel, Inbox, PanelMsg, PanelPhaseCtx, PhaseCtx, RankAlgorithm};
@@ -61,8 +61,9 @@ impl BlockJacobiRank {
     /// stores into `r` leave the loaded slice headers in registers.
     fn apply_inbox(&mut self, inbox: Inbox<'_, BjMsg>) {
         let (sh, r) = (&*self.ls.shape, &mut self.ls.r[..]);
+        let mut cursor = SlotCursor::default();
         for env in inbox {
-            let s = sh.neighbor_slot(env.src);
+            let s = cursor.slot(sh, env.src);
             for (&li, &d) in sh.boundary_rows_to[s].iter().zip(&env.payload.dr) {
                 r[li as usize] += d;
             }
@@ -138,8 +139,9 @@ fn apply_packed_resident(
     r_panel: &mut [f64],
 ) {
     let sh = &*cols[0].ls.shape;
+    let mut cursor = SlotCursor::default();
     for env in inbox {
-        let s = sh.neighbor_slot(env.src);
+        let s = cursor.slot(sh, env.src);
         let rows = &sh.boundary_rows_to[s];
         for part in &env.payload.parts {
             let dr = &part.msg.dr;
@@ -515,10 +517,7 @@ impl RankAlgorithm for BlockJacobiRank {
                 ctx.record_relaxations(self.ls.nrows() as u64);
                 // Write updates to every neighbor's window.
                 for s in 0..self.ls.nneighbors() {
-                    let dr: SlabVec = self.ls.ghosts_of[s]
-                        .iter()
-                        .map(|&slot| self.ghost_dr[slot as usize])
-                        .collect();
+                    let dr = SlabVec::gather(&self.ls.ghosts_of[s], &self.ghost_dr);
                     let msg = BjMsg { dr };
                     let bytes = msg.wire_bytes();
                     ctx.put(self.ls.neighbors[s], CommClass::Solve, msg, bytes);

@@ -31,7 +31,7 @@
 //! already recorded at send time, is the sender's final word. The
 //! `gamma_tilde_is_exact` integration test checks the invariant globally.
 
-use super::layout::LocalSystem;
+use super::layout::{LocalSystem, SlotCursor};
 use super::local_solver::{LocalSolver, LocalSolverImpl};
 use super::msg::{DistMsg, SeqMsg, SlabVec};
 use super::recovery::{Recoverable, RecoveryConfig};
@@ -303,8 +303,9 @@ impl DistributedSouthwellRank {
     fn apply_inbox(&mut self, inbox: Inbox<'_, SeqMsg>, ctx: &mut PhaseCtx<SeqMsg>) {
         let (sh, r, z) = (&*self.ls.shape, &mut self.ls.r[..], &mut self.z[..]);
         let mut any_audit = false;
+        let mut cursor = SlotCursor::default();
         for env in inbox {
-            let s = sh.neighbor_slot(env.src);
+            let s = cursor.slot(sh, env.src);
             let seq = env.payload.seq;
             // Senders sequence (seq > 0) only with sequencing on, which
             // also gives every receiver its link state.
@@ -438,14 +439,22 @@ impl DistributedSouthwellRank {
         ctx.add_flops(flops);
     }
 
+    /// The deltas parked for neighbor slot `s`, in the agreed ordering;
+    /// their `pending_dr` entries are zeroed.
+    fn take_pending(&mut self, s: usize) -> SlabVec {
+        let ghosts = &self.ls.shape.ghosts_of[s];
+        let dr = SlabVec::gather(ghosts, &self.pending_dr);
+        for &slot in ghosts {
+            self.pending_dr[slot as usize] = 0.0;
+        }
+        dr
+    }
+
     /// The sender-side audit payload for neighbor slot `s`: boundary
     /// solution and residual values in the agreed ordering.
     fn audit_body(&self, s: usize) -> DistMsg {
         DistMsg::Audit {
-            boundary_x: self.ls.boundary_rows_to[s]
-                .iter()
-                .map(|&i| self.ls.x[i as usize])
-                .collect(),
+            boundary_x: SlabVec::gather(&self.ls.boundary_rows_to[s], &self.ls.x),
             boundary_r: self.ls.boundary_residuals(s),
             norm_sq: self.my_norm_sq,
             est_of_target_sq: self.gamma_sq[s],
@@ -516,15 +525,7 @@ impl RankAlgorithm for DistributedSouthwellRank {
                         if thresh > 0.0 && acc_sq < thresh * thresh * self.my_norm_sq {
                             continue;
                         }
-                        let dr: SlabVec = self.ls.ghosts_of[s]
-                            .iter()
-                            .map(|&slot| {
-                                let slot = slot as usize;
-                                let v = self.pending_dr[slot];
-                                self.pending_dr[slot] = 0.0;
-                                v
-                            })
-                            .collect();
+                        let dr = self.take_pending(s);
                         let body = DistMsg::Solve {
                             dr,
                             boundary_r: self.ls.boundary_residuals(s),
@@ -567,15 +568,7 @@ impl RankAlgorithm for DistributedSouthwellRank {
                         if acc_sq == 0.0 || acc_sq < thresh * thresh * self.my_norm_sq {
                             continue;
                         }
-                        let dr: SlabVec = self.ls.ghosts_of[s]
-                            .iter()
-                            .map(|&slot| {
-                                let slot = slot as usize;
-                                let v = self.pending_dr[slot];
-                                self.pending_dr[slot] = 0.0;
-                                v
-                            })
-                            .collect();
+                        let dr = self.take_pending(s);
                         // A phase-1 flush crosses the step boundary in
                         // flight (applied at the receiver's next phase 0).
                         self.in_flight_flush_sq += dr.iter().map(|v| v * v).sum::<f64>();

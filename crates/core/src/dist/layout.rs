@@ -192,6 +192,42 @@ impl LocalShape {
     }
 }
 
+/// Resolves the neighbor slots of one inbox's origins, in the order the
+/// inbox yields them.
+///
+/// Every inbox the executor and its composition layers hand a rank is
+/// origin-ascending, and `neighbors` is sorted, so each origin's slot lies
+/// at or after the one past the previous origin's: the cursor walks
+/// forward to it instead of searching all the neighbors per envelope. An
+/// origin the walk cannot find ahead (a repeated or descending origin, or
+/// a non-neighbor) falls back to [`LocalShape::neighbor_slot`], so any
+/// order resolves correctly and a non-neighbor still panics.
+#[derive(Debug, Default)]
+pub(crate) struct SlotCursor {
+    /// The slot the next origin is expected at.
+    next: usize,
+}
+
+impl SlotCursor {
+    /// The neighbor slot of origin `src` in `sh`.
+    #[inline]
+    pub(crate) fn slot(&mut self, sh: &LocalShape, src: usize) -> usize {
+        let nb = &sh.neighbors[..];
+        let mut k = self.next;
+        while k < nb.len() && nb[k] < src {
+            k += 1;
+        }
+        let s = if nb.get(k) == Some(&src) {
+            k
+        } else {
+            sh.neighbor_slot(src)
+        };
+        debug_assert_eq!(s, sh.neighbor_slot(src));
+        self.next = s + 1;
+        s
+    }
+}
+
 /// The per-rank piece of a distributed system: the shared [`LocalShape`]
 /// plus the per-solve vectors `b`, `x` and `r`.
 ///
@@ -260,13 +296,10 @@ impl LocalSystem {
     }
 
     /// The residual values at the boundary rows facing neighbor slot `s`,
-    /// in the agreed ordering. Collected straight into the message slab, so
+    /// in the agreed ordering. Gathered straight into the message slab, so
     /// typical boundary sizes (≤ 8 rows) never touch the heap.
     pub fn boundary_residuals(&self, s: usize) -> super::msg::SlabVec {
-        self.boundary_rows_to[s]
-            .iter()
-            .map(|&i| self.r[i as usize])
-            .collect()
+        super::msg::SlabVec::gather(&self.boundary_rows_to[s], &self.r)
     }
 }
 
@@ -578,6 +611,59 @@ mod tests {
                 assert_eq!(my_ghost_globals, their_boundary_globals);
             }
         }
+    }
+
+    /// The cursor resolves every envelope to its binary-searched slot
+    /// whatever the inbox order: ascending with gaps walks forward, and a
+    /// repeated or descending origin takes the fallback.
+    #[test]
+    fn slot_cursor_resolves_any_origin_order() {
+        use dsw_rma::{CommClass, Envelope, Inbox};
+        // 3 × 3 blocks of a 9 × 9 grid: the centre rank 4 neighbours 1, 3,
+        // 5 and 7.
+        let a = gen::grid2d_poisson(9, 9);
+        let n = a.nrows();
+        let assign = (0..n).map(|g| (g / 9) / 3 * 3 + (g % 9) / 3).collect();
+        let part = Partition::new(9, assign);
+        let locals = distribute(&a, &vec![0.0; n], &vec![0.0; n], &part).unwrap();
+        let sh = &*locals[4].shape;
+        assert_eq!(sh.neighbors, [1, 3, 5, 7]);
+        let orders: [&[usize]; 6] = [
+            &[1, 3, 5, 7],
+            &[7, 5, 3, 1],
+            &[1, 1, 3, 5, 5, 7, 7],
+            &[3, 7],
+            &[1, 7, 3, 5],
+            &[5, 1, 1, 7, 3],
+        ];
+        for order in orders {
+            let envs: Vec<Envelope<()>> = order
+                .iter()
+                .map(|&src| Envelope {
+                    src,
+                    class: CommClass::Solve,
+                    bytes: 0,
+                    payload: (),
+                })
+                .collect();
+            let mut cursor = SlotCursor::default();
+            for env in Inbox::from(&envs[..]) {
+                assert_eq!(
+                    cursor.slot(sh, env.src),
+                    sh.neighbor_slot(env.src),
+                    "origin {} in order {order:?}",
+                    env.src
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-neighbor")]
+    fn slot_cursor_rejects_a_non_neighbor() {
+        let (_, _, _, locals) = setup(6, 6, 4);
+        let sh = &*locals[0].shape;
+        SlotCursor::default().slot(sh, 3);
     }
 
     #[test]

@@ -49,6 +49,25 @@ impl SlabVec {
             SlabVec::Heap(s.to_vec())
         }
     }
+
+    /// The values `src[i]` for `i` in `idx`, in `idx` order: the payload a
+    /// rank puts for one neighbor from its rows or ghost slots. A payload
+    /// that fits is written straight into the inline buffer.
+    #[inline]
+    pub(crate) fn gather(idx: &[u32], src: &[f64]) -> Self {
+        if idx.len() <= INLINE {
+            let mut buf = [0.0; INLINE];
+            for (b, &i) in buf.iter_mut().zip(idx) {
+                *b = src[i as usize];
+            }
+            SlabVec::Inline {
+                len: idx.len() as u8,
+                buf,
+            }
+        } else {
+            SlabVec::Heap(idx.iter().map(|&i| src[i as usize]).collect())
+        }
+    }
 }
 
 impl Default for SlabVec {
@@ -92,6 +111,8 @@ impl<'a> IntoIterator for &'a SlabVec {
     }
 }
 
+// Only the tests collect: the reference `SlabVec::gather` is checked against.
+#[cfg(test)]
 impl FromIterator<f64> for SlabVec {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
         let mut buf = [0.0; INLINE];
@@ -233,6 +254,28 @@ mod tests {
         }
         assert!(SlabVec::new().is_empty());
         assert!(SlabVec::default().is_empty());
+    }
+
+    /// `gather` builds the same payload as collecting the gathered values:
+    /// equal values, storage class and `len()` (what `wire_bytes` and the
+    /// report digests read), up to the inline capacity and one past it.
+    #[test]
+    fn gather_equals_collect_at_the_inline_boundary() {
+        let src: Vec<f64> = (0..32).map(|i| i as f64 * 0.25 - 3.0).collect();
+        for n in [0, 1, INLINE, INLINE + 1] {
+            let idx: Vec<u32> = (0..n as u32).map(|k| (7 * k + 3) % 32).collect();
+            let gathered = SlabVec::gather(&idx, &src);
+            let collected: SlabVec = idx.iter().map(|&i| src[i as usize]).collect();
+            assert_eq!(&*gathered, &*collected, "values at n = {n}");
+            assert_eq!(gathered.len(), collected.len(), "len at n = {n}");
+            assert_eq!(gathered.len(), n);
+            assert_eq!(
+                matches!(gathered, SlabVec::Inline { .. }),
+                matches!(collected, SlabVec::Inline { .. }),
+                "storage class at n = {n}"
+            );
+            assert_eq!(matches!(gathered, SlabVec::Heap(_)), n > INLINE);
+        }
     }
 
     #[test]

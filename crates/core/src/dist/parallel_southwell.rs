@@ -1,6 +1,6 @@
 //! Parallel Southwell, block form (Algorithm 2 of the paper).
 
-use super::layout::LocalSystem;
+use super::layout::{LocalSystem, SlotCursor};
 use super::local_solver::{LocalSolver, LocalSolverImpl};
 use super::msg::{DistMsg, SlabVec};
 use crate::scalar::beats;
@@ -95,12 +95,23 @@ impl ParallelSouthwellRank {
             .all(|(&q, &g)| beats(self.my_norm_sq, self.ls.rank, g, q))
     }
 
-    /// Applies one incoming message, whatever phase it lands in (in the
-    /// superstep executor solve messages arrive at phase 1 and explicit
-    /// updates at phase 0; under asynchronous scheduling either can arrive
-    /// at either boundary). Returns `true` if residual data changed.
-    fn apply_msg(&mut self, src: usize, msg: &DistMsg) -> bool {
-        let s = self.ls.neighbor_slot(src);
+    /// Applies one inbox, whatever phase it lands in (in the superstep
+    /// executor solve messages arrive at phase 1 and explicit updates at
+    /// phase 0; under asynchronous scheduling either can arrive at either
+    /// boundary). Returns `true` if residual data changed.
+    fn apply_inbox(&mut self, inbox: Inbox<'_, DistMsg>) -> bool {
+        let mut cursor = SlotCursor::default();
+        let mut received = false;
+        for env in inbox {
+            let s = cursor.slot(&self.ls, env.src);
+            received |= self.apply_msg(s, &env.payload);
+        }
+        received
+    }
+
+    /// Applies one message from the neighbor in slot `s`. Returns `true`
+    /// if residual data changed.
+    fn apply_msg(&mut self, s: usize, msg: &DistMsg) -> bool {
         match msg {
             DistMsg::Solve { dr, norm_sq, .. } => {
                 for (&li, &d) in self.ls.shape.boundary_rows_to[s].iter().zip(dr) {
@@ -181,11 +192,7 @@ impl RankAlgorithm for ParallelSouthwellRank {
             0 => {
                 // Read explicit residual updates from the previous step
                 // (and any solve updates arriving here under asynchrony).
-                let mut received = false;
-                for env in inbox {
-                    received |= self.apply_msg(env.src, &env.payload);
-                }
-                if received {
+                if self.apply_inbox(inbox) {
                     self.my_norm_sq = self.ls.residual_norm_sq();
                     ctx.add_flops(2 * self.ls.nrows() as u64);
                 }
@@ -198,10 +205,7 @@ impl RankAlgorithm for ParallelSouthwellRank {
                     self.my_norm_sq = self.ls.residual_norm_sq();
                     self.last_sent_norm_sq = self.my_norm_sq;
                     for s in 0..self.ls.nneighbors() {
-                        let dr: SlabVec = self.ls.ghosts_of[s]
-                            .iter()
-                            .map(|&slot| self.ghost_dr[slot as usize])
-                            .collect();
+                        let dr = SlabVec::gather(&self.ls.ghosts_of[s], &self.ghost_dr);
                         let msg = DistMsg::Solve {
                             dr,
                             boundary_r: SlabVec::new(),
@@ -215,11 +219,7 @@ impl RankAlgorithm for ParallelSouthwellRank {
             }
             1 => {
                 // Read solve updates; piggybacked norms keep Γ exact.
-                let mut received = false;
-                for env in inbox {
-                    received |= self.apply_msg(env.src, &env.payload);
-                }
-                if received {
+                if self.apply_inbox(inbox) {
                     self.my_norm_sq = self.ls.residual_norm_sq();
                     ctx.add_flops(2 * self.ls.nrows() as u64);
                 }

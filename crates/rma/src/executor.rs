@@ -244,11 +244,14 @@ enum Sink<M> {
     /// An executor context: this origin's declared targets, ascending, and
     /// the window generation the epoch puts into, offset to this origin's
     /// first slot (its slots follow in target order). Each put lands
-    /// directly in its `(origin, target)` slot.
+    /// directly in its `(origin, target)` slot. `next` is the index past
+    /// the last put's target: ranks put in ascending target order, so the
+    /// next put's target is found by walking forward from there.
     Windowed {
         targets: *const u32,
         ntargets: usize,
         window: WindowPtr<M>,
+        next: usize,
     },
 }
 
@@ -280,6 +283,7 @@ impl<M> PhaseCtx<M> {
                 targets: targets.as_ptr(),
                 ntargets: targets.len(),
                 window,
+                next: 0,
             },
             totals: PhaseTotals::default(),
         }
@@ -307,6 +311,7 @@ impl<M> PhaseCtx<M> {
     /// If `target` is the calling rank, or — in an executor context — if
     /// `target` is not in the set this rank declared via
     /// [`RankAlgorithm::put_targets`].
+    #[inline]
     pub fn put(&mut self, target: usize, class: CommClass, payload: M, bytes: u64) {
         assert_ne!(target, self.rank, "a rank must not put to itself");
         let env = Envelope {
@@ -321,15 +326,12 @@ impl<M> PhaseCtx<M> {
                 targets,
                 ntargets,
                 window,
+                next,
             } => {
                 // SAFETY: see `PhaseCtx::windowed`.
                 let targets = unsafe { std::slice::from_raw_parts(*targets, *ntargets) };
-                let Some(e) = targets.iter().position(|&t| t as usize == target) else {
-                    panic!(
-                        "rank {} put to rank {target}, which is not in its declared put_targets",
-                        self.rank
-                    );
-                };
+                let e = target_index(targets, *next, target, self.rank);
+                *next = e + 1;
                 // SAFETY: this origin's slots are exclusively owned (see
                 // `PhaseCtx::windowed`), and `e < ntargets`.
                 unsafe { window.put(e as u32, env) };
@@ -392,6 +394,29 @@ impl<M> PhaseCtx<M> {
             },
         )
     }
+}
+
+/// The index of `target` in an origin's ascending declared `targets`,
+/// walking forward from `from`, where the next put's target usually is;
+/// a target behind `from` (puts out of target order) is binary-searched.
+///
+/// # Panics
+/// If `target` is not declared.
+#[inline]
+fn target_index(targets: &[u32], from: usize, target: usize, rank: usize) -> usize {
+    let mut e = from;
+    while e < targets.len() && (targets[e] as usize) < target {
+        e += 1;
+    }
+    if targets.get(e).is_some_and(|&t| t as usize == target) {
+        return e;
+    }
+    let found = u32::try_from(target)
+        .ok()
+        .and_then(|t| targets.binary_search(&t).ok());
+    found.unwrap_or_else(|| {
+        panic!("rank {rank} put to rank {target}, which is not in its declared put_targets")
+    })
 }
 
 /// A per-rank program, written as phases of a parallel step.
@@ -1183,8 +1208,10 @@ impl<A: RankAlgorithm> Executor<A> {
             // SAFETY: chunk `c` touches only targets/origins in
             // `[c*chunk, (c+1)*chunk)`, ranges are disjoint across chunks,
             // and `pool.run` blocks until every chunk is done.
-            pool.run(nchunks, 1, &|c| unsafe {
-                close_chunk(&sh, c);
+            pool.run(nchunks, 1, &|cs| {
+                for c in cs {
+                    unsafe { close_chunk(&sh, c) };
+                }
             });
         } else {
             for c in 0..nchunks {
@@ -1273,38 +1300,49 @@ impl<A: RankAlgorithm> Executor<A> {
                 let slots = SyncPtr(self.phase_totals.as_mut_ptr());
                 let clocks = SyncPtr(self.clock.as_mut_ptr());
                 let held = SyncPtr(self.held.as_mut_ptr());
-                pool.run(n, grain, &|i| {
+                pool.run(n, grain, &|batch| {
                     // Capture the `SyncPtr` wrappers whole (precise capture
                     // would otherwise grab the raw-pointer fields, which are
                     // not `Sync`).
                     let (ranks, slots, clocks, held) = (&ranks, &slots, &clocks, &held);
-                    let out = topo.out_range(i);
-                    // SAFETY: the pool hands each index to exactly one
-                    // worker, so `ranks[i]`, `slots[i]`, `clocks[i]`,
-                    // `held[i]`, target `i`'s in-edge slots of the read
-                    // generation and origin `i`'s slots of the write
-                    // generation are accessed exclusively.
-                    unsafe { write.reset(out.clone()) };
-                    let rank = unsafe { &mut *ranks.0.add(i) };
-                    let slot = unsafe { &mut *slots.0.add(i) };
-                    if skip[i] {
-                        *slot = PhaseTotals::default();
-                        return;
+                    // Chained timing across the batch, as in the
+                    // sequential branch: one clock read per rank.
+                    let mut t_prev = Instant::now();
+                    for i in batch {
+                        let out = topo.out_range(i);
+                        // SAFETY: the pool hands each index to exactly one
+                        // worker, so `ranks[i]`, `slots[i]`, `clocks[i]`,
+                        // `held[i]`, target `i`'s in-edge slots of the read
+                        // generation and origin `i`'s slots of the write
+                        // generation are accessed exclusively.
+                        unsafe { write.reset(out.clone()) };
+                        let slot = unsafe { &mut *slots.0.add(i) };
+                        if skip[i] {
+                            *slot = PhaseTotals::default();
+                            continue;
+                        }
+                        // SAFETY: index `i` is this worker's alone (above).
+                        let (rank, clock, held) = unsafe {
+                            (
+                                &mut *ranks.0.add(i),
+                                &mut *clocks.0.add(i),
+                                &mut *held.0.add(i),
+                            )
+                        };
+                        let phase = *clock % nphases;
+                        *clock += 1;
+                        let targets = &topo.target_of[out.clone()];
+                        let mut ctx = PhaseCtx::windowed(i, targets, write.offset(out.start));
+                        // SAFETY: as above.
+                        unsafe {
+                            rank.phase(phase, read.inbox(held, topo.in_slots(i)), &mut ctx);
+                            consume(held, read, topo.in_slots(i));
+                        }
+                        let now = Instant::now();
+                        ctx.totals.wall_ns = now.duration_since(t_prev).as_nanos() as u64;
+                        t_prev = now;
+                        *slot = ctx.totals;
                     }
-                    // SAFETY: index `i` is this worker's alone (above).
-                    let (clock, held) = unsafe { (&mut *clocks.0.add(i), &mut *held.0.add(i)) };
-                    let phase = *clock % nphases;
-                    *clock += 1;
-                    let targets = &topo.target_of[out.clone()];
-                    let mut ctx = PhaseCtx::windowed(i, targets, write.offset(out.start));
-                    let t0 = Instant::now();
-                    // SAFETY: as above.
-                    unsafe {
-                        rank.phase(phase, read.inbox(held, topo.in_slots(i)), &mut ctx);
-                        consume(held, read, topo.in_slots(i));
-                    }
-                    ctx.totals.wall_ns = t0.elapsed().as_nanos() as u64;
-                    *slot = ctx.totals;
                 });
             }
         }
@@ -1574,6 +1612,40 @@ mod tests {
                 "{mode:?}: workers accumulated busy time"
             );
             assert!(ex.stats.worker_utilization() > 0.0, "{mode:?}");
+        }
+
+        // On the pool, per-rank times are chained across each claimed
+        // batch. 64 ranks on 2 workers run in batches of 4, 16 batches in
+        // all: chained reads must neither count a rank's time twice (the
+        // per-rank sum stays within the workers' busy time) nor leak into
+        // a skipped rank (the stalled rank reads 0).
+        let (n, stalled) = (64, 21);
+        let mut ex = Executor::new(ring(n), CostModel::default(), ExecMode::Threaded(2));
+        ex.injector_mut().inject_stall(stalled, 3);
+        for step in 0..4 {
+            let ranks_before = ex.stats.rank_time_ns.clone();
+            let busy_before: u64 = ex.stats.worker_busy_ns.iter().sum();
+            ex.step();
+            let rank_ns: Vec<u64> = ex
+                .stats
+                .rank_time_ns
+                .iter()
+                .zip(&ranks_before)
+                .map(|(a, b)| a - b)
+                .collect();
+            let busy = ex.stats.worker_busy_ns.iter().sum::<u64>() - busy_before;
+            assert!(
+                rank_ns.iter().sum::<u64>() <= busy,
+                "step {step}: ranks {} ns > workers busy {busy} ns",
+                rank_ns.iter().sum::<u64>()
+            );
+            for (i, &ns) in rank_ns.iter().enumerate() {
+                if i == stalled && step < 3 {
+                    assert_eq!(ns, 0, "step {step}: the stalled rank reads 0");
+                } else {
+                    assert!(ns > 0, "step {step}: rank {i} ran and reads 0");
+                }
+            }
         }
     }
 

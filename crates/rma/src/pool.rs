@@ -30,6 +30,7 @@
 //! caller would see had the task run on its own thread.
 
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,10 +48,13 @@ unsafe impl<T: Send> Send for SyncPtr<T> {}
 // worker only, so `T: Send` suffices here as well.
 unsafe impl<T: Send> Sync for SyncPtr<T> {}
 
+/// A dispatch closure: runs the tasks of one claimed batch of indices.
+type BatchFn<'a> = dyn Fn(Range<usize>) + Sync + 'a;
+
 /// Type-erased pointer to the dispatch closure. The pointee is guaranteed
 /// by [`WorkerPool::run`] to outlive the dispatch (the call blocks until
 /// all workers have finished with it).
-struct TaskPtr(*const (dyn Fn(usize) + Sync));
+struct TaskPtr(*const BatchFn<'static>);
 // SAFETY: the pointee is Sync and `run` fences its lifetime.
 unsafe impl Send for TaskPtr {}
 
@@ -141,11 +145,13 @@ impl WorkerPool {
             .generation
     }
 
-    /// Runs `task(i)` for every `i in 0..ntasks` across the pool, claiming
-    /// batches of `grain` indices at a time. Blocks until all indices have
-    /// been executed and every worker has quiesced, then re-raises the
-    /// first panic a task raised, if any.
-    pub(crate) fn run(&self, ntasks: usize, grain: usize, task: &(dyn Fn(usize) + Sync)) {
+    /// Runs every index of `0..ntasks` across the pool: workers claim
+    /// batches of `grain` consecutive indices and call `task(lo..hi)` once
+    /// per batch, so per-batch work (a clock read, a pointer setup) is paid
+    /// once per batch, not per index. Blocks until all indices have been
+    /// executed and every worker has quiesced, then re-raises the first
+    /// panic a task raised, if any.
+    pub(crate) fn run(&self, ntasks: usize, grain: usize, task: &BatchFn<'_>) {
         if ntasks == 0 {
             return;
         }
@@ -159,12 +165,9 @@ impl WorkerPool {
             // SAFETY: we erase the lifetime, then block below until every
             // worker reports done, which happens-after its last use of the
             // pointer (the `done` increment is made under the same mutex).
-            let ptr: *const (dyn Fn(usize) + Sync) = task;
+            let ptr: *const BatchFn<'_> = task;
             st.task = Some(TaskPtr(unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(usize) + Sync),
-                    *const (dyn Fn(usize) + Sync + 'static),
-                >(ptr)
+                std::mem::transmute::<*const BatchFn<'_>, *const BatchFn<'static>>(ptr)
             }));
             st.ntasks = ntasks;
             st.grain = grain.max(1);
@@ -226,13 +229,16 @@ impl SharedPool {
     /// quiesced.
     pub fn for_each_mut<T: Send>(&self, items: &mut [T], f: impl Fn(&mut T) + Sync) {
         let base = SyncPtr(items.as_mut_ptr());
-        self.pool.run(items.len(), 1, &|i| {
+        self.pool.run(items.len(), 1, &|batch| {
             let base = &base;
-            // SAFETY: `run` hands each index in `0..items.len()` to exactly
-            // one worker (disjoint claims from the cursor) and returns only
-            // after every worker has quiesced, so this is the sole
-            // reference to `items[i]` and it ends within `items`' borrow.
-            f(unsafe { &mut *base.0.add(i) })
+            for i in batch {
+                // SAFETY: `run` hands each index in `0..items.len()` to
+                // exactly one worker (disjoint claims from the cursor) and
+                // returns only after every worker has quiesced, so this is
+                // the sole reference to `items[i]` and it ends within
+                // `items`' borrow.
+                f(unsafe { &mut *base.0.add(i) })
+            }
         });
     }
 
@@ -338,9 +344,7 @@ fn worker_loop(shared: &Shared, w: usize) {
             if start >= ntasks {
                 break;
             }
-            for i in start..(start + grain).min(ntasks) {
-                task(i);
-            }
+            task(start..(start + grain).min(ntasks));
         }));
         shared.busy_ns[w].fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let mut st = shared
@@ -367,8 +371,11 @@ mod tests {
         let pool = WorkerPool::new(4);
         for grain in [1usize, 3, 16, 1000] {
             let hits: Vec<AtomicU32> = (0..257).map(|_| AtomicU32::new(0)).collect();
-            pool.run(hits.len(), grain, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
+            pool.run(hits.len(), grain, &|batch| {
+                assert!(batch.len() <= grain, "a batch is at most one grain");
+                for i in batch {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
             });
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
@@ -382,8 +389,8 @@ mod tests {
         let pool = WorkerPool::new(2);
         let sum = AtomicU64::new(0);
         for _ in 0..100 {
-            pool.run(10, 2, &|i| {
-                sum.fetch_add(i as u64, Ordering::Relaxed);
+            pool.run(10, 2, &|batch| {
+                sum.fetch_add(batch.sum::<usize>() as u64, Ordering::Relaxed);
             });
         }
         assert_eq!(sum.load(Ordering::Relaxed), 45 * 100);
@@ -460,8 +467,10 @@ mod tests {
     #[test]
     fn busy_time_accumulates() {
         let pool = WorkerPool::new(1);
-        pool.run(64, 4, &|_| {
-            std::hint::black_box((0..100).sum::<u64>());
+        pool.run(64, 4, &|batch| {
+            for _ in batch {
+                std::hint::black_box((0..100).sum::<u64>());
+            }
         });
         assert!(pool.busy_ns(0) > 0);
     }
